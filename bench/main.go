@@ -142,7 +142,7 @@ type workload struct {
 	// that keeps at least ten samples beyond it at this workload's
 	// usual operation count.
 	tailPct float64
-	clients int // closed-loop clients; 1 for workloads whose op is already parallel inside
+	clients int // closed-loop clients; 1 for workloads whose op is already parallel inside, and for cold serving
 	// setupReps is how many times a run sets up, reporting the median.
 	// A fresh process's first set-ups also pay page faults, heap growth
 	// and lazy initialization; the median is robust to them, and cheap
@@ -159,7 +159,7 @@ var workloads = []workload{
 	{name: "study-extract", tailPct: 50, clients: 1, setupReps: 5, prepare: prepareStudy(true)},
 	{name: "clicklog", tailPct: 50, clients: 1, setupReps: 15, prepare: prepareClicklog},
 	{name: "serve-warm", tailPct: 99, clients: 2, setupReps: 5, prepare: prepareServeWarm},
-	{name: "serve-coldscan", tailPct: 99, clients: 2, setupReps: 15, prepare: prepareServeCold},
+	{name: "serve-coldscan", tailPct: 98, clients: 1, setupReps: 15, prepare: prepareServeCold},
 }
 
 func lookupWorkload(name string) (workload, bool) {

@@ -288,8 +288,11 @@ func (b *warmBench) close() error {
 	return b.srv.close()
 }
 
-// coldBench is serve-coldscan: closed-loop clients scanning more seeds
-// than the study LRU holds, so every request builds a study.
+// coldBench is serve-coldscan: a closed-loop client scanning more seeds
+// than the study LRU holds, so every request builds a study. One client,
+// not two: two cold builds at once on a two-processor host made a run's
+// throughput swing by ±15% from one process to the next, on the same
+// seed, where one client's runs agree within 5%.
 type coldBench struct {
 	srv    *server
 	client *http.Client
@@ -302,9 +305,11 @@ type coldBench struct {
 
 // prepareServeCold's set-up starts a server and sends one cold request
 // per scanned endpoint for a fixed seed outside the scanned ones, paying
-// lazy initialization before timing.
+// lazy initialization before timing. Each set-up starts after the
+// previous server has shut down, so every one starts from the same
+// collected heap.
 func prepareServeCold(p params) (bench, []time.Duration, error) {
-	const clients = 2
+	const clients = 1
 	seeds := make([]uint64, p.sz.coldWindow)
 	for i := range seeds {
 		seeds[i] = derive(p.seed, "coldscan", i)
@@ -314,18 +319,23 @@ func prepareServeCold(p params) (bench, []time.Duration, error) {
 		setups []time.Duration
 	)
 	for i := 0; i < p.setupReps; i++ {
+		if b != nil {
+			if err := b.close(); err != nil {
+				return nil, nil, err
+			}
+		}
 		runtime.GC()
 		t0 := time.Now()
 		srv, err := startServer(0)
 		if err != nil {
 			return nil, nil, err
 		}
-		next := &coldBench{srv: srv, client: newClient(clients), seeds: seeds,
+		b = &coldBench{srv: srv, client: newClient(clients), seeds: seeds,
 			bufs: make([]bytes.Buffer, clients), seen: make(map[string][32]byte)}
 		for _, e := range coldEndpoints {
 			t := newTarget(derive(0, "coldscan-setup", 0), e[0], e[1])
 			var r response
-			if r, _, err = get(next.client, srv.base+t.path, "", &next.bufs[0]); err == nil {
+			if r, _, err = get(b.client, srv.base+t.path, "", &b.bufs[0]); err == nil {
 				err = t.check(r)
 			}
 			if err != nil {
@@ -333,10 +343,6 @@ func prepareServeCold(p params) (bench, []time.Duration, error) {
 			}
 		}
 		setups = append(setups, time.Since(t0))
-		if b != nil {
-			err = errors.Join(err, b.close())
-		}
-		b = next
 		if err != nil {
 			return nil, nil, errors.Join(err, b.close())
 		}
