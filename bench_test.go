@@ -250,8 +250,7 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 // (ExtractIndexes) versus the retained-DOM pipeline it replaced —
 // render []Page, htmlx.Parse per page, joined Text, regex matching —
 // replicated here verbatim as the measured baseline. Compare ns/op and
-// allocs/op between the two sub-benchmarks; scripts/bench.sh records
-// both in BENCH_4.json.
+// allocs/op between the two sub-benchmarks.
 func BenchmarkExtractIndexes(b *testing.B) {
 	web, err := synth.Generate(synth.Config{
 		Domain: entity.Banks, Entities: 300, DirectoryHosts: 450, Seed: 3,
@@ -353,69 +352,57 @@ func BenchmarkRunAll(b *testing.B) {
 }
 
 // BenchmarkGenerate measures the §4 demand workload end to end under
-// four architectures:
+// three architectures:
 //
-//   - serial: the wire-format fold — Simulate materializes each click
-//     to logs.Click and Aggregator.Add resolves the URL back to its
-//     entity (interned catalog URLs cost one string-map hit). This is
-//     what replaying a click log costs, and the name-stable baseline
-//     the bench regression gate tracks across BENCH files.
-//   - serial-ref: the zero-string serial fold — since PR 6 the
-//     columnar architecture: SimulateRefBatches streams reused ref
-//     batches into Aggregator.FoldBatch (struct-of-arrays state,
-//     cache-blocked per-block delta folds), no URL ever built or
+//   - serial-ref: serial generation (GenerateOrderedRefs with one
+//     generator) folded on the consumer goroutine in DefaultFoldBatch
+//     batches through Aggregator.FoldBatch — struct-of-arrays state,
+//     cache-blocked per-block delta folds, no URL ever built or
 //     parsed. TestFoldBatchMatchesAddRef pins it bit-identical to the
-//     scalar AddRef loop it replaced.
-//   - serial-ref-scalar: the same fold one AddRef at a time — the
-//     PR 5 architecture, kept as the columnar row's ablation baseline.
-//   - serialgen-shardedagg: serial ref generation feeding 4 concurrent
-//     shard workers (SimulateParallel; shards fold columnar batches).
+//     scalar AddRef loop.
+//   - serial-ref-scalar: the same stream folded one AddRef at a time,
+//     kept as the columnar row's ablation baseline.
 //   - pipeline/gen=N: the fully concurrent path (GeneratePipeline).
 //
-// The PR 6 contract: serial-ref ≤ 15 ms/op and pipeline/gen=4 ≤ 22
-// ms/op on the bench host, with a measured drop in bytes moved per
-// click. All rows share the same aggregation structures (cookie bitmap
-// hint included), so the deltas isolate the layout, not tuning.
+// All rows share the same aggregation structures (cookie bitmap hint
+// included), so the deltas isolate the layout, not tuning.
 //
-// Each demand row also reports "bytes/click": the aggregator's
-// modelled state traffic (Aggregator.BytesMoved — ref stream + visit
-// column touches + cookie-structure bytes, computed from column widths
-// and touch counts) divided by clicks folded. BENCH files carry it so
-// the trajectory tracks bandwidth, not just ns/op; the wire-serial row
-// reports none (its Add path measures replay cost, not layout).
+// Each row also reports "bytes/click": the aggregator's modelled
+// state traffic (Aggregator.BytesMoved — ref stream + visit column
+// touches + cookie-structure bytes, computed from column widths and
+// touch counts) divided by clicks folded, so the measurement tracks
+// bandwidth, not just ns/op.
 func BenchmarkGenerate(b *testing.B) {
 	cat, err := benchStudy.Catalog(logs.Amazon)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := demand.SimConfig{Events: 200000, Cookies: 30000, Seed: 7}
+	serialGen := demand.PipelineConfig{Generators: 1}
 	events := func(b *testing.B) { b.SetBytes(int64(2 * cfg.Events)) }
 	perClick := func(b *testing.B, moved uint64) {
 		b.ReportMetric(float64(moved)/float64(b.N)/float64(2*cfg.Events), "bytes/click")
 	}
 
-	b.Run("serial", func(b *testing.B) {
+	b.Run("serial-ref", func(b *testing.B) {
 		events(b)
+		var moved uint64
+		buf := make([]demand.ClickRef, 0, demand.DefaultFoldBatch)
 		for i := 0; i < b.N; i++ {
 			agg := demand.NewAggregator(cat)
 			agg.SetCookieHint(cfg.Cookies)
-			if err := demand.Simulate(cat, cfg, func(c logs.Click) error {
-				agg.Add(c)
+			if err := demand.GenerateOrderedRefs(cat, cfg, serialGen, func(r demand.ClickRef) error {
+				buf = append(buf, r)
+				if len(buf) == cap(buf) {
+					agg.FoldBatch(buf)
+					buf = buf[:0]
+				}
 				return nil
 			}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("serial-ref", func(b *testing.B) {
-		events(b)
-		var moved uint64
-		for i := 0; i < b.N; i++ {
-			agg := demand.NewAggregator(cat)
-			agg.SetCookieHint(cfg.Cookies)
-			if err := demand.SimulateRefBatches(cat, cfg, 0, agg.FoldBatch); err != nil {
-				b.Fatal(err)
-			}
+			agg.FoldBatch(buf)
+			buf = buf[:0]
 			moved += agg.BytesMoved()
 		}
 		perClick(b, moved)
@@ -426,22 +413,13 @@ func BenchmarkGenerate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			agg := demand.NewAggregator(cat)
 			agg.SetCookieHint(cfg.Cookies)
-			if err := demand.SimulateRefs(cat, cfg, agg.AddRef); err != nil {
+			if err := demand.GenerateOrderedRefs(cat, cfg, serialGen, func(r demand.ClickRef) error {
+				agg.AddRef(r)
+				return nil
+			}); err != nil {
 				b.Fatal(err)
 			}
 			moved += agg.BytesMoved()
-		}
-		perClick(b, moved)
-	})
-	b.Run("serialgen-shardedagg", func(b *testing.B) {
-		events(b)
-		var moved uint64
-		for i := 0; i < b.N; i++ {
-			sa, err := demand.SimulateParallel(cat, cfg, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += sa.BytesMoved()
 		}
 		perClick(b, moved)
 	})
@@ -540,58 +518,34 @@ func BenchmarkSegment(b *testing.B) {
 }
 
 // BenchmarkGenerateOnly isolates click synthesis (no aggregation):
-// serial Simulate against SimulateRange leapfrog-fanned across N
-// goroutines — the raw throughput the stream-splitting scheme unlocks.
+// ordered generation from one worker against N workers leapfrogging
+// over the event windows — the raw throughput the stream-splitting
+// scheme unlocks, net of the reorder buffer.
 func BenchmarkGenerateOnly(b *testing.B) {
 	cat, err := benchStudy.Catalog(logs.Amazon)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := demand.SimConfig{Events: 200000, Cookies: 30000, Seed: 7}
-	events := func(b *testing.B) { b.SetBytes(int64(2 * cfg.Events)) }
-
-	b.Run("serial", func(b *testing.B) {
-		events(b)
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := demand.Simulate(cat, cfg, func(logs.Click) error {
-				n++
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if n != 2*cfg.Events {
-				b.Fatal("short stream")
-			}
+	for _, gens := range []int{1, 2, 4, 8} {
+		name := fmt.Sprintf("gen=%d", gens)
+		if gens == 1 {
+			name = "serial"
 		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("range=%d", workers), func(b *testing.B) {
-			events(b)
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(2 * cfg.Events))
 			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				chunk := (cfg.Events + workers - 1) / workers
-				for _, src := range []logs.Source{logs.Search, logs.Browse} {
-					for w := 0; w < workers; w++ {
-						lo := w * chunk
-						hi := lo + chunk
-						if hi > cfg.Events {
-							hi = cfg.Events
-						}
-						if lo >= hi {
-							continue
-						}
-						wg.Add(1)
-						go func(src logs.Source, lo, hi int) {
-							defer wg.Done()
-							if err := demand.SimulateRange(cat, cfg, src, lo, hi,
-								func(logs.Click) error { return nil }); err != nil {
-								b.Error(err)
-							}
-						}(src, lo, hi)
-					}
+				n := 0
+				if err := demand.GenerateOrderedRefs(cat, cfg, demand.PipelineConfig{Generators: gens},
+					func(demand.ClickRef) error {
+						n++
+						return nil
+					}); err != nil {
+					b.Fatal(err)
 				}
-				wg.Wait()
+				if n != 2*cfg.Events {
+					b.Fatal("short stream")
+				}
 			}
 		})
 	}
@@ -616,47 +570,6 @@ func BenchmarkAblationSetCoverNaive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := coverage.GreedySetCoverNaive(idx, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCookiesExact vs ...Sketch: exact distinct-cookie
-// sets against HyperLogLog sketches.
-func BenchmarkAblationCookiesExact(b *testing.B) {
-	cat, err := benchStudy.Catalog(logs.Yelp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := demand.SimConfig{Events: 50000, Cookies: 20000, Seed: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := demand.NewAggregator(cat)
-		if err := demand.Simulate(cat, cfg, func(c logs.Click) error {
-			agg.Add(c)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationCookiesSketch(b *testing.B) {
-	cat, err := benchStudy.Catalog(logs.Yelp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := demand.SimConfig{Events: 50000, Cookies: 20000, Seed: 5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg, err := demand.NewSketchAggregator(cat, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := demand.Simulate(cat, cfg, func(c logs.Click) error {
-			agg.Add(c)
-			return nil
-		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -339,6 +339,32 @@ func TestGenRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestGenRejectsNegativeSizes: a negative -cookies or -events fails
+// with an error — not a generator-goroutine panic or an empty log —
+// and leaves neither the output path nor its temp file behind.
+func TestGenRejectsNegativeSizes(t *testing.T) {
+	for _, format := range []string{"tsv", "seg"} {
+		for _, bad := range []struct{ events, cookies int }{{4000, -1}, {-5, 600}} {
+			dir := t.TempDir()
+			o := testGen
+			o.format, o.out = format, filepath.Join(dir, "clicks.out")
+			o.events, o.cookies = bad.events, bad.cookies
+			if _, err := generate(o); err == nil {
+				t.Fatalf("%s events=%d cookies=%d: gen should fail", format, bad.events, bad.cookies)
+			}
+			for _, path := range []string{o.out, o.out + ".tmp"} {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("%s events=%d cookies=%d: %s left behind", format, bad.events, bad.cookies, path)
+				}
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("%s events=%d cookies=%d: failed gen left files behind: %v %v",
+					format, bad.events, bad.cookies, ents, err)
+			}
+		}
+	}
+}
+
 // TestCookieHint: the -cookies bitmap hint must not change any
 // estimate, only the counting structure.
 func TestCookieHint(t *testing.T) {

@@ -40,10 +40,11 @@ const (
 	foldBlockShift = 9
 	foldBlockSize  = 1 << foldBlockShift
 
-	// DefaultFoldBatch is SimulateRefBatches's batch size: 4096 refs
-	// is 64 KiB of ClickRefs — large enough that partitioning is
-	// amortized and head entities coalesce many hits per block, small
-	// enough that batch plus scratch stay cache-resident.
+	// DefaultFoldBatch is the batch size for a serial FoldBatch
+	// caller: 4096 refs is 64 KiB of ClickRefs — large enough that
+	// partitioning is amortized and head entities coalesce many hits
+	// per block, small enough that batch plus scratch stay
+	// cache-resident.
 	DefaultFoldBatch = 4096
 )
 

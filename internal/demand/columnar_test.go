@@ -127,40 +127,25 @@ func TestFoldBatchMatchesAddRef(t *testing.T) {
 	}
 }
 
-// TestSimulateRefBatchesMatchesSimulateRefs: the batch-producing
-// simulation driver feeds FoldBatch the exact stream SimulateRefs
-// feeds AddRef, for batch sizes that don't divide the stream and the
-// default size.
-func TestSimulateRefBatchesMatchesSimulateRefs(t *testing.T) {
+// TestFoldBatchSingleRefBatches: one-ref batches coalesce nothing, so
+// FoldBatch must match a scalar AddRef loop over a simulated stream in
+// the estimates and, exactly, in the bytes-moved accounting — pinning
+// every non-visit component of the model to the scalar's.
+func TestFoldBatchSingleRefBatches(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 200)
 	cfg := SimConfig{Events: 3000, Cookies: 800, Seed: 11}
-	ref := NewAggregator(cat)
-	ref.SetCookieHint(cfg.Cookies)
-	if err := SimulateRefs(cat, cfg, ref.AddRef); err != nil {
-		t.Fatal(err)
+	refs := serialRefs(t, cat, cfg)
+	scalar, batched := NewAggregator(cat), NewAggregator(cat)
+	scalar.SetCookieHint(cfg.Cookies)
+	batched.SetCookieHint(cfg.Cookies)
+	for i, r := range refs {
+		scalar.AddRef(r)
+		batched.FoldBatch(refs[i : i+1])
 	}
-	for _, size := range []int{0, 1, 7, 1000, 1 << 20} {
-		agg := NewAggregator(cat)
-		agg.SetCookieHint(cfg.Cookies)
-		if err := SimulateRefBatches(cat, cfg, size, agg.FoldBatch); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := estimateBytes(t, agg), estimateBytes(t, ref); !bytes.Equal(got, want) {
-			t.Fatalf("batch size %d: estimates differ from scalar SimulateRefs", size)
-		}
-		// Same bounded relationship as TestFoldBatchMatchesAddRef: the
-		// batch fold's visit-touch coalescing may only shrink the
-		// modelled traffic, never grow it, and never by more than the
-		// scalar visit charge (every simulated ref is valid here).
-		clicks := uint64(2 * cfg.Events)
-		sb, bb := ref.BytesMoved(), agg.BytesMoved()
-		if bb > sb || sb-bb > clicks*visitMoveBytes {
-			t.Fatalf("batch size %d: bytes moved %d vs scalar %d outside the coalescing envelope", size, bb, sb)
-		}
-		if size == 1 && bb != sb {
-			// Single-ref batches coalesce nothing: accounting must agree
-			// exactly, pinning every non-visit component to the scalar's.
-			t.Fatalf("batch size 1: bytes moved %d != scalar %d", bb, sb)
-		}
+	if !bytes.Equal(estimateBytes(t, batched), estimateBytes(t, scalar)) {
+		t.Fatal("single-ref batches: estimates differ from scalar AddRef")
+	}
+	if bb, sb := batched.BytesMoved(), scalar.BytesMoved(); bb != sb {
+		t.Fatalf("single-ref batches: bytes moved %d != scalar %d", bb, sb)
 	}
 }

@@ -20,12 +20,12 @@ package demand
 //     table of hundreds of kilobytes, and the set never grows again.
 //
 // Counting is exact in all regimes (the paper's §4.1 unique-cookie
-// demand measure is exact, so the default aggregator must be too; HLL
-// is the sketched alternative). The zero value is an empty set. Slot
-// value 0 marks an empty slot; cookie 0 (legal in replayed external
-// logs, never produced by the simulator) is tracked aside, and cookies
-// above the hint — impossible in simulation, arbitrary in replay —
-// stay on the table path beside the bitmap.
+// demand measure is exact, so the aggregator must be too). The zero
+// value is an empty set. Slot value 0 marks an empty slot; cookie 0
+// (legal in replayed external logs, never produced by the simulator)
+// is tracked aside, and cookies above the hint — impossible in
+// simulation, arbitrary in replay — stay on the table path beside the
+// bitmap.
 // Field order is deliberate: the counters and both slice headers pack
 // into the struct's first cache line, with the inline array on the
 // second — one set spans exactly two lines of the aggregator's cookie
@@ -242,4 +242,11 @@ func (s *cookieSet) len() int {
 		return int(s.n) + 1
 	}
 	return int(s.n)
+}
+
+// mix64 is the SplitMix64 finalizer, a strong 64-bit mixer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

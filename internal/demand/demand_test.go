@@ -16,6 +16,66 @@ func testCatalog(t *testing.T, site logs.Site, n int) *Catalog {
 	return cat
 }
 
+// sampler returns src's sampler for (cat, cfg) with defaults applied.
+func sampler(t *testing.T, cat *Catalog, cfg SimConfig, src logs.Source) *sourceSampler {
+	t.Helper()
+	cfg, err := withSimDefaults(cfg, len(cat.Entities))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := newSourceSampler(cat, cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// serialRefs is the canonical click stream for (cat, cfg) — all search
+// events by index, then all browse events — generated on the calling
+// goroutine straight from the per-source samplers: the reference every
+// parallel generation path is held to.
+func serialRefs(t *testing.T, cat *Catalog, cfg SimConfig) []ClickRef {
+	t.Helper()
+	var out []ClickRef
+	for _, src := range sources {
+		sp := sampler(t, cat, cfg, src)
+		sp.generateRefs(0, sp.cfg.Events, func(r ClickRef) bool {
+			out = append(out, r)
+			return true
+		})
+	}
+	return out
+}
+
+// serialFold folds refs through the scalar AddRef oracle.
+func serialFold(cat *Catalog, refs []ClickRef) *Aggregator {
+	agg := NewAggregator(cat)
+	for _, r := range refs {
+		agg.AddRef(r)
+	}
+	return agg
+}
+
+// wireClicks materializes refs to the wire representation.
+func wireClicks(cat *Catalog, refs []ClickRef) []logs.Click {
+	out := make([]logs.Click, len(refs))
+	for i, r := range refs {
+		out[i] = r.Click(cat)
+	}
+	return out
+}
+
+// feedClicks replays wire clicks through a ShardedAggregator's Feed.
+func feedClicks(cat *Catalog, shards int, clicks []logs.Click) *ShardedAggregator {
+	sa := NewShardedAggregator(cat, shards)
+	emit, done := sa.Feed()
+	for _, c := range clicks {
+		emit(c)
+	}
+	done()
+	return sa
+}
+
 func TestGenerateCatalogValidation(t *testing.T) {
 	if _, err := GenerateCatalog(CatalogConfig{Site: "ebay", N: 10}); err == nil {
 		t.Error("unknown site should fail")
@@ -104,19 +164,11 @@ func TestIMDbTailCutoff(t *testing.T) {
 
 func TestSimulateAndAggregate(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 200)
-	agg := NewAggregator(cat)
-	n := 0
-	err := Simulate(cat, SimConfig{Events: 20000, Cookies: 5000, Seed: 3}, func(c logs.Click) error {
-		n++
-		agg.Add(c)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	refs := serialRefs(t, cat, SimConfig{Events: 20000, Cookies: 5000, Seed: 3})
+	if len(refs) != 40000 { // events per source × 2 sources
+		t.Fatalf("emitted %d clicks, want 40000", len(refs))
 	}
-	if n != 40000 { // events per source × 2 sources
-		t.Fatalf("emitted %d clicks, want 40000", n)
-	}
+	agg := serialFold(cat, refs)
 	for _, src := range []logs.Source{logs.Search, logs.Browse} {
 		ests := agg.Demand(src)
 		totalVisits := 0
@@ -137,26 +189,44 @@ func TestSimulateAndAggregate(t *testing.T) {
 	}
 }
 
+// TestSimulateEmptyCatalog: every generation entry point rejects an
+// empty catalog with an error.
 func TestSimulateEmptyCatalog(t *testing.T) {
 	cat := &Catalog{Site: logs.Yelp}
-	if err := Simulate(cat, SimConfig{}, func(logs.Click) error { return nil }); err == nil {
+	if err := GenerateOrderedRefs(cat, SimConfig{}, PipelineConfig{Generators: 1}, func(ClickRef) error { return nil }); err == nil {
 		t.Error("empty catalog should fail")
+	}
+	if _, err := withSimDefaults(SimConfig{}, 0); err == nil {
+		t.Error("withSimDefaults should reject an empty catalog")
+	}
+}
+
+// TestSimConfigRejectsNegativeSizes: a negative Events or Cookies is an
+// error from every generation entry point — before any worker starts —
+// not a generator-goroutine panic or a silently empty stream.
+func TestSimConfigRejectsNegativeSizes(t *testing.T) {
+	cat := testCatalog(t, logs.Yelp, 20)
+	for _, cfg := range []SimConfig{{Events: -5}, {Cookies: -1}, {Events: -1, Cookies: -1}} {
+		if _, err := GeneratePipeline(cat, cfg, PipelineConfig{}); err == nil {
+			t.Errorf("GeneratePipeline(%+v) should fail", cfg)
+		}
+		emitted := 0
+		if err := GenerateOrderedRefs(cat, cfg, PipelineConfig{}, func(ClickRef) error {
+			emitted++
+			return nil
+		}); err == nil {
+			t.Errorf("GenerateOrderedRefs(%+v) should fail", cfg)
+		}
+		if emitted != 0 {
+			t.Errorf("GenerateOrderedRefs(%+v) emitted %d refs before failing", cfg, emitted)
+		}
 	}
 }
 
 func TestSimulateDeterministic(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 50)
-	run := func() []logs.Click {
-		var out []logs.Click
-		if err := Simulate(cat, SimConfig{Events: 500, Cookies: 100, Seed: 9}, func(c logs.Click) error {
-			out = append(out, c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(), run()
+	cfg := SimConfig{Events: 500, Cookies: 100, Seed: 9}
+	a, b := serialRefs(t, cat, cfg), serialRefs(t, cat, cfg)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("click %d differs", i)
@@ -164,16 +234,25 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
+// TestAggregatorIgnoresForeignClicks: wire clicks naming another site,
+// an entity missing from the catalog, a non-entity page or an unknown
+// source drop at Feed's resolvers and are counted as dropped.
 func TestAggregatorIgnoresForeignClicks(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 10)
-	agg := NewAggregator(cat)
-	agg.Add(logs.Click{Source: logs.Search, Cookie: 1, URL: "http://imdb.com/title/tt0000001/"})
-	agg.Add(logs.Click{Source: logs.Search, Cookie: 1, URL: "http://yelp.com/biz/not-in-catalog"})
-	agg.Add(logs.Click{Source: "weird", Cookie: 1, URL: cat.Entities[0].URL})
-	agg.Add(logs.Click{Source: logs.Search, Cookie: 1, URL: "http://yelp.com/events/x"})
-	for _, e := range agg.Demand(logs.Search) {
-		if e.Visits != 0 {
-			t.Errorf("foreign click counted: %+v", e)
+	sa := feedClicks(cat, 3, []logs.Click{
+		{Source: logs.Search, Cookie: 1, URL: "http://imdb.com/title/tt0000001/"},
+		{Source: logs.Search, Cookie: 1, URL: "http://yelp.com/biz/not-in-catalog"},
+		{Source: "weird", Cookie: 1, URL: cat.Entities[0].URL},
+		{Source: logs.Search, Cookie: 1, URL: "http://yelp.com/events/x"},
+	})
+	if resolved, dropped := sa.FeedStats(); resolved != 0 || dropped != 4 {
+		t.Fatalf("FeedStats = (%d, %d), want (0, 4)", resolved, dropped)
+	}
+	for _, src := range sources {
+		for _, e := range sa.Demand(src) {
+			if e.Visits != 0 {
+				t.Errorf("foreign click counted: %+v", e)
+			}
 		}
 	}
 }
@@ -181,13 +260,7 @@ func TestAggregatorIgnoresForeignClicks(t *testing.T) {
 func TestUniqueCookieSaturation(t *testing.T) {
 	// With a tiny cookie pool, unique counts must cap at the pool size.
 	cat := testCatalog(t, logs.Yelp, 5)
-	agg := NewAggregator(cat)
-	if err := Simulate(cat, SimConfig{Events: 50000, Cookies: 20, Seed: 4}, func(c logs.Click) error {
-		agg.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	agg := serialFold(cat, serialRefs(t, cat, SimConfig{Events: 50000, Cookies: 20, Seed: 4}))
 	for _, e := range agg.Demand(logs.Search) {
 		if e.UniqueCookies > 20 {
 			t.Errorf("uniques %d exceed cookie pool", e.UniqueCookies)
@@ -198,13 +271,21 @@ func TestUniqueCookieSaturation(t *testing.T) {
 func TestWithSimDefaultsBrowseHeadBias(t *testing.T) {
 	// nil takes the default; an explicit value — including zero — is
 	// preserved (the boundary the old float64 field could not express).
-	if got := withSimDefaults(SimConfig{}, 10); *got.BrowseHeadBias != defaultBrowseHeadBias {
+	defaults := func(cfg SimConfig) SimConfig {
+		t.Helper()
+		got, err := withSimDefaults(cfg, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := defaults(SimConfig{}); *got.BrowseHeadBias != defaultBrowseHeadBias {
 		t.Errorf("nil bias defaulted to %v, want %v", *got.BrowseHeadBias, defaultBrowseHeadBias)
 	}
-	if got := withSimDefaults(SimConfig{BrowseHeadBias: Bias(0)}, 10); *got.BrowseHeadBias != 0 {
+	if got := defaults(SimConfig{BrowseHeadBias: Bias(0)}); *got.BrowseHeadBias != 0 {
 		t.Errorf("explicit zero bias overwritten to %v", *got.BrowseHeadBias)
 	}
-	if got := withSimDefaults(SimConfig{BrowseHeadBias: Bias(0.6)}, 10); *got.BrowseHeadBias != 0.6 {
+	if got := defaults(SimConfig{BrowseHeadBias: Bias(0.6)}); *got.BrowseHeadBias != 0.6 {
 		t.Errorf("explicit bias overwritten to %v", *got.BrowseHeadBias)
 	}
 }
@@ -217,15 +298,9 @@ func TestBrowseHeadBiasShapesBrowseTraffic(t *testing.T) {
 	// zero is honored, not replaced by 0.15).
 	cat := testCatalog(t, logs.Yelp, 100)
 	headVisits := func(bias *float64) int {
-		agg := NewAggregator(cat)
-		if err := Simulate(cat, SimConfig{
+		agg := serialFold(cat, serialRefs(t, cat, SimConfig{
 			Events: 30000, Cookies: 5000, Seed: 11, BrowseHeadBias: bias,
-		}, func(c logs.Click) error {
-			agg.Add(c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}))
 		return agg.Demand(logs.Browse)[0].Visits
 	}
 	zero, def, strong := headVisits(Bias(0)), headVisits(nil), headVisits(Bias(2.0))

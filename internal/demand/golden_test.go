@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
 	"testing"
 
 	"repro/internal/logs"
@@ -45,76 +44,39 @@ func streamHash(t *testing.T, clicks []logs.Click) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// collectTap returns a Tap that records every generated window, plus a
-// function reassembling the full stream in canonical order from the
-// recorded windows.
-func collectTap(t *testing.T) (tap func(logs.Source, int, []logs.Click), stream func() []logs.Click) {
-	t.Helper()
-	var mu sync.Mutex
-	got := map[logs.Source]map[int][]logs.Click{}
-	tap = func(src logs.Source, window int, clicks []logs.Click) {
-		mu.Lock()
-		defer mu.Unlock()
-		if got[src] == nil {
-			got[src] = map[int][]logs.Click{}
-		}
-		if _, dup := got[src][window]; dup {
-			t.Errorf("window %s/%d generated twice", src, window)
-		}
-		got[src][window] = append([]logs.Click(nil), clicks...)
-	}
-	stream = func() []logs.Click {
-		mu.Lock()
-		defer mu.Unlock()
-		var out []logs.Click
-		for _, src := range sources {
-			for w := 0; w < len(got[src]); w++ {
-				clicks, ok := got[src][w]
-				if !ok {
-					t.Fatalf("missing window %s/%d", src, w)
-				}
-				out = append(out, clicks...)
-			}
-		}
-		return out
-	}
-	return tap, stream
-}
-
 // TestGoldenStream asserts that the serial generator and the parallel
-// pipeline at several worker geometries all produce the pinned click
-// stream — the end-to-end determinism contract of the PR, run under
-// -race by CI.
+// generators at several worker geometries all produce the pinned click
+// stream, and that the pipeline's aggregate of it equals the serial
+// fold — the end-to-end determinism contract, run under -race by CI.
 func TestGoldenStream(t *testing.T) {
 	cat, cfg := goldenCatalogAndCfg(t)
 
-	var serial []logs.Click
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial = append(serial, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	refs := serialRefs(t, cat, cfg)
+	serial := wireClicks(cat, refs)
 	if got := streamHash(t, serial); got != goldenStreamHash {
-		t.Fatalf("Simulate stream hash = %s, want %s", got, goldenStreamHash)
+		t.Fatalf("serial stream hash = %s, want %s", got, goldenStreamHash)
 	}
+	serialAgg := serialFold(cat, refs)
 
 	for _, geom := range []struct{ gens, shards int }{{1, 1}, {8, 4}} {
-		tap, stream := collectTap(t)
+		var stream []logs.Click
+		if err := GenerateOrderedRefs(cat, cfg, PipelineConfig{Generators: geom.gens, Window: 128},
+			func(r ClickRef) error {
+				stream = append(stream, r.Click(cat))
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if got := streamHash(t, stream); got != goldenStreamHash {
+			t.Fatalf("GenerateOrderedRefs(gens=%d) stream hash = %s, want %s",
+				geom.gens, got, goldenStreamHash)
+		}
+		// The aggregate of the golden stream must equal the serial fold.
 		sa, err := GeneratePipeline(cat, cfg, PipelineConfig{
-			Generators: geom.gens, Shards: geom.shards, Window: 128, Tap: tap,
+			Generators: geom.gens, Shards: geom.shards, Window: 128,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := streamHash(t, stream()); got != goldenStreamHash {
-			t.Fatalf("GeneratePipeline(%d,%d) stream hash = %s, want %s",
-				geom.gens, geom.shards, got, goldenStreamHash)
-		}
-		// The aggregate of the golden stream must equal the serial fold.
-		serialAgg := NewAggregator(cat)
-		for _, c := range serial {
-			serialAgg.Add(c)
 		}
 		if !bytes.Equal(estimateBytes(t, serialAgg), estimateBytes(t, sa)) {
 			t.Fatalf("GeneratePipeline(%d,%d) aggregate differs from serial fold",

@@ -6,8 +6,8 @@ package demand
 // BATCH, never per ref, and a span that is a single atomic load when
 // tracing is off. Per-window generation timing costs two clock reads
 // per 2048-event window; fold timing two per 1024–4096-ref batch —
-// fractions of a nanosecond per event, invisible to the benchdiff
-// gate, and 0 allocs/op (pinned by TestFoldBatchZeroAlloc /
+// fractions of a nanosecond per event, below the benchmark's noise,
+// and 0 allocs/op (pinned by TestFoldBatchZeroAlloc /
 // TestAddRefZeroAlloc).
 
 import "repro/internal/obs"

@@ -19,10 +19,7 @@ func foldFixture(t *testing.T, events int) (*Aggregator, []ClickRef) {
 	t.Helper()
 	cat := testCatalog(t, logs.Amazon, 500)
 	cfg := SimConfig{Events: events, Cookies: 200, Seed: 11}
-	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
-		t.Fatal(err)
-	}
+	refs := serialRefs(t, cat, cfg)
 	agg := NewAggregator(cat)
 	agg.SetCookieHint(cfg.Cookies)
 	return agg, refs

@@ -27,14 +27,6 @@ type PipelineConfig struct {
 	// Window is the events-per-window generation granularity
 	// (<= 0: DefaultWindow).
 	Window int
-	// Tap, when non-nil, observes every generated window: the source,
-	// the 0-based window index within that source, and the window's
-	// clicks in stream order, materialized to the wire representation
-	// for the observer. It is called concurrently from generator
-	// workers (synchronize externally) and must not mutate or retain
-	// the slice. Setting Tap makes the workers allocate one wire slice
-	// per window; the ref path itself stays allocation-free.
-	Tap func(source logs.Source, window int, clicks []logs.Click)
 }
 
 func (p PipelineConfig) withDefaults() PipelineConfig {
@@ -56,7 +48,6 @@ func (p PipelineConfig) withDefaults() PipelineConfig {
 type genWindow struct {
 	seq    int
 	source logs.Source
-	index  int // window index within the source
 	lo, hi int
 }
 
@@ -66,12 +57,12 @@ func genWindows(events, window int) []genWindow {
 	var out []genWindow
 	seq := 0
 	for _, src := range sources {
-		for w, lo := 0, 0; lo < events; w, lo = w+1, lo+window {
+		for lo := 0; lo < events; lo += window {
 			hi := lo + window
 			if hi > events {
 				hi = events
 			}
-			out = append(out, genWindow{seq: seq, source: src, index: w, lo: lo, hi: hi})
+			out = append(out, genWindow{seq: seq, source: src, lo: lo, hi: hi})
 			seq++
 		}
 	}
@@ -105,7 +96,6 @@ func runGenerators(cat *Catalog, cfg SimConfig, p PipelineConfig, stop *atomic.B
 			defer wg.Done()
 			handle, flush := newHandler()
 			defer flush()
-			var buf []ClickRef // Tap replay buffer, reused per worker
 			for gw := range work {
 				if stop != nil && stop.Load() {
 					continue
@@ -113,27 +103,9 @@ func runGenerators(cat *Catalog, cfg SimConfig, p PipelineConfig, stop *atomic.B
 				t0 := time.Now()                     //repro:nondeterm-ok per-window generation-latency telemetry
 				span := spanGenWindow.StartT(worker) //repro:obs-ok one span per generated window (~Window refs), not per ref
 				sp := samplers[gw.source]
-				gen := func(emit func(ClickRef) bool) {
+				handle(gw, func(emit func(ClickRef) bool) {
 					sp.generateRefs(gw.lo, gw.hi, emit)
-				}
-				if p.Tap != nil {
-					// Generate once into the replay buffer so the tap
-					// observes the window without a second RNG pass.
-					buf = buf[:0]
-					sp.generateRefs(gw.lo, gw.hi, func(r ClickRef) bool {
-						buf = append(buf, r)
-						return true
-					})
-					p.Tap(gw.source, gw.index, materialize(make([]logs.Click, 0, len(buf)), cat, buf))
-					gen = func(emit func(ClickRef) bool) {
-						for _, r := range buf {
-							if !emit(r) {
-								return
-							}
-						}
-					}
-				}
-				handle(gw, gen)
+				})
 				span.End()
 				obsGenWindowSec.ObserveSince(t0)
 				obsGenWindows.Inc() //repro:obs-ok one increment per generated window, not per ref
@@ -157,22 +129,23 @@ func runGenerators(cat *Catalog, cfg SimConfig, p PipelineConfig, stop *atomic.B
 // hashed or parsed — and spent batches recycle shard → router through
 // a free list, so the steady state allocates nothing. Each shard
 // worker folds its recycled batches through the cache-blocked columnar
-// FoldBatch, not a per-ref AddRef loop. For a fixed seed
-// the merged result is byte-identical to serial Simulate +
-// Aggregator.Add — and to SimulateParallel — for every
-// (Generators, Shards, Window) setting: windows are exact sub-ranges of
-// the same per-source streams, routing is a pure function of the
-// click's entity, and per-entity aggregation is order-independent.
+// FoldBatch, not a per-ref AddRef loop. For a fixed seed the merged
+// result is byte-identical to a serial AddRef fold of the canonical
+// stream for every (Generators, Shards, Window) setting: windows are
+// exact sub-ranges of the same per-source streams, routing is a pure
+// function of the click's entity, and per-entity aggregation is
+// order-independent. Generators: 1 is the serial-generation
+// configuration.
 func GeneratePipeline(cat *Catalog, cfg SimConfig, p PipelineConfig) (*ShardedAggregator, error) {
-	if len(cat.Entities) == 0 {
-		return nil, fmt.Errorf("demand: empty catalog")
+	cfg, err := withSimDefaults(cfg, len(cat.Entities))
+	if err != nil {
+		return nil, err
 	}
-	cfg = withSimDefaults(cfg, len(cat.Entities))
 	p = p.withDefaults()
 	sa := NewShardedAggregator(cat, p.Shards)
 	sa.SetCookieHint(cfg.Cookies)
 	chans, free, wait := sa.startWorkers(8)
-	err := runGenerators(cat, cfg, p, nil, func() (func(genWindow, func(func(ClickRef) bool)), func()) {
+	err = runGenerators(cat, cfg, p, nil, func() (func(genWindow, func(func(ClickRef) bool)), func()) {
 		r := sa.newRouter(chans, free)
 		handle := func(_ genWindow, gen func(emit func(ClickRef) bool)) {
 			gen(func(ref ClickRef) bool {
@@ -194,18 +167,17 @@ func GeneratePipeline(cat *Catalog, cfg SimConfig, p PipelineConfig) (*ShardedAg
 
 // GenerateOrderedRefs simulates the click streams for cat with
 // parallel per-window generator workers but delivers the refs to emit
-// from a single goroutine in canonical stream order — exactly the
-// sequence SimulateRefs produces — for consumers that need an ordered
+// from a single goroutine in canonical stream order (all search events
+// by index, then all browse events) for consumers that need an ordered
 // stream (segment stores, log files, canonical hashing). A reorder
 // buffer holds windows that finish ahead of their turn; its size is
 // bounded by the workers' window skew. An emit error stops generation
-// promptly and is returned. p.Shards is unused here; Tap fires as in
-// GeneratePipeline.
+// promptly and is returned. p.Shards is unused here.
 func GenerateOrderedRefs(cat *Catalog, cfg SimConfig, p PipelineConfig, emit func(ClickRef) error) error {
-	if len(cat.Entities) == 0 {
-		return fmt.Errorf("demand: empty catalog")
+	cfg, err := withSimDefaults(cfg, len(cat.Entities))
+	if err != nil {
+		return err
 	}
-	cfg = withSimDefaults(cfg, len(cat.Entities))
 	p = p.withDefaults()
 
 	type seqBatch struct {
@@ -243,7 +215,7 @@ func GenerateOrderedRefs(cat *Catalog, cfg SimConfig, p PipelineConfig, emit fun
 			}
 		}
 	}()
-	err := runGenerators(cat, cfg, p, &stop, func() (func(genWindow, func(func(ClickRef) bool)), func()) {
+	err = runGenerators(cat, cfg, p, &stop, func() (func(genWindow, func(func(ClickRef) bool)), func()) {
 		handle := func(gw genWindow, gen func(emit func(ClickRef) bool)) {
 			refs := make([]ClickRef, 0, gw.hi-gw.lo)
 			gen(func(r ClickRef) bool {

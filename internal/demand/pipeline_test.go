@@ -25,19 +25,13 @@ func estimateBytes(t *testing.T, d interface {
 
 // TestGeneratePipelineMatchesSerial is the acceptance contract: for
 // generator/shard worker counts {1,2,4,8} (and odd window sizes) the
-// pipeline's merged output is byte-identical to serial Simulate +
-// Aggregator.Add.
+// pipeline's merged output is byte-identical to the serial AddRef fold
+// of the serially generated stream.
 func TestGeneratePipelineMatchesSerial(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 300)
 	cfg := SimConfig{Events: 30000, Cookies: 6000, Seed: 9}
 
-	serial := NewAggregator(cat)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	serial := serialFold(cat, serialRefs(t, cat, cfg))
 	want := estimateBytes(t, serial)
 
 	for _, gens := range []int{1, 2, 4, 8} {
@@ -61,24 +55,6 @@ func TestGeneratePipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGeneratePipelineMatchesSimulateParallel: the two parallel paths
-// agree with each other too.
-func TestGeneratePipelineMatchesSimulateParallel(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 150)
-	cfg := SimConfig{Events: 8000, Cookies: 1000, Seed: 31}
-	sp, err := SimulateParallel(cat, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := GeneratePipeline(cat, cfg, PipelineConfig{Generators: 5, Shards: 2, Window: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(estimateBytes(t, sp), estimateBytes(t, gp)) {
-		t.Fatal("GeneratePipeline and SimulateParallel disagree")
-	}
-}
-
 func TestGeneratePipelineEmptyCatalog(t *testing.T) {
 	if _, err := GeneratePipeline(&Catalog{Site: logs.Yelp}, SimConfig{}, PipelineConfig{}); err == nil {
 		t.Error("empty catalog should fail")
@@ -89,18 +65,12 @@ func TestGeneratePipelineEmptyCatalog(t *testing.T) {
 }
 
 // TestGenerateOrderedMatchesSimulate: parallel generation, serial
-// canonical-order delivery — the emitted sequence equals Simulate's
-// exactly, whatever the worker count.
+// canonical-order delivery — the emitted wire sequence equals the
+// serially generated stream's exactly, whatever the worker count.
 func TestGenerateOrderedMatchesSimulate(t *testing.T) {
 	cat := testCatalog(t, logs.IMDb, 120)
 	cfg := SimConfig{Events: 9000, Cookies: 800, Seed: 12}
-	var want []logs.Click
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		want = append(want, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	want := wireClicks(cat, serialRefs(t, cat, cfg))
 	for _, gens := range []int{1, 4, 9} {
 		var got []logs.Click
 		if err := GenerateOrdered(cat, cfg, PipelineConfig{Generators: gens, Window: 256}, func(c logs.Click) error {
@@ -171,24 +141,6 @@ func TestGenWindowsPartition(t *testing.T) {
 	}
 }
 
-// TestSimulateRangeValidation covers the range API's error paths.
-func TestSimulateRangeValidation(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 10)
-	emit := func(logs.Click) error { return nil }
-	if err := SimulateRange(cat, SimConfig{}, "weird", 0, 10, emit); err == nil {
-		t.Error("unknown source should fail")
-	}
-	if err := SimulateRange(cat, SimConfig{}, logs.Search, -1, 10, emit); err == nil {
-		t.Error("negative lo should fail")
-	}
-	if err := SimulateRange(cat, SimConfig{}, logs.Search, 10, 5, emit); err == nil {
-		t.Error("hi < lo should fail")
-	}
-	if err := SimulateRange(&Catalog{Site: logs.Yelp}, SimConfig{}, logs.Search, 0, 5, emit); err == nil {
-		t.Error("empty catalog should fail")
-	}
-}
-
 // TestSimulateRangePartition: any partition of the event index space
 // concatenates to the unsplit source stream — the demand-level face of
 // the leapfrog contract.
@@ -196,23 +148,20 @@ func TestSimulateRangePartition(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 80)
 	cfg := SimConfig{Events: 4000, Cookies: 500, Seed: 77}
 	for _, src := range sources {
-		var full []logs.Click
-		if err := SimulateRange(cat, cfg, src, 0, cfg.Events, func(c logs.Click) error {
-			full = append(full, c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		sp := sampler(t, cat, cfg, src)
+		collect := func(lo, hi int, out []ClickRef) []ClickRef {
+			sp.generateRefs(lo, hi, func(r ClickRef) bool {
+				out = append(out, r)
+				return true
+			})
+			return out
 		}
+		full := collect(0, cfg.Events, nil)
 		// Uneven boundaries, including an empty segment.
 		bounds := []int{0, 1, 1, 137, 1000, 2048, 3999, 4000}
-		var got []logs.Click
+		var got []ClickRef
 		for i := 1; i < len(bounds); i++ {
-			if err := SimulateRange(cat, cfg, src, bounds[i-1], bounds[i], func(c logs.Click) error {
-				got = append(got, c)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			got = collect(bounds[i-1], bounds[i], got)
 		}
 		if len(got) != len(full) {
 			t.Fatalf("%s: concatenation has %d clicks, want %d", src, len(got), len(full))
@@ -230,14 +179,12 @@ func TestSimulateRangePartition(t *testing.T) {
 func TestSimulateRangeBeyondEvents(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 30)
 	cfg := SimConfig{Events: 100, Cookies: 50, Seed: 6}
-	run := func() []logs.Click {
-		var out []logs.Click
-		if err := SimulateRange(cat, cfg, logs.Browse, 90, 300, func(c logs.Click) error {
-			out = append(out, c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	run := func() []ClickRef {
+		var out []ClickRef
+		sampler(t, cat, cfg, logs.Browse).generateRefs(90, 300, func(r ClickRef) bool {
+			out = append(out, r)
+			return true
+		})
 		return out
 	}
 	a, b := run(), run()

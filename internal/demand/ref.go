@@ -51,9 +51,8 @@ func SourceIndex(s logs.Source) (uint8, bool) {
 }
 
 // Click materializes the wire representation of r against its catalog.
-// The URL is the catalog's canonical entity URL — the exact string
-// Simulate emits — so materialized streams are byte-identical to the
-// string-path generator's.
+// The URL is the catalog's canonical entity URL, the one string
+// ShardedAggregator.Feed resolves with a single interned-map hit.
 func (r ClickRef) Click(cat *Catalog) logs.Click {
 	return logs.Click{
 		Source: sources[r.Src],
@@ -61,14 +60,4 @@ func (r ClickRef) Click(cat *Catalog) logs.Click {
 		Day:    int(r.Day),
 		URL:    cat.Entities[r.Entity].URL,
 	}
-}
-
-// materialize appends the wire clicks for refs to dst (allocating only
-// when dst lacks capacity) — the helper pipeline stages use at the
-// serialization boundary.
-func materialize(dst []logs.Click, cat *Catalog, refs []ClickRef) []logs.Click {
-	for _, r := range refs {
-		dst = append(dst, r.Click(cat))
-	}
-	return dst
 }

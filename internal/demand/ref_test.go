@@ -8,55 +8,6 @@ import (
 	"repro/internal/logs"
 )
 
-// TestSimulateRefsMatchesSimulate: the ref stream materialized against
-// the catalog is the wire stream, click for click.
-func TestSimulateRefsMatchesSimulate(t *testing.T) {
-	cat := testCatalog(t, logs.Amazon, 120)
-	cfg := SimConfig{Events: 5000, Cookies: 700, Seed: 21}
-	var wire []logs.Click
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		wire = append(wire, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) { refs = append(refs, r) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != len(wire) {
-		t.Fatalf("%d refs, want %d", len(refs), len(wire))
-	}
-	for i, r := range refs {
-		if got := r.Click(cat); got != wire[i] {
-			t.Fatalf("ref %d materializes to %+v, want %+v", i, got, wire[i])
-		}
-	}
-}
-
-// TestAggregatorAddRefMatchesAdd: folding the ref stream equals
-// folding the wire stream — the aggregator really does stop parsing
-// its own generator's output without changing a single estimate.
-func TestAggregatorAddRefMatchesAdd(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 90)
-	cfg := SimConfig{Events: 6000, Cookies: 400, Seed: 3}
-
-	wire := NewAggregator(cat)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		wire.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ref := NewAggregator(cat)
-	if err := SimulateRefs(cat, cfg, ref.AddRef); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(estimateBytes(t, wire), estimateBytes(t, ref)) {
-		t.Fatal("AddRef fold differs from Add fold")
-	}
-}
-
 // TestCookieHintDoesNotChangeEstimates: the bitmap regime is a pure
 // performance hint — hinted and unhinted folds agree exactly, as do
 // folds whose hint is wrong (cookies beyond the bound take the table
@@ -71,12 +22,10 @@ func TestCookieHintDoesNotChangeEstimates(t *testing.T) {
 	hinted.SetCookieHint(cfg.Cookies)
 	tight := NewAggregator(cat)
 	tight.SetCookieHint(40) // wrong on purpose: most cookies overflow it
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
+	for _, r := range serialRefs(t, cat, cfg) {
 		plain.AddRef(r)
 		hinted.AddRef(r)
 		tight.AddRef(r)
-	}); err != nil {
-		t.Fatal(err)
 	}
 	want := estimateBytes(t, plain)
 	if !bytes.Equal(want, estimateBytes(t, hinted)) {
@@ -111,52 +60,25 @@ func TestAggregatorAddRefIgnoresBadRefs(t *testing.T) {
 	}
 }
 
-// TestAggregatorAddParsePath: a non-canonical URL spelling of a
-// catalog entity resolves through the regex parser to the same entity
-// as the interned canonical URL.
+// TestAggregatorAddParsePath: on Feed's wire-click path, a
+// non-canonical URL spelling of a catalog entity resolves through the
+// regex parser to the same entity as the interned canonical URL, while
+// a foreign site and an unknown source drop.
 func TestAggregatorAddParsePath(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 20)
-	a := NewAggregator(cat)
 	key := cat.Entities[4].Key
-	a.Add(logs.Click{Source: logs.Search, Cookie: 1, URL: cat.Entities[4].URL})
-	a.Add(logs.Click{Source: logs.Search, Cookie: 2, URL: "https://amazon.com/widgets/dp/" + key + "?tag=x"})
-	a.Add(logs.Click{Source: logs.Search, Cookie: 2, URL: "http://other.example.com/nothing"})
-	a.Add(logs.Click{Source: "weird", Cookie: 3, URL: cat.Entities[4].URL})
-	got := a.Demand(logs.Search)[4]
+	sa := feedClicks(cat, 3, []logs.Click{
+		{Source: logs.Search, Cookie: 1, URL: cat.Entities[4].URL},
+		{Source: logs.Search, Cookie: 2, URL: "https://amazon.com/widgets/dp/" + key + "?tag=x"},
+		{Source: logs.Search, Cookie: 2, URL: "http://other.example.com/nothing"},
+		{Source: "weird", Cookie: 3, URL: cat.Entities[4].URL},
+	})
+	if resolved, dropped := sa.FeedStats(); resolved != 2 || dropped != 2 {
+		t.Fatalf("FeedStats = (%d, %d), want (2, 2)", resolved, dropped)
+	}
+	got := sa.Demand(logs.Search)[4]
 	if got.Visits != 2 || got.UniqueCookies != 2 {
 		t.Fatalf("entity 4 = %+v, want 2 visits / 2 cookies", got)
-	}
-}
-
-// TestShardedAddAndShardOf: single-producer Add on the sharded
-// aggregator equals the serial fold; routing is stable and in range
-// for entity and non-entity clicks alike.
-func TestShardedAddAndShardOf(t *testing.T) {
-	cat := testCatalog(t, logs.Yelp, 60)
-	cfg := SimConfig{Events: 4000, Cookies: 300, Seed: 5}
-	serial := NewAggregator(cat)
-	sa := NewShardedAggregator(cat, 3)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial.Add(c)
-		sa.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(estimateBytes(t, serial), estimateBytes(t, sa)) {
-		t.Fatal("sharded Add differs from serial fold")
-	}
-	for _, url := range []string{cat.Entities[0].URL, "http://nowhere.example.com/x"} {
-		c := logs.Click{Source: logs.Search, URL: url}
-		first := sa.ShardOf(c)
-		if first < 0 || first >= sa.Shards() {
-			t.Fatalf("shard %d out of range for %q", first, url)
-		}
-		for i := 0; i < 3; i++ {
-			if sa.ShardOf(c) != first {
-				t.Fatalf("routing unstable for %q", url)
-			}
-		}
 	}
 }
 
@@ -165,23 +87,11 @@ func TestShardedAddAndShardOf(t *testing.T) {
 func TestFeedMatchesSerial(t *testing.T) {
 	cat := testCatalog(t, logs.IMDb, 70)
 	cfg := SimConfig{Events: 6000, Cookies: 500, Seed: 11}
-	serial := NewAggregator(cat)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	refs := serialRefs(t, cat, cfg)
+	serial := serialFold(cat, refs)
+	clicks := wireClicks(cat, refs)
 	for _, shards := range []int{1, 4, 7} {
-		sa := NewShardedAggregator(cat, shards)
-		emit, done := sa.Feed()
-		if err := Simulate(cat, cfg, func(c logs.Click) error {
-			emit(c)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		done()
+		sa := feedClicks(cat, shards, clicks)
 		if !bytes.Equal(estimateBytes(t, serial), estimateBytes(t, sa)) {
 			t.Fatalf("Feed with %d shards differs from serial fold", shards)
 		}
@@ -278,36 +188,6 @@ func TestCookieSetUnhinted(t *testing.T) {
 	}
 	if s.bits != nil {
 		t.Fatal("bitmap must not engage without a hint")
-	}
-}
-
-// TestSketchAddRefMatchesAdd: the sketched aggregator's ref path
-// agrees with its wire path, and ignores bad refs.
-func TestSketchAddRefMatchesAdd(t *testing.T) {
-	cat := testCatalog(t, logs.Amazon, 50)
-	cfg := SimConfig{Events: 4000, Cookies: 300, Seed: 13}
-	wire, err := NewSketchAggregator(cat, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		wire.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	refs, err := NewSketchAggregator(cat, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SimulateRefs(cat, cfg, refs.AddRef); err != nil {
-		t.Fatal(err)
-	}
-	refs.AddRef(ClickRef{Entity: -1})
-	refs.AddRef(ClickRef{Entity: 50})
-	refs.AddRef(ClickRef{Src: 9})
-	if !bytes.Equal(estimateBytes(t, wire), estimateBytes(t, refs)) {
-		t.Fatal("sketch AddRef differs from Add")
 	}
 }
 

@@ -3,6 +3,7 @@ package demand
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/logs"
@@ -15,12 +16,7 @@ func TestGenerateOrderedRefsMatchesSimulateRefs(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 80)
 	cfg := SimConfig{Events: 5000, Cookies: 700, Seed: 21}
 
-	var serial []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
-		serial = append(serial, r)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRefs(t, cat, cfg)
 
 	for _, gens := range []int{1, 3, 8} {
 		var ordered []ClickRef
@@ -72,17 +68,8 @@ func TestFeedRefsMatchesSerial(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 300)
 	cfg := SimConfig{Events: 20000, Cookies: 4000, Seed: 17}
 
-	var refs []ClickRef
-	if err := SimulateRefs(cat, cfg, func(r ClickRef) {
-		refs = append(refs, r)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	serial := NewAggregator(cat)
-	for _, r := range refs {
-		serial.AddRef(r)
-	}
-	want := estimateBytes(t, serial)
+	refs := serialRefs(t, cat, cfg)
+	want := estimateBytes(t, serialFold(cat, refs))
 
 	for _, shards := range []int{1, 3, 4, 8} {
 		sa := NewShardedAggregator(cat, shards)
@@ -104,28 +91,34 @@ func TestFeedRefsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFeedRefsDropsInvalid: out-of-range refs drop exactly as AddRef
-// drops them instead of corrupting shard state.
+// TestFeedRefsDropsInvalid: out-of-range refs — negative entities
+// included, on the division and the mask/shift routing paths — drop
+// exactly as AddRef drops them instead of corrupting shard state or
+// panicking.
 func TestFeedRefsDropsInvalid(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 50)
-	sa := NewShardedAggregator(cat, 4)
-	emit, done := sa.FeedRefs()
-	emit([]ClickRef{
-		{Cookie: 1, Entity: 3, Src: 0},
-		{Cookie: 2, Entity: int32(len(cat.Entities)), Src: 0}, // out of range
-		{Cookie: 3, Entity: 5, Src: 9},                        // bad source
-	})
-	done()
-	ests := sa.Demand(logs.Search)
-	if ests[3].Visits != 1 {
-		t.Errorf("entity 3 visits = %d, want 1", ests[3].Visits)
-	}
-	total := 0
-	for _, e := range ests {
-		total += e.Visits
-	}
-	if total != 1 {
-		t.Errorf("total search visits = %d, want 1 (invalid refs must drop)", total)
+	for _, shards := range []int{3, 4} {
+		sa := NewShardedAggregator(cat, shards)
+		emit, done := sa.FeedRefs()
+		emit([]ClickRef{
+			{Cookie: 1, Entity: 3, Src: 0},
+			{Cookie: 2, Entity: int32(len(cat.Entities)), Src: 0}, // out of range
+			{Cookie: 3, Entity: 5, Src: 9},                        // bad source
+			{Cookie: 4, Entity: -1, Src: 0},                       // negative
+			{Cookie: 5, Entity: math.MinInt32, Src: 0},            // negative
+		})
+		done()
+		ests := sa.Demand(logs.Search)
+		if ests[3].Visits != 1 {
+			t.Errorf("shards=%d: entity 3 visits = %d, want 1", shards, ests[3].Visits)
+		}
+		total := 0
+		for _, e := range ests {
+			total += e.Visits
+		}
+		if total != 1 {
+			t.Errorf("shards=%d: total search visits = %d, want 1 (invalid refs must drop)", shards, total)
+		}
 	}
 }
 

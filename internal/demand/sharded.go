@@ -25,9 +25,18 @@ import (
 // entity.
 type ShardedAggregator struct {
 	shards []*Aggregator
-	n      int  // catalog entity count
-	shift  uint // log2(shards) when shards is a power of two
+	n      int    // catalog entity count
+	shift  uint   // log2(shards) when shards is a power of two
+	mask   uint32 // shards-1 when shards is a power of two
 	pow2   bool
+
+	// Wire-click resolution (see refOf): byURL interns the catalog's
+	// canonical entity URLs, so a replayed simulator log costs one
+	// string-map hit per click instead of a parse plus a key lookup;
+	// byKey and site back the general parser for everything else.
+	byKey map[string]int
+	byURL map[string]int
+	site  logs.Site
 
 	// Feed replay accounting (see FeedStats): resolver workers count
 	// wire clicks that resolved to a catalog entity versus dropped
@@ -38,17 +47,19 @@ type ShardedAggregator struct {
 }
 
 // NewShardedAggregator returns an aggregator with `shards` partitions
-// over cat (minimum 1). The catalog URL/key lookups are built once and
-// shared read-only across shards.
+// over cat (minimum 1). The catalog URL/key lookups are shared
+// read-only by Feed's resolver workers.
 func NewShardedAggregator(cat *Catalog, shards int) *ShardedAggregator {
 	if shards < 1 {
 		shards = 1
 	}
-	byKey, byURL := cat.ByKey(), cat.ByURL()
 	n := len(cat.Entities)
-	sa := &ShardedAggregator{shards: make([]*Aggregator, shards), n: n}
+	sa := &ShardedAggregator{
+		shards: make([]*Aggregator, shards), n: n,
+		byKey: cat.ByKey(), byURL: cat.ByURL(), site: cat.Site,
+	}
 	if shards&(shards-1) == 0 {
-		sa.pow2, sa.shift = true, uint(bits.TrailingZeros(uint(shards)))
+		sa.pow2, sa.shift, sa.mask = true, uint(bits.TrailingZeros(uint(shards))), uint32(shards-1)
 	}
 	for s := range sa.shards {
 		// Shard s owns entities s, s+shards, s+2*shards, ...
@@ -56,7 +67,7 @@ func NewShardedAggregator(cat *Catalog, shards int) *ShardedAggregator {
 		if s < n {
 			size = (n - s + shards - 1) / shards
 		}
-		sa.shards[s] = newAggregator(byKey, byURL, cat.Site, size)
+		sa.shards[s] = newAggregator(size)
 	}
 	return sa
 }
@@ -74,51 +85,42 @@ func (sa *ShardedAggregator) SetCookieHint(max int) {
 // localize rewrites a global-entity ref into its owning shard's dense
 // local index space, returning the shard. Power-of-two shard counts —
 // the common default — take the mask/shift path: an integer division
-// per event is real money on the routing hot path.
+// per event is real money on the routing hot path. Routing is on the
+// unsigned entity, so a negative entity (which the segment format
+// round-trips by design) lands on a valid shard at a local index past
+// any shard's column and drops in the fold like any out-of-range ref.
 func (sa *ShardedAggregator) localize(r *ClickRef) (shard int) {
-	e := int(r.Entity)
+	e := uint32(r.Entity)
 	if sa.pow2 {
 		r.Entity = int32(e >> sa.shift)
-		return e & (len(sa.shards) - 1)
+		return int(e & sa.mask)
 	}
-	s := len(sa.shards)
+	s := uint32(len(sa.shards))
 	r.Entity = int32(e / s)
-	return e % s
-}
-
-// ShardOf routes a click to its owning shard. Entity clicks route by
-// their resolved entity index — the same function the ref pipeline
-// uses, so mixing Add and pipeline feeds on one aggregator keeps every
-// entity on a single shard. Non-entity clicks (which every shard would
-// drop anyway) route by an FNV-1a hash of the URL, stable but
-// arbitrary.
-func (sa *ShardedAggregator) ShardOf(c logs.Click) int {
-	if r, ok := sa.refOf(c); ok {
-		return int(r.Entity) % len(sa.shards)
-	}
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(c.URL); i++ {
-		h ^= uint64(c.URL[i])
-		h *= 0x100000001b3
-	}
-	return int(h % uint64(len(sa.shards)))
+	return int(e % s)
 }
 
 // refOf resolves a wire click to the internal representation with its
-// global entity index (every shard shares the catalog-wide lookups).
+// global entity index, false for clicks the aggregator ignores: an
+// unknown source, a foreign site or a URL naming no catalog entity.
+// Canonical catalog URLs cost one interned-map hit; everything else
+// goes through the general parser.
 func (sa *ShardedAggregator) refOf(c logs.Click) (ClickRef, bool) {
-	return sa.shards[0].refOf(c)
-}
-
-// Add folds one click into its owning shard. Safe to call concurrently
-// only for clicks that route to different shards; use Feed (or
-// GeneratePipeline) for the general concurrent case.
-func (sa *ShardedAggregator) Add(c logs.Click) {
-	r, ok := sa.refOf(c)
-	if !ok {
-		return
+	si := srcIdx(c.Source)
+	if si < 0 {
+		return ClickRef{}, false
 	}
-	sa.shards[sa.localize(&r)].AddRef(r)
+	id, ok := sa.byURL[c.URL]
+	if !ok {
+		site, key, okParse := logs.ParseEntityURL(c.URL)
+		if !okParse || site != sa.site {
+			return ClickRef{}, false
+		}
+		if id, ok = sa.byKey[key]; !ok {
+			return ClickRef{}, false
+		}
+	}
+	return ClickRef{Cookie: c.Cookie, Entity: int32(id), Day: int16(c.Day), Src: uint8(si)}, true
 }
 
 // Demand merges the per-shard estimates, indexed by entity ID. Shards
@@ -285,7 +287,10 @@ func (r *router) flush() {
 // producer goroutine; concurrent producers should use
 // GeneratePipeline (simulated streams) or startWorkers-style fan-in
 // with one router each. Exposed for callers with their own serial
-// click sources (log replay, network ingest).
+// click sources (log replay, network ingest). The pool stays because
+// resolution is the replay's bottleneck: moving it onto the caller
+// goroutine (batches into FeedRefs) measured slower, the caller
+// already being busy parsing the log.
 func (sa *ShardedAggregator) Feed() (emit func(logs.Click), done func()) {
 	chans, free, wait := sa.startWorkers(8)
 	resolvers := runtime.GOMAXPROCS(0)
@@ -377,32 +382,4 @@ func (sa *ShardedAggregator) FeedRefs() (emit func(batch []ClickRef), done func(
 		wait()
 	}
 	return emit, done
-}
-
-// SimulateParallel simulates the click streams for cat (identically to
-// Simulate) and aggregates them across `shards` concurrent shard
-// workers (<= 0: GOMAXPROCS). Generation stays a serial producer here —
-// GeneratePipeline parallelizes that stage too — but it produces
-// ClickRefs straight into the router, never materializing a URL. For a
-// fixed seed the result is identical to serial Simulate +
-// Aggregator.Add — and to GeneratePipeline — whatever the shard count.
-func SimulateParallel(cat *Catalog, cfg SimConfig, shards int) (*ShardedAggregator, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sa := NewShardedAggregator(cat, shards)
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	sa.SetCookieHint(cfg.Cookies)
-	chans, free, wait := sa.startWorkers(8)
-	r := sa.newRouter(chans, free)
-	err := SimulateRefs(cat, cfg, r.emit)
-	r.flush()
-	for i := range chans {
-		close(chans[i])
-	}
-	wait()
-	if err != nil {
-		return nil, err
-	}
-	return sa, nil
 }

@@ -7,22 +7,18 @@ import (
 )
 
 // TestSimulateParallelMatchesSerial is the sharding correctness
-// contract: for any shard count, the merged estimates equal the serial
-// single-aggregator fold of the same simulated stream, exactly.
+// contract: for any shard count, serial generation folded across
+// concurrent shard workers (GeneratePipeline with one generator)
+// merges to estimates equal to the single-aggregator serial fold of
+// the same stream, exactly.
 func TestSimulateParallelMatchesSerial(t *testing.T) {
 	cat := testCatalog(t, logs.Amazon, 300)
 	cfg := SimConfig{Events: 30000, Cookies: 6000, Seed: 9}
 
-	serial := NewAggregator(cat)
-	if err := Simulate(cat, cfg, func(c logs.Click) error {
-		serial.Add(c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	serial := serialFold(cat, serialRefs(t, cat, cfg))
 
 	for _, shards := range []int{1, 2, 3, 8, 16} {
-		sa, err := SimulateParallel(cat, cfg, shards)
+		sa, err := GeneratePipeline(cat, cfg, PipelineConfig{Generators: 1, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,19 +40,29 @@ func TestSimulateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestShardRoutingIsStable: the router sends every entity to one
+// shard, in range, at a local index that maps back to the entity —
+// on both the mask/shift and the division paths.
 func TestShardRoutingIsStable(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 100)
-	sa := NewShardedAggregator(cat, 7)
-	for _, e := range cat.Entities {
-		c := logs.Click{Source: logs.Search, URL: e.URL}
-		first := sa.ShardOf(c)
-		for i := 0; i < 3; i++ {
-			if sa.ShardOf(c) != first {
-				t.Fatalf("routing for %q not stable", e.URL)
+	for _, shards := range []int{4, 7} {
+		sa := NewShardedAggregator(cat, shards)
+		for e := range cat.Entities {
+			r := ClickRef{Entity: int32(e)}
+			first := sa.localize(&r)
+			for i := 0; i < 3; i++ {
+				again := ClickRef{Entity: int32(e)}
+				if sa.localize(&again) != first || again != r {
+					t.Fatalf("shards=%d: routing for entity %d not stable", shards, e)
+				}
 			}
-		}
-		if first < 0 || first >= sa.Shards() {
-			t.Fatalf("shard %d out of range", first)
+			if first < 0 || first >= sa.Shards() {
+				t.Fatalf("shards=%d: shard %d out of range", shards, first)
+			}
+			if got := int(r.Entity)*shards + first; got != e {
+				t.Fatalf("shards=%d: entity %d localizes to (%d, %d), which maps back to %d",
+					shards, e, first, r.Entity, got)
+			}
 		}
 	}
 }

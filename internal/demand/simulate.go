@@ -10,7 +10,7 @@ import (
 
 // sources lists the two traffic streams every simulation generates, in
 // canonical order: the full click stream is the search stream followed
-// by the browse stream.
+// by the browse stream, each in event-index order.
 var sources = []logs.Source{logs.Search, logs.Browse}
 
 // defaultBrowseHeadBias is the browse-traffic demand tilt applied when
@@ -37,8 +37,18 @@ type SimConfig struct {
 // an explicit zero distinguishable from "use the default".
 func Bias(v float64) *float64 { return &v }
 
-// withSimDefaults fills zero (or nil) fields.
-func withSimDefaults(cfg SimConfig, n int) SimConfig {
+// withSimDefaults validates cfg for a catalog of n entities and fills
+// its zero (or nil) fields. Every generation entry point resolves its
+// config here, so an empty catalog or a negative size fails up front
+// instead of panicking inside a generator worker (a negative Cookies)
+// or silently generating nothing (a negative Events).
+func withSimDefaults(cfg SimConfig, n int) (SimConfig, error) {
+	if n == 0 {
+		return cfg, fmt.Errorf("demand: empty catalog")
+	}
+	if cfg.Events < 0 || cfg.Cookies < 0 {
+		return cfg, fmt.Errorf("demand: SimConfig.Events and Cookies must be non-negative")
+	}
 	if cfg.Events == 0 {
 		cfg.Events = 40 * n
 	}
@@ -48,7 +58,7 @@ func withSimDefaults(cfg SimConfig, n int) SimConfig {
 	if cfg.BrowseHeadBias == nil {
 		cfg.BrowseHeadBias = Bias(defaultBrowseHeadBias)
 	}
-	return cfg
+	return cfg, nil
 }
 
 // clickDraws is the exact number of RNG draws one click consumes: two
@@ -70,19 +80,15 @@ func sourceStreamID(s logs.Source) uint64 {
 
 // sourceSampler is the immutable per-source sampling state: the alias
 // table over (bias-tilted) latent demand plus the resolved config. It
-// is safe for concurrent generate calls, each over its own event range
-// with its own RNG.
+// is safe for concurrent generateRefs calls, each over its own event
+// range with its own RNG.
 type sourceSampler struct {
-	cat    *Catalog
 	cfg    SimConfig // defaults applied
 	source logs.Source
 	alias  *dist.Alias
 }
 
 func newSourceSampler(cat *Catalog, cfg SimConfig, source logs.Source) (*sourceSampler, error) {
-	if len(cat.Entities) == 0 {
-		return nil, fmt.Errorf("demand: empty catalog")
-	}
 	bias := 0.0
 	if source == logs.Browse {
 		bias = *cfg.BrowseHeadBias
@@ -91,16 +97,17 @@ func newSourceSampler(cat *Catalog, cfg SimConfig, source logs.Source) (*sourceS
 	if err != nil {
 		return nil, err
 	}
-	return &sourceSampler{cat: cat, cfg: cfg, source: source, alias: alias}, nil
+	return &sourceSampler{cfg: cfg, source: source, alias: alias}, nil
 }
 
 // generateRefs emits events [lo, hi) of the source's click stream as
-// ClickRefs — the zero-string hot path every consumer builds on. The
+// ClickRefs — the one generator every consumer builds on. The
 // stream is a pure function of (seed, source, event index): the RNG
 // seeds from dist.StreamSeed(seed, source) and jumps to draw
 // lo*clickDraws, and every event consumes exactly clickDraws draws, so
 // any partition of the event index space concatenates to the unsplit
-// stream. emit returning false stops generation early.
+// stream, and hi may run past cfg.Events: the stream extends
+// deterministically. emit returning false stops generation early.
 func (sp *sourceSampler) generateRefs(lo, hi int, emit func(ClickRef) bool) {
 	rng := dist.NewRNG(dist.StreamSeed(sp.cfg.Seed, sourceStreamID(sp.source)))
 	rng.Jump(uint64(lo) * clickDraws)
@@ -115,115 +122,6 @@ func (sp *sourceSampler) generateRefs(lo, hi int, emit func(ClickRef) bool) {
 	}
 }
 
-// generate is generateRefs materialized to the wire representation,
-// with the error-propagating emit contract the file/stream consumers
-// expect. An emit error stops generation immediately.
-func (sp *sourceSampler) generate(lo, hi int, emit func(logs.Click) error) error {
-	var err error
-	sp.generateRefs(lo, hi, func(r ClickRef) bool {
-		if e := emit(r.Click(sp.cat)); e != nil {
-			err = fmt.Errorf("demand: emit click: %w", e)
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// Simulate generates the search and browse click streams for a catalog,
-// invoking emit for every click. Clicks reference entity URLs; cookies
-// are drawn from a finite population so unique-cookie counting
-// saturates realistically for head entities. The emitted sequence is
-// the canonical stream order: all search events by index, then all
-// browse events; SimulateRange reproduces any sub-range of it and
-// GeneratePipeline aggregates it fully in parallel.
-func Simulate(cat *Catalog, cfg SimConfig, emit func(logs.Click) error) error {
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	for _, source := range sources {
-		sp, err := newSourceSampler(cat, cfg, source)
-		if err != nil {
-			return err
-		}
-		if err := sp.generate(0, cfg.Events, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SimulateRefs is Simulate in the internal representation: the same
-// streams in the same canonical order, emitted as ClickRefs with no
-// URL strings built or parsed anywhere. This is the serial fold's fast
-// path — pair it with Aggregator.AddRef and the aggregator indexes the
-// catalog directly instead of parsing its own generator's output.
-func SimulateRefs(cat *Catalog, cfg SimConfig, emit func(ClickRef)) error {
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	for _, source := range sources {
-		sp, err := newSourceSampler(cat, cfg, source)
-		if err != nil {
-			return err
-		}
-		sp.generateRefs(0, cfg.Events, func(r ClickRef) bool {
-			emit(r)
-			return true
-		})
-	}
-	return nil
-}
-
-// SimulateRefBatches is SimulateRefs delivered in reused batches of up
-// to size refs (<= 0: DefaultFoldBatch) — the serial face of the
-// columnar fold: pair it with Aggregator.FoldBatch and the whole
-// serial path runs generation and cache-blocked aggregation over one
-// recycled buffer. Batches may span the search/browse boundary (the
-// fold partitions by source anyway); fold must not retain the slice,
-// which is overwritten by the next batch.
-func SimulateRefBatches(cat *Catalog, cfg SimConfig, size int, fold func([]ClickRef)) error {
-	if size <= 0 {
-		size = DefaultFoldBatch
-	}
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	buf := make([]ClickRef, 0, size)
-	for _, source := range sources {
-		sp, err := newSourceSampler(cat, cfg, source)
-		if err != nil {
-			return err
-		}
-		sp.generateRefs(0, cfg.Events, func(r ClickRef) bool {
-			buf = append(buf, r)
-			if len(buf) == size {
-				fold(buf)
-				buf = buf[:0]
-			}
-			return true
-		})
-	}
-	if len(buf) > 0 {
-		fold(buf)
-	}
-	return nil
-}
-
-// SimulateRange generates events [lo, hi) of one source's click stream:
-// exactly the clicks Simulate emits at those indices for the same
-// (cat, cfg), whatever the surrounding partitioning. hi may exceed
-// cfg.Events — the stream extends deterministically — so callers can
-// also use it to sample beyond the simulated year.
-func SimulateRange(cat *Catalog, cfg SimConfig, source logs.Source, lo, hi int, emit func(logs.Click) error) error {
-	if !source.Valid() {
-		return fmt.Errorf("demand: unknown source %q", source)
-	}
-	if lo < 0 || hi < lo {
-		return fmt.Errorf("demand: bad event range [%d, %d)", lo, hi)
-	}
-	cfg = withSimDefaults(cfg, len(cat.Entities))
-	sp, err := newSourceSampler(cat, cfg, source)
-	if err != nil {
-		return err
-	}
-	return sp.generate(lo, hi, emit)
-}
-
 // Estimate is the aggregated demand of one entity from one source.
 type Estimate struct {
 	// Visits is the raw click count.
@@ -234,13 +132,12 @@ type Estimate struct {
 	UniqueCookies int
 }
 
-// Aggregator folds a click stream into per-entity demand estimates for
-// one catalog. Exact distinct counting by default; see Sketch for the
-// HyperLogLog alternative. AddRef is the zero-string scalar fast path
-// and FoldBatch (columnar.go) its cache-blocked batch sibling; Add
-// accepts wire clicks (log replay), resolving canonical catalog URLs
-// with one interned-string lookup and everything else through the
-// general parser.
+// Aggregator folds a ClickRef stream into exact per-entity demand
+// estimates over a dense entity index space. FoldBatch (columnar.go)
+// is the production fold — every ShardedAggregator shard worker runs
+// it — and AddRef is its scalar reference, the oracle FoldBatch is
+// pinned against. Aggregator holds columns only: resolving wire clicks
+// to refs is ShardedAggregator's job (Feed).
 //
 // Per-entity state is struct-of-arrays: one dense int32 visit-count
 // column and one cookie-set column per source (sourceCols), not an
@@ -250,13 +147,6 @@ type Estimate struct {
 // lines, and the fat cookie sets no longer ride along on every visit
 // increment — the layout PIMDAL-style bandwidth analysis asks for.
 type Aggregator struct {
-	byKey map[string]int
-	// byURL interns the catalog's canonical entity URLs, so folding
-	// the simulator's own wire output costs one string-map hit instead
-	// of a parse plus a key lookup. Replayed log files hit it too:
-	// equality is by value, and canonical URLs dominate real replays.
-	byURL   map[string]int
-	site    logs.Site
 	hint    uint64 // cookie-population bound; see SetCookieHint
 	perSrc  [numSources]sourceCols
 	moved   uint64 // modelled state bytes; see BytesMoved
@@ -278,28 +168,27 @@ type sourceCols struct {
 	cookies []cookieSet
 }
 
-// NewAggregator returns an Aggregator for cat.
+// NewAggregator returns an Aggregator over cat's entities.
 func NewAggregator(cat *Catalog) *Aggregator {
-	return newAggregator(cat.ByKey(), cat.ByURL(), cat.Site, len(cat.Entities))
+	return newAggregator(len(cat.Entities))
 }
 
-// newAggregator shares prebuilt URL/key lookups — ShardedAggregator
-// builds them once for all shards.
-func newAggregator(byKey, byURL map[string]int, site logs.Site, n int) *Aggregator {
-	a := &Aggregator{byKey: byKey, byURL: byURL, site: site}
-	for i := range a.perSrc {
-		a.perSrc[i] = sourceCols{
+// newAggregator returns an Aggregator over entities [0, n).
+func newAggregator(n int) *Aggregator {
+	var cols [numSources]sourceCols
+	for i := range cols {
+		cols[i] = sourceCols{
 			visits:  make([]int32, n),
 			cookies: make([]cookieSet, n),
 		}
 	}
-	return a
+	return &Aggregator{perSrc: cols}
 }
 
 // AddRef folds one click in the internal representation: a direct
 // index into the per-entity columns, no parsing, no hashing of
-// strings. Refs with out-of-range fields are ignored like foreign
-// clicks. For batched streams FoldBatch is the faster equivalent.
+// strings. Refs with out-of-range fields are ignored. For batched
+// streams FoldBatch is the faster equivalent.
 //
 //repro:noalloc
 func (a *Aggregator) AddRef(r ClickRef) {
@@ -324,7 +213,7 @@ func (a *Aggregator) AddRef(r ClickRef) {
 // per visit-counter touch (per ref scalar, per distinct entity per
 // block for FoldBatch), and the cookie-structure bytes cookieSet.add
 // reports. It is an accounting model computed from column widths and
-// touch counts — not a hardware counter — so BENCH rows can track
+// touch counts — not a hardware counter — so benchmarks can track
 // bytes moved per click across layout changes. Not synchronized:
 // read it only after folding completes.
 func (a *Aggregator) BytesMoved() uint64 { return a.moved }
@@ -336,43 +225,12 @@ func (a *Aggregator) BytesMoved() uint64 { return a.moved }
 // hint: estimates are exact with or without it, cookies outside the
 // bound (replayed external logs) still count correctly, and changing
 // the hint mid-fold is safe — each converted set is bounded by its own
-// bitmap, never by the current hint. The simulation entry points that
-// build their own aggregator (GeneratePipeline, SimulateParallel) set
-// it automatically.
+// bitmap, never by the current hint. GeneratePipeline, which builds its
+// own aggregator, sets it automatically.
 func (a *Aggregator) SetCookieHint(max int) {
 	if max > 0 {
 		a.hint = uint64(max)
 	}
-}
-
-// Add folds one wire click. Clicks for other sites or non-entity URLs
-// are ignored (real logs are full of them).
-func (a *Aggregator) Add(c logs.Click) {
-	r, ok := a.refOf(c)
-	if !ok {
-		return
-	}
-	a.AddRef(r)
-}
-
-// refOf resolves a wire click to the internal representation, false
-// for clicks this aggregator ignores.
-func (a *Aggregator) refOf(c logs.Click) (ClickRef, bool) {
-	si := srcIdx(c.Source)
-	if si < 0 {
-		return ClickRef{}, false
-	}
-	id, ok := a.byURL[c.URL]
-	if !ok {
-		site, key, okParse := logs.ParseEntityURL(c.URL)
-		if !okParse || site != a.site {
-			return ClickRef{}, false
-		}
-		if id, ok = a.byKey[key]; !ok {
-			return ClickRef{}, false
-		}
-	}
-	return ClickRef{Cookie: c.Cookie, Entity: int32(id), Day: int16(c.Day), Src: uint8(si)}, true
 }
 
 // Demand returns the per-entity estimates for one source, indexed by
