@@ -829,15 +829,3 @@ func BenchmarkCorroborateResolve(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationDiameterParallel: the paper's all-sources-BFS method
-// parallelized across cores — exact like iFUB, but one BFS per node.
-func BenchmarkAblationDiameterParallel(b *testing.B) {
-	g, c := ablationGraph(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := g.DiameterParallel(c, 0); d == 0 {
-			b.Fatal("zero diameter")
-		}
-	}
-}

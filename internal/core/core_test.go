@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -386,5 +387,51 @@ func TestExtractionPipelineMatchesDirect(t *testing.T) {
 			t.Fatalf("coverage differs at t=%d: %v vs %v",
 				dr.Curves[0].T[ti], dr.Curves[0].Coverage[ti], xr.Curves[0].Coverage[ti])
 		}
+	}
+}
+
+// TestGraphAnalysesMatchOraclesAcrossSeeds pins the fast graph paths to
+// their oracles on real study graphs: every Table 2 diameter equals the
+// all-sources BFS diameter, and every Figure 9 point equals a
+// from-scratch component count with the top k sites removed. The
+// brute-force diameters dominate its cost, so the seeds run in parallel.
+func TestGraphAnalysesMatchOraclesAcrossSeeds(t *testing.T) {
+	ranks := make([]int, Fig9MaxK)
+	for k := range ranks {
+		ranks[k] = k
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			s := NewStudy(Config{Seed: seed, Entities: 500, DirectoryHosts: 750})
+			rows, err := s.Table2()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				g, err := s.Graph(r.Domain, r.Attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if brute := g.DiameterBrute(g.AllComponents()); r.Diameter != brute {
+					t.Errorf("%s/%s: diameter %d, brute force %d", r.Domain, r.Attr, r.Diameter, brute)
+				}
+			}
+			curves, err := s.Fig9()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range curves {
+				g, err := s.Graph(f.Domain, f.Attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, got := range f.Curve {
+					if want := g.ComponentsExcluding(ranks[:k]).FracEntitiesInLargest(); got != want {
+						t.Errorf("%s/%s: curve[%d] = %v, oracle %v", f.Domain, f.Attr, k, got, want)
+					}
+				}
+			}
+		})
 	}
 }

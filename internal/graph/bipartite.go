@@ -1,14 +1,13 @@
 // Package graph implements the §5 connectivity analysis of the
 // entity–website bipartite graph: connected components and their sizes
-// (via union-find), exact graph diameter (via the iFUB algorithm, which
-// converges in a handful of BFS sweeps on small-world graphs), and the
+// (via union-find), exact graph diameter (via iFUB, whose fringe
+// sweeps run as 64-source bit-parallel BFS — see diameter.go), and the
 // robustness of the largest component when the top-k sites are removed
-// (Figure 9).
+// (Figure 9, built in one reverse union-find pass).
 package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/index"
 )
@@ -127,49 +126,44 @@ func (c Components) InLargest(v int) bool {
 // ranks removed (nil removes nothing). Removal of rank r removes the
 // r-th largest site and all its edges.
 func (g *Bipartite) ComponentsExcluding(removedRanks []int) Components {
-	removed := make(map[int]bool, len(removedRanks))
+	removed := make([]bool, len(g.adj))
 	for _, r := range removedRanks {
 		if r >= 0 && r < len(g.siteOrder) {
 			removed[g.siteOrder[r]] = true
 		}
 	}
+	// Every edge joins an entity to a site, so the entity side sees each
+	// present edge once.
 	uf := newUnionFind(len(g.adj))
-	for v := range g.adj {
-		if removed[v] {
-			continue
-		}
-		for _, u := range g.adj[v] {
-			if !removed[int(u)] {
-				uf.union(v, int(u))
+	for e := 0; e < g.NumEntities; e++ {
+		for _, s := range g.adj[e] {
+			if !removed[s] {
+				uf.union(e, int(s))
 			}
 		}
 	}
 	// Tally entities per root.
-	perRoot := make(map[int]int)
+	perRoot := make([]int32, len(g.adj))
 	total := 0
 	roots := make([]int32, len(g.adj))
 	for v := range g.adj {
 		roots[v] = int32(uf.find(v))
 	}
 	for e := 0; e < g.NumEntities; e++ {
-		connected := false
-		for _, s := range g.adj[e] {
-			if !removed[int(s)] {
-				connected = true
-				break
-			}
+		// An entity is connected when a present site joined it to a set.
+		if uf.size[roots[e]] > 1 {
+			total++
+			perRoot[roots[e]]++
 		}
-		if !connected {
-			continue
-		}
-		total++
-		perRoot[int(roots[e])]++
 	}
 	out := Components{TotalEntities: total, roots: roots, LargestID: -1}
 	for root, n := range perRoot {
+		if n == 0 {
+			continue
+		}
 		out.Count++
-		if n > out.LargestEntities || (n == out.LargestEntities && root < out.LargestID) {
-			out.LargestEntities = n
+		if int(n) > out.LargestEntities { // ascending roots: ties keep the lowest
+			out.LargestEntities = int(n)
 			out.LargestID = root
 		}
 	}
@@ -183,16 +177,61 @@ func (g *Bipartite) AllComponents() Components {
 
 // RobustnessCurve returns, for k = 0..maxK, the fraction of connected
 // entities that remain in the largest component after removing the top
-// k sites (Figure 9). The denominator is the entity count still
-// connected after removal, matching the paper's "fraction of structured
-// entities in the largest component".
+// k sites (Figure 9); it is empty for maxK < 0. The denominator is the
+// entity count still connected after removal, matching the paper's
+// "fraction of structured entities in the largest component".
+//
+// The curve is built offline in reverse: remove the top
+// min(maxK, NumSites) sites, union the remaining edges once, then
+// re-insert the removed sites from the smallest rank up, keeping the
+// connected-entity count of every root. Re-insertion only merges
+// components, so the largest count only grows. Each point equals
+// ComponentsExcluding(ranks 0..k-1).FracEntitiesInLargest() exactly.
 func (g *Bipartite) RobustnessCurve(maxK int) []float64 {
-	out := make([]float64, 0, maxK+1)
-	ranks := make([]int, 0, maxK)
-	for k := 0; k <= maxK; k++ {
-		c := g.ComponentsExcluding(ranks)
-		out = append(out, c.FracEntitiesInLargest())
-		ranks = append(ranks, k)
+	if maxK < 0 {
+		return []float64{}
+	}
+	m := min(maxK, g.NumSites)
+	removed := make([]bool, len(g.adj))
+	for _, s := range g.siteOrder[:m] {
+		removed[s] = true
+	}
+	uf := newUnionFind(len(g.adj))
+	// count[root] is the number of connected entities in root's
+	// component; an entity is connected once any present site lists it.
+	count := make([]int32, len(g.adj))
+	total, largest := 0, int32(0)
+	join := func(s, e int) {
+		if re := uf.find(e); uf.size[re] == 1 {
+			count[re] = 1 // e's first present site: e joins the denominator
+			total++
+		}
+		if root, child := uf.union(s, e); root != child {
+			count[root] += count[child]
+			largest = max(largest, count[root])
+		}
+	}
+	for _, s := range g.siteOrder[m:] {
+		for _, e := range g.adj[s] {
+			join(s, int(e))
+		}
+	}
+	out := make([]float64, maxK+1)
+	frac := func() float64 {
+		if total == 0 {
+			return 0
+		}
+		return float64(largest) / float64(total)
+	}
+	for k := m; k <= maxK; k++ {
+		out[k] = frac()
+	}
+	for k := m - 1; k >= 0; k-- {
+		s := g.siteOrder[k]
+		for _, e := range g.adj[s] {
+			join(s, int(e))
+		}
+		out[k] = frac()
 	}
 	return out
 }
@@ -220,16 +259,19 @@ func (uf *unionFind) find(v int) int {
 	return v
 }
 
-func (uf *unionFind) union(a, b int) {
+// union merges the sets of a and b and returns the surviving root and
+// the absorbed one (equal when a and b were already joined).
+func (uf *unionFind) union(a, b int) (root, child int) {
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
-		return
+		return ra, rb
 	}
 	if uf.size[ra] < uf.size[rb] {
 		ra, rb = rb, ra
 	}
 	uf.parent[rb] = int32(ra)
 	uf.size[ra] += uf.size[rb]
+	return ra, rb
 }
 
 // Metrics bundles the Table 2 row for one (domain, attribute) graph.
@@ -251,22 +293,4 @@ func (g *Bipartite) ComputeMetrics() Metrics {
 		Components:        c.Count,
 		FracLargest:       c.FracEntitiesInLargest(),
 	}
-}
-
-// sortedByDegreeDesc returns the nodes of the largest component sorted
-// by descending degree (used to seed iFUB).
-func (g *Bipartite) sortedByDegreeDesc(c Components) []int {
-	var nodes []int
-	for v := range g.adj {
-		if len(g.adj[v]) > 0 && c.InLargest(v) {
-			nodes = append(nodes, v)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if len(g.adj[nodes[i]]) != len(g.adj[nodes[j]]) {
-			return len(g.adj[nodes[i]]) > len(g.adj[nodes[j]])
-		}
-		return nodes[i] < nodes[j]
-	})
-	return nodes
 }

@@ -198,3 +198,16 @@ func TestComputeMetrics(t *testing.T) {
 		t.Error("avg sites per entity not computed")
 	}
 }
+
+func TestRobustnessCurveNegativeDepth(t *testing.T) {
+	idx := mkIndex(t, map[string][]int{"a": {0, 1}, "b": {1, 2}}, 3)
+	g, _ := FromIndex(idx)
+	for _, maxK := range []int{-1, -2, -100} {
+		if curve := g.RobustnessCurve(maxK); len(curve) != 0 {
+			t.Errorf("RobustnessCurve(%d) = %v, want empty", maxK, curve)
+		}
+	}
+	if curve := g.RobustnessCurve(0); len(curve) != 1 || curve[0] != 1 {
+		t.Errorf("RobustnessCurve(0) = %v, want [1]", curve)
+	}
+}

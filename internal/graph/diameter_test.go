@@ -131,3 +131,57 @@ func TestDiameterEvenForBipartiteEntityPairs(t *testing.T) {
 		t.Errorf("two-hub diameter = %d, want 4", d)
 	}
 }
+
+// TestSweepEveryLane: each of the 64 lanes carries its own search. On a
+// 23-node path, lane j starts at an end (eccentricity 22) while every
+// other lane starts at the middle, so a lane mixed into another or
+// dropped returns less than 22.
+func TestSweepEveryLane(t *testing.T) {
+	postings := map[string][]int{}
+	for i := 0; i < 11; i++ {
+		postings[hostN(i)] = []int{i, i + 1}
+	}
+	g, _ := FromIndex(mkIndex(t, postings, 12))
+	comp := make([]int32, g.NumNodes())
+	for v := range comp {
+		comp[v] = int32(v)
+	}
+	n := g.NumNodes()
+	seen, frontier, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	sources := make([]int32, 64)
+	for j := range sources {
+		for i := range sources {
+			sources[i] = 6 // middle entity
+		}
+		sources[j] = 0 // end entity
+		if got := g.sweep(comp, sources, seen, frontier, next); got != 22 {
+			t.Errorf("end node on lane %d: sweep = %d, want 22", j, got)
+		}
+	}
+}
+
+// TestSweepZeroAlloc pins the bit-parallel kernel: one 64-lane sweep
+// allocates nothing and returns the largest eccentricity of its sources.
+func TestSweepZeroAlloc(t *testing.T) {
+	g := hubGraph(1)
+	c := g.AllComponents()
+	var comp []int32
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.Degree(v) > 0 && c.InLargest(v) {
+			comp = append(comp, int32(v))
+		}
+	}
+	sources := comp[len(comp)-64:]
+	want := 0
+	for _, s := range sources {
+		want = max(want, g.Eccentricity(int(s)))
+	}
+	n := g.NumNodes()
+	seen, frontier, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	if got := g.sweep(comp, sources, seen, frontier, next); got != want {
+		t.Fatalf("sweep = %d, want max source eccentricity %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { g.sweep(comp, sources, seen, frontier, next) }); allocs != 0 {
+		t.Fatalf("sweep allocates %v/op, want 0", allocs)
+	}
+}

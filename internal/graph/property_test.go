@@ -27,6 +27,181 @@ func randomGraph(seed uint64) *Bipartite {
 	return g
 }
 
+// hubGraph builds a hub-heavy random bipartite graph whose iFUB fringe
+// takes more than one 64-lane sweep. Hub site 0 lists every core
+// entity, more than any other site, so it is the start node (site rank
+// 0); 1–3 more hubs share the core. Core entity 0 anchors 2–4 bridge
+// sites that carry the tail entities, and 70–189 leaf sites (never a
+// multiple of 64) each list one or two tails of one bridge. From hub 0 the leaves are level 4, tails 3, bridges 2.
+// All deep nodes hang off one core entity, so no two are more than 6
+// apart and the stop rule (2i <= lb) cannot fire inside the leaf level:
+// every leaf is swept, in full and partial batches. 2–4 small islands
+// keep the graph disconnected.
+func hubGraph(seed uint64) *Bipartite {
+	rng := dist.NewRNG(seed)
+	core := 150 + rng.Intn(50)
+	leaves := 70 + rng.Intn(120)
+	if leaves%64 == 0 {
+		leaves++
+	}
+	tails := leaves + rng.Intn(40)
+	hubs := 2 + rng.Intn(3)
+	bridges := 2 + rng.Intn(3)
+	islands := 2 + rng.Intn(3)
+	n := core + tails + 4*islands
+	b := index.NewBuilder(entity.Banks, entity.AttrPhone, n)
+	site := 0
+	newSite := func() string { site++; return hostN(site - 1) }
+	for h := 0; h < hubs; h++ {
+		host := newSite()
+		for e := 0; e < core; e++ {
+			if h == 0 || rng.Intn(2) == 0 {
+				b.Add(host, e)
+			}
+		}
+	}
+	bridgeHosts := make([]string, bridges)
+	for i := range bridgeHosts {
+		bridgeHosts[i] = newSite()
+		b.Add(bridgeHosts[i], 0)
+	}
+	tail := func(j int) int { return core + j }
+	for j := 0; j < tails; j++ {
+		b.Add(bridgeHosts[j%bridges], tail(j))
+		if rng.Intn(10) == 0 {
+			b.Add(bridgeHosts[rng.Intn(bridges)], tail(j))
+		}
+	}
+	for j := 0; j < leaves; j++ {
+		host := newSite()
+		b.Add(host, tail(j))
+		if other := j + bridges; other < tails && rng.Intn(5) == 0 {
+			b.Add(host, tail(other)) // same bridge: j ≡ other mod bridges
+		}
+	}
+	for i := 0; i < islands; i++ {
+		host, base := newSite(), core+tails+4*i
+		for e := 0; e < 2+rng.Intn(3); e++ {
+			b.Add(host, base+e)
+		}
+	}
+	g, err := FromIndex(b.Build())
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestPropertyHubGraphDiameter: on hub-heavy graphs iFUB sweeps its
+// deepest fringe in full and partial 64-lane batches and still equals
+// the brute-force diameter of the largest of several components.
+func TestPropertyHubGraphDiameter(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := hubGraph(seed)
+		c := g.AllComponents()
+		start := g.siteOrder[0]
+		for v := 0; v < g.NumNodes(); v++ {
+			if g.Degree(v) >= g.Degree(start) && v != start {
+				t.Logf("seed %d: node %d ties or beats hub 0 as start", seed, v)
+				return false
+			}
+		}
+		level := make([]int32, g.NumNodes())
+		for i := range level {
+			level[i] = -1
+		}
+		ecc, comp := bfs(g.adj, start, level, nil)
+		fringe := 0
+		for _, v := range comp {
+			if int(level[v]) == ecc {
+				fringe++
+			}
+		}
+		brute := g.DiameterBrute(c)
+		// brute < 2*ecc: the stop rule cannot fire inside the deepest
+		// level, so every batch of it runs.
+		if c.Count < 2 || fringe <= 64 || fringe%64 == 0 || brute >= 2*ecc {
+			t.Logf("seed %d: %d components, fringe %d, diameter %d, start eccentricity %d", seed, c.Count, fringe, brute, ecc)
+			return false
+		}
+		if d := g.DiameterLargest(c); d != brute {
+			t.Logf("seed %d: iFUB %d != brute %d", seed, d, brute)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertySweepMatchesEccentricity: one bit-parallel sweep from any
+// 1–64 sources of the largest component returns the largest of their
+// single-source eccentricities, on sparse graphs whose eccentricities
+// differ from node to node.
+func TestPropertySweepMatchesEccentricity(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := randomGraph(seed)
+		c := g.AllComponents()
+		var comp []int32
+		for v := 0; v < g.NumNodes(); v++ {
+			if g.Degree(v) > 0 && c.InLargest(v) {
+				comp = append(comp, int32(v))
+			}
+		}
+		if len(comp) == 0 {
+			return true
+		}
+		rng := dist.NewRNG(seed)
+		sources := make([]int32, 1+rng.Intn(min(64, len(comp))))
+		want := 0
+		for i := range sources {
+			sources[i] = comp[rng.Intn(len(comp))]
+			want = max(want, g.Eccentricity(int(sources[i])))
+		}
+		n := g.NumNodes()
+		got := g.sweep(comp, sources, make([]uint64, n), make([]uint64, n), make([]uint64, n))
+		if got != want {
+			t.Logf("seed %d: sweep over %d sources = %d, want %d", seed, len(sources), got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyRobustnessCurveMatchesOracle: every point of the one-pass
+// curve equals the from-scratch component count with the top k sites
+// removed, including depths past the last site.
+func TestPropertyRobustnessCurveMatchesOracle(t *testing.T) {
+	f := func(seed uint64, hub bool) bool {
+		g := randomGraph(seed)
+		if hub {
+			g = hubGraph(seed)
+		}
+		maxK := g.NumSites + 2
+		curve := g.RobustnessCurve(maxK)
+		if len(curve) != maxK+1 {
+			return false
+		}
+		ranks := make([]int, maxK)
+		for k := range ranks {
+			ranks[k] = k
+		}
+		for k := 0; k <= maxK; k++ {
+			if want := g.ComponentsExcluding(ranks[:k]).FracEntitiesInLargest(); curve[k] != want {
+				t.Logf("seed %d hub %v: curve[%d] = %v, want %v", seed, hub, k, curve[k], want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestPropertyRobustnessCurveInRange: every robustness value is a valid
 // fraction and k=0 equals the full-graph largest share.
 func TestPropertyRobustnessCurveInRange(t *testing.T) {
