@@ -1,8 +1,8 @@
 // Command analyze runs one, several, or all of the paper's experiments
-// through the concurrent experiment registry and emits their data files
-// and a terminal preview — or, with -json, the same JSON wire document
-// the HTTP serving layer (cmd/serve) returns, so batch and online
-// consumers share one encoding.
+// through the concurrent experiment registry and emits their data files,
+// terminal previews and paper-claim verdicts (shape_checks.txt) — or,
+// with -json, the same JSON wire document the HTTP serving layer
+// (cmd/serve) returns, so batch and online consumers share one encoding.
 //
 // Usage:
 //
@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,25 +34,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	exp := flag.String("exp", "all", "experiment ids, comma-separated ("+strings.Join(core.ExperimentIDs(), ", ")+", or all)")
-	scale := flag.String("scale", "small", "experiment scale: small, default, large")
-	seed := flag.Uint64("seed", 1, "master seed")
-	outDir := flag.String("out", "out", "output directory (empty: terminal only)")
-	jsonOut := flag.Bool("json", false, "emit the shared JSON wire document (schema "+report.SchemaV1+") to stdout instead of rendering files/previews")
-	extraction := flag.Bool("extraction", false, "build indexes via the full render+parse+extract pipeline instead of direct model decisions")
-	workers := flag.Int("workers", 0, "worker pool size for artifact builds, analyses, extraction and demand shards (0: GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON of pipeline/build/experiment spans to this file (load in chrome://tracing or Perfetto)")
-	flag.Usage = usage
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment ids, comma-separated ("+strings.Join(core.ExperimentIDs(), ", ")+", or all)")
+	scale := fs.String("scale", "small", "experiment scale: small, default, large")
+	seed := fs.Uint64("seed", 1, "master seed")
+	outDir := fs.String("out", "out", "output directory (empty: terminal only)")
+	jsonOut := fs.Bool("json", false, "emit the shared JSON wire document (schema "+report.SchemaV1+") to stdout instead of rendering files/previews")
+	extraction := fs.Bool("extraction", false, "build indexes via the full render+parse+extract pipeline instead of direct model decisions")
+	workers := fs.Int("workers", 0, "worker pool size for artifact builds, analyses, extraction and demand shards (0: GOMAXPROCS)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
+	trace := fs.String("trace", "", "write a Chrome trace-event JSON of pipeline/build/experiment spans to this file (load in chrome://tracing or Perfetto)")
+	// Help lists the registry's experiments, so it matches what can run.
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
+		fs.PrintDefaults()
+		fmt.Fprintf(w, "\nExperiments (from the registry):\n")
+		for _, info := range core.ExperimentInfos() {
+			fmt.Fprintf(w, "  %-8s %s (needs %d artifacts)\n", info.ID, info.Title, len(info.Needs))
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *trace != "" {
 		obs.EnableTracing(0)
@@ -88,16 +101,9 @@ func run() error {
 		}()
 	}
 
-	var sc synth.Scale
-	switch *scale {
-	case "small":
-		sc = synth.ScaleSmall
-	case "default":
-		sc = synth.ScaleDefault
-	case "large":
-		sc = synth.ScaleLarge
-	default:
-		return fmt.Errorf("unknown scale %q (small, default, large)", *scale)
+	sc, err := synth.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 	study := core.NewStudy(core.Config{
 		Seed:           *seed,
@@ -119,19 +125,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return report.WriteJSON(os.Stdout, study, rep)
+		return report.WriteJSON(stdout, study, rep)
 	}
-	return report.RunMany(study, ids, *outDir, os.Stdout, *workers)
-}
-
-// usage lists flags plus the experiment registry's metadata, so the
-// help text always matches what the registry can run.
-func usage() {
-	w := flag.CommandLine.Output()
-	fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
-	flag.PrintDefaults()
-	fmt.Fprintf(w, "\nExperiments (from the registry):\n")
-	for _, info := range core.ExperimentInfos() {
-		fmt.Fprintf(w, "  %-8s %s (needs %d artifacts)\n", info.ID, info.Title, len(info.Needs))
-	}
+	return report.RunMany(study, ids, *outDir, stdout, *workers)
 }

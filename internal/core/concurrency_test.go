@@ -81,8 +81,8 @@ func TestDistinctKeysBuildExactlyOnce(t *testing.T) {
 }
 
 // TestRunAllMatchesSerial is the determinism contract: a parallel
-// RunAll must produce output byte-identical to a Study driven serially
-// with the same seed.
+// RunAll must produce results whose wire encoding is byte-identical to
+// a Study driven serially with the same seed.
 func TestRunAllMatchesSerial(t *testing.T) {
 	parallel := core.NewStudy(smallConfig())
 	rep, err := parallel.RunAll(context.Background(), 8)
@@ -111,44 +111,46 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 
 	serial := core.NewStudy(smallConfig())
-	for _, id := range core.ExperimentIDs() {
-		var bufP, bufS bytes.Buffer
-		if err := report.Run(parallel, id, "", &bufP); err != nil {
-			t.Fatalf("render %s from parallel study: %v", id, err)
+	for _, r := range rep.Results {
+		e, _ := core.LookupExperiment(r.ID)
+		v, err := e.Run(serial)
+		if err != nil {
+			t.Fatalf("%s on serial study: %v", r.ID, err)
 		}
-		if err := report.Run(serial, id, "", &bufS); err != nil {
-			t.Fatalf("render %s from serial study: %v", id, err)
-		}
-		if !bytes.Equal(bufP.Bytes(), bufS.Bytes()) {
-			t.Errorf("experiment %s: parallel and serial output differ", id)
+		if !bytes.Equal(wire(t, r.Value), wire(t, v)) {
+			t.Errorf("experiment %s: parallel and serial results differ", r.ID)
 		}
 	}
+}
+
+// wire returns v's JSON wire encoding (report.EncodeResult).
+func wire(t *testing.T, v any) []byte {
+	t.Helper()
+	rw, err := report.EncodeResult(core.RunResult{Value: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rw.Value
 }
 
 // TestRunExperimentsSubsetAndWorkerCounts checks that any worker count
 // yields the same per-experiment values as workers=1.
 func TestRunExperimentsSubsetAndWorkerCounts(t *testing.T) {
 	ids := []string{"table1", "fig3", "fig6"}
-	render := func(s *core.Study) []byte {
-		var buf bytes.Buffer
-		for _, id := range ids {
-			if err := report.Run(s, id, "", &buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Bytes()
-	}
-	base := core.NewStudy(smallConfig())
-	if _, err := base.RunExperiments(context.Background(), ids, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := render(base)
-	for _, workers := range []int{2, 16} {
-		s := core.NewStudy(smallConfig())
-		if _, err := s.RunExperiments(context.Background(), ids, workers); err != nil {
+	run := func(workers int) []byte {
+		rep, err := core.NewStudy(smallConfig()).RunExperiments(context.Background(), ids, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(render(s), want) {
+		var out []byte
+		for _, r := range rep.Results {
+			out = append(out, wire(t, r.Value)...)
+		}
+		return out
+	}
+	want := run(1)
+	for _, workers := range []int{2, 16} {
+		if !bytes.Equal(run(workers), want) {
 			t.Errorf("workers=%d: output differs from workers=1", workers)
 		}
 	}

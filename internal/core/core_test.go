@@ -9,9 +9,10 @@ import (
 	"repro/internal/logs"
 )
 
-// testConfig keeps unit tests fast; shape assertions at this scale are
-// qualitative (orderings), with the paper-facing numbers produced at
-// default scale by cmd/webrepro and recorded in EXPERIMENTS.md.
+// testConfig keeps unit tests fast. These tests pin structure (panel
+// counts, curve orderings, endpoints); the paper's claims are registry
+// Claims, held across seeds by TestClaimsAcrossSeeds and reported at any
+// scale by `analyze -out`.
 func testConfig() Config {
 	return Config{
 		Seed:            7,
@@ -99,21 +100,8 @@ func TestSpreadShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home, err := s.Spread(entity.Restaurants, entity.AttrHomepage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Headline shape: the homepage attribute is far more spread out than
-	// the phone attribute — at t=10 phones cover much more.
-	pAt10 := phone.Curves[0].Coverage[9]
-	hAt10 := home.Curves[0].Coverage[9]
-	if pAt10 < 0.7 {
-		t.Errorf("phone 1-coverage at t=10 = %v, want high", pAt10)
-	}
-	if hAt10 >= pAt10-0.15 {
-		t.Errorf("homepage (%v) should be much more spread than phone (%v)", hAt10, pAt10)
-	}
-	// k-curves are ordered.
+	// k-curves are ordered. (Phone vs homepage spread is claims
+	// fig1a-top10 and fig2a-top10.)
 	for ti := range phone.Curves[0].Coverage {
 		for k := 1; k < KCoverageMax; k++ {
 			if phone.Curves[k].Coverage[ti] > phone.Curves[k-1].Coverage[ti]+1e-12 {
@@ -155,22 +143,15 @@ func TestFig3(t *testing.T) {
 	if r.Domain != entity.Books || r.Attr != entity.AttrISBN {
 		t.Errorf("fig3 = %s/%s", r.Domain, r.Attr)
 	}
-	final := r.Curves[0].Coverage[len(r.Curves[0].Coverage)-1]
-	if final < 0.95 {
-		t.Errorf("book 1-coverage should approach 1, got %v", final)
-	}
 }
 
 func TestFig4(t *testing.T) {
 	s := NewStudy(testConfig())
-	a, err := s.Fig4a()
+	r, err := s.Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Fig4b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := r.A, r.B
 	// Entity coverage saturates to 1 on its universe.
 	last := a.Curves[0].Coverage[len(a.Curves[0].Coverage)-1]
 	if last < 0.999 {
@@ -178,12 +159,6 @@ func TestFig4(t *testing.T) {
 	}
 	if b.Coverage[len(b.Coverage)-1] < 0.999 {
 		t.Errorf("aggregate coverage should reach 1, got %v", b.Coverage[len(b.Coverage)-1])
-	}
-	// Page-mass coverage lags entity coverage in the mid-range (§3.4).
-	mid := len(a.Curves[0].T) / 2
-	if b.Coverage[mid] > a.Curves[0].Coverage[mid]+0.05 {
-		t.Errorf("aggregate coverage %v should not lead entity coverage %v",
-			b.Coverage[mid], a.Curves[0].Coverage[mid])
 	}
 }
 
@@ -202,12 +177,7 @@ func TestFig5GreedyDominatesButModestly(t *testing.T) {
 				r.BySize.T[i], r.Greedy.Coverage[i], r.BySize.Coverage[i])
 		}
 	}
-	// §3.4.1: the improvement is insignificant — bounded gap.
-	for i := range r.BySize.T {
-		if gap := r.Greedy.Coverage[i] - r.BySize.Coverage[i]; gap > 0.25 {
-			t.Errorf("t=%d: greedy gap %v implausibly large", r.BySize.T[i], gap)
-		}
-	}
+	// That the gain is modest (§3.4.1) is claim fig5-gap.
 }
 
 func TestFig6ConcentrationOrdering(t *testing.T) {
@@ -219,23 +189,18 @@ func TestFig6ConcentrationOrdering(t *testing.T) {
 	if len(rs) != 6 {
 		t.Fatalf("fig6 results = %d, want 6", len(rs))
 	}
-	top20 := map[logs.Site]float64{}
+	// The concentration ordering itself is claim fig6a-order.
 	for _, r := range rs {
-		if r.Source == logs.Search {
-			top20[r.Site] = r.Top20
-		}
 		// CDF ends at (1, 1).
 		last := r.CDF[len(r.CDF)-1]
 		if last.DemandFrac < 0.999 || last.InventoryFrac < 0.999 {
 			t.Errorf("%s/%s CDF end = %+v", r.Site, r.Source, last)
 		}
 	}
-	if !(top20[logs.IMDb] > top20[logs.Amazon] && top20[logs.Amazon] > top20[logs.Yelp]) {
-		t.Errorf("search top-20%% ordering: imdb=%v amazon=%v yelp=%v",
-			top20[logs.IMDb], top20[logs.Amazon], top20[logs.Yelp])
-	}
 }
 
+// TestFig7DemandIncreasesWithReviews checks Fig 7 at the test seed;
+// claim fig7-rising holds the same shape across seeds.
 func TestFig7DemandIncreasesWithReviews(t *testing.T) {
 	s := NewStudy(testConfig())
 	rs, err := s.Fig7()
@@ -254,6 +219,8 @@ func TestFig7DemandIncreasesWithReviews(t *testing.T) {
 	}
 }
 
+// TestFig8Shapes checks Fig 8 at the test seed; claims fig8-yelp,
+// fig8-amazon and fig8-imdb hold the same shapes across seeds.
 func TestFig8Shapes(t *testing.T) {
 	s := NewStudy(testConfig())
 	rs, err := s.Fig8()
@@ -304,11 +271,13 @@ func TestTable2AndFig9(t *testing.T) {
 	if len(rows) != 17 { // 1 ISBN + 8 phone + 8 homepage
 		t.Fatalf("table2 rows = %d, want 17", len(rows))
 	}
+	// Connectivity and diameter thresholds are claims table2-largest,
+	// table2-diameter and table2-homepage.
 	for _, r := range rows {
-		if r.FracLargest < 0.5 || r.FracLargest > 1 {
+		if r.FracLargest <= 0 || r.FracLargest > 1 {
 			t.Errorf("%s/%s largest frac = %v", r.Domain, r.Attr, r.FracLargest)
 		}
-		if r.Diameter < 2 || r.Diameter > 40 {
+		if r.Diameter < 2 {
 			t.Errorf("%s/%s diameter = %d", r.Domain, r.Attr, r.Diameter)
 		}
 		if r.Components < 1 {
@@ -318,21 +287,6 @@ func TestTable2AndFig9(t *testing.T) {
 			t.Errorf("%s/%s avg sites = %v", r.Domain, r.Attr, r.AvgSitesPerEntity)
 		}
 	}
-	// Phone graphs are better connected than homepage graphs.
-	frac := map[entity.Attr]float64{}
-	n := map[entity.Attr]int{}
-	for _, r := range rows {
-		if r.Domain == entity.Books {
-			continue
-		}
-		frac[r.Attr] += r.FracLargest
-		n[r.Attr]++
-	}
-	if frac[entity.AttrPhone]/float64(n[entity.AttrPhone]) <=
-		frac[entity.AttrHomepage]/float64(n[entity.AttrHomepage]) {
-		t.Error("phone graphs should be better connected than homepage graphs")
-	}
-
 	f9, err := s.Fig9()
 	if err != nil {
 		t.Fatal(err)
@@ -341,13 +295,9 @@ func TestTable2AndFig9(t *testing.T) {
 		t.Fatalf("fig9 curves = %d, want 17", len(f9))
 	}
 	for _, r := range f9 {
+		// Robustness after top-10 removal is claim fig9-top10.
 		if len(r.Curve) != Fig9MaxK+1 {
 			t.Fatalf("%s/%s curve length %d", r.Domain, r.Attr, len(r.Curve))
-		}
-		// Phone and ISBN graphs stay highly connected after top-10
-		// removal (paper: > 99%; small-scale slack to 90%).
-		if r.Attr != entity.AttrHomepage && r.Curve[Fig9MaxK] < 0.9 {
-			t.Errorf("%s/%s robustness at k=10 = %v", r.Domain, r.Attr, r.Curve[Fig9MaxK])
 		}
 	}
 }

@@ -41,24 +41,16 @@ func (s *Study) Spread(d entity.Domain, a entity.Attr) (*SpreadResult, error) {
 
 // Fig1 computes the phone-attribute spread for the 8 local business
 // domains (Figure 1 a–h).
-func (s *Study) Fig1() ([]*SpreadResult, error) {
-	out := make([]*SpreadResult, 0, len(entity.LocalBusinessDomains))
-	for _, d := range entity.LocalBusinessDomains {
-		r, err := s.Spread(d, entity.AttrPhone)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
+func (s *Study) Fig1() ([]*SpreadResult, error) { return s.localSpread(entity.AttrPhone) }
 
 // Fig2 computes the homepage-attribute spread for the 8 local business
 // domains (Figure 2 a–h).
-func (s *Study) Fig2() ([]*SpreadResult, error) {
+func (s *Study) Fig2() ([]*SpreadResult, error) { return s.localSpread(entity.AttrHomepage) }
+
+func (s *Study) localSpread(a entity.Attr) ([]*SpreadResult, error) {
 	out := make([]*SpreadResult, 0, len(entity.LocalBusinessDomains))
 	for _, d := range entity.LocalBusinessDomains {
-		r, err := s.Spread(d, entity.AttrHomepage)
+		r, err := s.Spread(d, a)
 		if err != nil {
 			return nil, err
 		}
@@ -72,24 +64,6 @@ func (s *Study) Fig3() (*SpreadResult, error) {
 	return s.Spread(entity.Books, entity.AttrISBN)
 }
 
-// Fig4a computes the restaurant-review k-coverage (Figure 4a).
-func (s *Study) Fig4a() (*SpreadResult, error) {
-	return s.Spread(entity.Restaurants, entity.AttrReview)
-}
-
-// Fig4b computes the aggregate review-page coverage (Figure 4b).
-func (s *Study) Fig4b() (coverage.AggregateCurve, error) {
-	idx, err := s.Index(entity.Restaurants, entity.AttrReview)
-	if err != nil {
-		return coverage.AggregateCurve{}, err
-	}
-	curve, err := coverage.AggregateCoverage(idx, coverage.LogSpacedT(len(idx.Sites)))
-	if err != nil {
-		return coverage.AggregateCurve{}, fmt.Errorf("core: aggregate review coverage: %w", err)
-	}
-	return curve, nil
-}
-
 // Fig4Result bundles both panels of Figure 4: the per-entity k-coverage
 // curves (a) and the aggregate review-page coverage (b).
 type Fig4Result struct {
@@ -99,13 +73,17 @@ type Fig4Result struct {
 
 // Fig4 computes both Figure 4 panels.
 func (s *Study) Fig4() (*Fig4Result, error) {
-	a, err := s.Fig4a()
+	a, err := s.Spread(entity.Restaurants, entity.AttrReview)
 	if err != nil {
 		return nil, err
 	}
-	b, err := s.Fig4b()
+	idx, err := s.Index(entity.Restaurants, entity.AttrReview)
 	if err != nil {
 		return nil, err
+	}
+	b, err := coverage.AggregateCoverage(idx, coverage.LogSpacedT(len(idx.Sites)))
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregate review coverage: %w", err)
 	}
 	return &Fig4Result{A: a, B: b}, nil
 }
@@ -273,12 +251,11 @@ type Table2Row struct {
 }
 
 // table2Pairs lists Table 2's (domain, attribute) rows in paper order.
-func table2Pairs() [][2]interface{} {
-	var pairs [][2]interface{}
-	pairs = append(pairs, [2]interface{}{entity.Books, entity.AttrISBN})
+func table2Pairs() []graphKey {
+	pairs := []graphKey{{entity.Books, entity.AttrISBN}}
 	for _, a := range []entity.Attr{entity.AttrPhone, entity.AttrHomepage} {
 		for _, d := range entity.LocalBusinessDomains {
-			pairs = append(pairs, [2]interface{}{d, a})
+			pairs = append(pairs, graphKey{d, a})
 		}
 	}
 	return pairs
@@ -288,13 +265,11 @@ func table2Pairs() [][2]interface{} {
 func (s *Study) Table2() ([]Table2Row, error) {
 	var out []Table2Row
 	for _, p := range table2Pairs() {
-		d := p[0].(entity.Domain)
-		a := p[1].(entity.Attr)
-		g, err := s.Graph(d, a)
+		g, err := s.Graph(p.d, p.a)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Table2Row{Domain: d, Attr: a, Metrics: g.ComputeMetrics()})
+		out = append(out, Table2Row{Domain: p.d, Attr: p.a, Metrics: g.ComputeMetrics()})
 	}
 	return out, nil
 }

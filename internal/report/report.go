@@ -1,6 +1,7 @@
 // Package report renders Study experiment results into files (gnuplot
-// TSV blocks, text tables) and terminal ASCII previews. It is the layer
-// cmd/analyze and cmd/webrepro share.
+// TSV blocks, text tables), terminal ASCII previews and paper-claim
+// verdicts for cmd/analyze, and encodes the JSON wire document that
+// cmd/analyze -json and cmd/serve share (wire.go).
 package report
 
 import (
@@ -19,33 +20,10 @@ import (
 	"repro/internal/plot"
 )
 
-// Experiments lists the runnable experiment IDs in paper order,
-// mirroring the core experiment registry.
-var Experiments = core.ExperimentIDs()
-
 // Valid reports whether id names a known experiment.
 func Valid(id string) bool {
 	_, ok := core.LookupExperiment(id)
 	return ok
-}
-
-// Run executes one experiment, writes its data files under outDir, and
-// prints a human-readable summary (with ASCII previews) to w.
-func Run(s *core.Study, id, outDir string, w io.Writer) error {
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return fmt.Errorf("report: create %s: %w", outDir, err)
-		}
-	}
-	e, ok := core.LookupExperiment(id)
-	if !ok {
-		return fmt.Errorf("report: unknown experiment %q (known: %s)", id, strings.Join(Experiments, ", "))
-	}
-	v, err := e.Run(s)
-	if err != nil {
-		return err
-	}
-	return render(id, v, outDir, w)
 }
 
 // render writes one experiment's already-computed value. The type
@@ -79,20 +57,18 @@ func render(id string, v any, outDir string, w io.Writer) error {
 	}
 }
 
-// RunAll computes every experiment through the core registry — fanning
-// artifact builds and analyses across workers goroutines (<= 0:
-// GOMAXPROCS) — prints the pipeline timing summary, then renders the
-// computed results in paper order. Each analysis runs exactly once;
-// output is byte-identical to a serial run for the same seed.
-func RunAll(s *core.Study, outDir string, w io.Writer, workers int) error {
-	return RunMany(s, Experiments, outDir, w, workers)
-}
-
-// RunMany is RunAll restricted to the named experiments.
+// RunMany computes the named experiments through the core registry —
+// fanning artifact builds and analyses across workers goroutines (<= 0:
+// GOMAXPROCS) — prints the pipeline timing summary, renders the results
+// in request order, then prints the verdicts of their paper claims.
+// With an outDir it writes each experiment's data files and the
+// verdicts (shape_checks.txt) there. Each analysis runs exactly once;
+// everything but the timing summary is byte-identical to a serial run
+// for the same seed.
 func RunMany(s *core.Study, ids []string, outDir string, w io.Writer, workers int) error {
 	for _, id := range ids {
 		if !Valid(id) {
-			return fmt.Errorf("report: unknown experiment %q (known: %s)", id, strings.Join(Experiments, ", "))
+			return fmt.Errorf("report: unknown experiment %q (known: %s)", id, strings.Join(core.ExperimentIDs(), ", "))
 		}
 	}
 	if outDir != "" {
@@ -110,7 +86,27 @@ func RunMany(s *core.Study, ids []string, outDir string, w io.Writer, workers in
 			return fmt.Errorf("report: experiment %s: %w", id, err)
 		}
 	}
-	return nil
+	return claims(rep.Claims(), outDir, w)
+}
+
+// claims prints claim verdicts, one line each, and writes them to
+// shape_checks.txt under outDir.
+func claims(verdicts []core.ClaimResult, outDir string, w io.Writer) error {
+	render := func(out io.Writer) error {
+		for _, c := range verdicts {
+			status := "OK  "
+			if !c.OK {
+				status = "DIFF"
+			}
+			fmt.Fprintf(out, "[%s] %-15s %-72s | measured: %s\n", status, c.ID, c.Paper, c.Measured)
+		}
+		return nil
+	}
+	fmt.Fprintln(w, "== Shape checks: paper claim vs measured ==")
+	if err := render(w); err != nil {
+		return err
+	}
+	return writeFile(outDir, "shape_checks.txt", render)
 }
 
 // writeTimings summarizes one registry run: per-artifact build cost and
@@ -164,15 +160,20 @@ func table1(rows []core.Table1Row, outDir string, w io.Writer) error {
 	return writeFile(outDir, "table1.txt", render)
 }
 
+// curveSeries converts one coverage curve into a plot series.
+func curveSeries(name string, ts []int, coverage []float64) plot.Series {
+	x := make([]float64, len(ts))
+	for i, t := range ts {
+		x[i] = float64(t)
+	}
+	return plot.Series{Name: name, X: x, Y: coverage}
+}
+
 // curvesToSeries converts k-coverage curves into plot series.
 func curvesToSeries(curves []coverage.Curve) []plot.Series {
 	out := make([]plot.Series, 0, len(curves))
 	for _, c := range curves {
-		x := make([]float64, len(c.T))
-		for i, t := range c.T {
-			x[i] = float64(t)
-		}
-		out = append(out, plot.Series{Name: fmt.Sprintf("k=%d", c.K), X: x, Y: c.Coverage})
+		out = append(out, curveSeries(fmt.Sprintf("k=%d", c.K), c.T, c.Coverage))
 	}
 	return out
 }
@@ -225,11 +226,7 @@ func fig4(r *core.Fig4Result, outDir string, w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	bx := make([]float64, len(b.T))
-	for i, t := range b.T {
-		bx[i] = float64(t)
-	}
-	agg := plot.Series{Name: "aggregate", X: bx, Y: b.Coverage}
+	agg := curveSeries("aggregate", b.T, b.Coverage)
 	if err := writeFile(outDir, "fig4b_aggregate_reviews.tsv", func(out io.Writer) error {
 		return plot.WriteTSV(out, agg)
 	}); err != nil {
@@ -251,15 +248,8 @@ func fig4(r *core.Fig4Result, outDir string, w io.Writer) error {
 }
 
 func fig5(r *core.Fig5Result, outDir string, w io.Writer) error {
-	toSeries := func(name string, c coverage.Curve) plot.Series {
-		x := make([]float64, len(c.T))
-		for i, t := range c.T {
-			x[i] = float64(t)
-		}
-		return plot.Series{Name: name, X: x, Y: c.Coverage}
-	}
-	size := toSeries("order-by-size", r.BySize)
-	greedy := toSeries("greedy-set-cover", r.Greedy)
+	size := curveSeries("order-by-size", r.BySize.T, r.BySize.Coverage)
+	greedy := curveSeries("greedy-set-cover", r.Greedy.T, r.Greedy.Coverage)
 	if err := writeFile(outDir, "fig5_greedy_cover.tsv", func(out io.Writer) error {
 		return plot.WriteTSV(out, size, greedy)
 	}); err != nil {

@@ -21,7 +21,7 @@ func testStudy() *core.Study {
 }
 
 func TestValid(t *testing.T) {
-	for _, id := range Experiments {
+	for _, id := range core.ExperimentIDs() {
 		if !Valid(id) {
 			t.Errorf("%s should be valid", id)
 		}
@@ -31,16 +31,26 @@ func TestValid(t *testing.T) {
 	}
 }
 
+// TestRunUnknown checks that an unknown ID fails the whole request
+// before anything runs or is written.
 func TestRunUnknown(t *testing.T) {
-	if err := Run(testStudy(), "nope", "", &bytes.Buffer{}); err == nil {
+	dir := filepath.Join(t.TempDir(), "out")
+	var out bytes.Buffer
+	if err := RunMany(testStudy(), []string{"table1", "nope"}, dir, &out, 1); err == nil {
 		t.Error("unknown experiment should fail")
+	}
+	if out.Len() != 0 {
+		t.Errorf("output before failing: %q", out.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("output directory created before failing: %v", err)
 	}
 }
 
 func TestRunAllWritesFiles(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := RunAll(testStudy(), dir, &out, 0); err != nil {
+	if err := RunMany(testStudy(), core.ExperimentIDs(), dir, &out, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Every experiment must leave at least one file and print a header.
@@ -57,6 +67,7 @@ func TestRunAllWritesFiles(t *testing.T) {
 		"fig8_amazon_search.tsv",
 		"table2.txt",
 		"fig9_books_isbn.tsv",
+		"shape_checks.txt",
 	}
 	for _, f := range wantFiles {
 		path := filepath.Join(dir, f)
@@ -73,6 +84,7 @@ func TestRunAllWritesFiles(t *testing.T) {
 	for _, header := range []string{
 		"Pipeline:", "build index/restaurants", "build demand/yelp", "run   table2",
 		"Table 1", "Fig 3", "Fig 4", "Fig 5", "Fig 6", "Fig 7", "Fig 8", "Table 2", "Fig 9",
+		"Shape checks", "fig1a-top10", "fig9-top10",
 	} {
 		if !strings.Contains(text, header) {
 			t.Errorf("summary missing %q", header)
@@ -99,7 +111,7 @@ func TestRunManySubset(t *testing.T) {
 
 func TestRunWithoutOutDir(t *testing.T) {
 	var out bytes.Buffer
-	if err := Run(testStudy(), "table1", "", &out); err != nil {
+	if err := RunMany(testStudy(), []string{"table1"}, "", &out, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Books") {
@@ -109,7 +121,7 @@ func TestRunWithoutOutDir(t *testing.T) {
 
 func TestTSVParseable(t *testing.T) {
 	dir := t.TempDir()
-	if err := Run(testStudy(), "fig3", dir, &bytes.Buffer{}); err != nil {
+	if err := RunMany(testStudy(), []string{"fig3"}, dir, &bytes.Buffer{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig3_books_isbn.tsv"))

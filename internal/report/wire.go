@@ -19,8 +19,7 @@ import (
 const SchemaV1 = "repro/v1"
 
 // ResultWire is one experiment result on the wire. Value holds the
-// experiment's core result struct; DecodeResultValue recovers the typed
-// form.
+// experiment's core result struct.
 type ResultWire struct {
 	ID        string          `json:"id"`
 	Title     string          `json:"title"`
@@ -52,44 +51,6 @@ func EncodeResult(r core.RunResult) (ResultWire, error) {
 		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1000,
 		Value:     raw,
 	}, nil
-}
-
-// decodeAs unmarshals raw into a value of the experiment's concrete
-// result type, returned as any.
-func decodeAs[T any](id string, raw json.RawMessage) (any, error) {
-	var v T
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, fmt.Errorf("report: decode %s: %w", id, err)
-	}
-	return v, nil
-}
-
-// DecodeResultValue unmarshals a ResultWire's Value back into the typed
-// core result for its experiment ID — the inverse of EncodeResult. The
-// type switch mirrors the registry's Run return types (see render).
-func DecodeResultValue(id string, raw json.RawMessage) (any, error) {
-	switch id {
-	case "table1":
-		return decodeAs[[]core.Table1Row](id, raw)
-	case "fig1", "fig2":
-		return decodeAs[[]*core.SpreadResult](id, raw)
-	case "fig3":
-		return decodeAs[*core.SpreadResult](id, raw)
-	case "fig4":
-		return decodeAs[*core.Fig4Result](id, raw)
-	case "fig5":
-		return decodeAs[*core.Fig5Result](id, raw)
-	case "fig6":
-		return decodeAs[[]*core.Fig6Result](id, raw)
-	case "fig7", "fig8":
-		return decodeAs[[]*core.Fig78Result](id, raw)
-	case "table2":
-		return decodeAs[[]core.Table2Row](id, raw)
-	case "fig9":
-		return decodeAs[[]*core.Fig9Result](id, raw)
-	default:
-		return nil, fmt.Errorf("report: no wire type for experiment %q", id)
-	}
 }
 
 // WriteJSON emits a registry run as the v1 JSON document. Batch

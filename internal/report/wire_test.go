@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if rw.ID != res.ID || rw.Title != res.Title {
 			t.Errorf("%s: wire metadata %q/%q", res.ID, rw.ID, rw.Title)
 		}
-		back, err := DecodeResultValue(rw.ID, rw.Value)
+		back, err := decodeResultValue(rw.ID, rw.Value)
 		if err != nil {
 			t.Fatalf("decode %s: %v", res.ID, err)
 		}
@@ -67,17 +68,17 @@ func TestWriteJSONEnvelope(t *testing.T) {
 		t.Fatalf("results %+v", env.Results)
 	}
 	for _, rw := range env.Results {
-		if _, err := DecodeResultValue(rw.ID, rw.Value); err != nil {
+		if _, err := decodeResultValue(rw.ID, rw.Value); err != nil {
 			t.Errorf("decode %s from envelope: %v", rw.ID, err)
 		}
 	}
 }
 
 func TestWireErrors(t *testing.T) {
-	if _, err := DecodeResultValue("fig99", json.RawMessage(`{}`)); err == nil {
+	if _, err := decodeResultValue("fig99", json.RawMessage(`{}`)); err == nil {
 		t.Error("unknown id should fail")
 	}
-	if _, err := DecodeResultValue("fig3", json.RawMessage(`[not json`)); err == nil {
+	if _, err := decodeResultValue("fig3", json.RawMessage(`[not json`)); err == nil {
 		t.Error("malformed value should fail")
 	}
 	if _, err := EncodeResult(core.RunResult{ID: "fig3", Err: errors.New("boom")}); err == nil {
@@ -146,5 +147,44 @@ func TestNewDemandWire(t *testing.T) {
 	})
 	if w.Site != "yelp" || len(w.Sources["search"]) != 1 {
 		t.Errorf("wire %+v", w)
+	}
+}
+
+// decodeAs unmarshals raw into a value of the experiment's concrete
+// result type, returned as any.
+func decodeAs[T any](id string, raw json.RawMessage) (any, error) {
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, fmt.Errorf("report: decode %s: %w", id, err)
+	}
+	return v, nil
+}
+
+// decodeResultValue unmarshals a ResultWire's Value back into the typed
+// core result for its experiment ID — the inverse of EncodeResult, and
+// the round-trip oracle for the wire format. The type switch mirrors the
+// registry's Run return types (see render).
+func decodeResultValue(id string, raw json.RawMessage) (any, error) {
+	switch id {
+	case "table1":
+		return decodeAs[[]core.Table1Row](id, raw)
+	case "fig1", "fig2":
+		return decodeAs[[]*core.SpreadResult](id, raw)
+	case "fig3":
+		return decodeAs[*core.SpreadResult](id, raw)
+	case "fig4":
+		return decodeAs[*core.Fig4Result](id, raw)
+	case "fig5":
+		return decodeAs[*core.Fig5Result](id, raw)
+	case "fig6":
+		return decodeAs[[]*core.Fig6Result](id, raw)
+	case "fig7", "fig8":
+		return decodeAs[[]*core.Fig78Result](id, raw)
+	case "table2":
+		return decodeAs[[]core.Table2Row](id, raw)
+	case "fig9":
+		return decodeAs[[]*core.Fig9Result](id, raw)
+	default:
+		return nil, fmt.Errorf("report: no wire type for experiment %q", id)
 	}
 }

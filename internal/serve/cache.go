@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,19 +27,11 @@ func (k StudyKey) String() string {
 	return fmt.Sprintf("%s/seed=%d/extraction=%t", k.Scale, k.Seed, k.Extraction)
 }
 
-// scales maps the public scale names to their synthetic-web sizes,
-// mirroring cmd/analyze.
-var scales = map[string]synth.Scale{
-	"small":   synth.ScaleSmall,
-	"default": synth.ScaleDefault,
-	"large":   synth.ScaleLarge,
-}
-
 // configFor resolves a StudyKey to the core configuration it denotes.
 // Workers is scheduling-only and excluded from Config.Hash, so it never
 // influences response bytes or ETags.
 func configFor(k StudyKey, workers int) core.Config {
-	sc := scales[k.Scale]
+	sc, _ := synth.ParseScale(k.Scale) // parseStudyKey admits only known names
 	return core.Config{
 		Seed:           k.Seed,
 		Entities:       sc.Entities,
@@ -54,8 +47,8 @@ func configFor(k StudyKey, workers int) core.Config {
 func parseStudyKey(q url.Values) (StudyKey, error) {
 	k := StudyKey{Scale: "small", Seed: 1}
 	if v := q.Get("scale"); v != "" {
-		if _, ok := scales[v]; !ok {
-			return StudyKey{}, fmt.Errorf("unknown scale %q (small, default, large)", v)
+		if _, err := synth.ParseScale(v); err != nil {
+			return StudyKey{}, err
 		}
 		k.Scale = v
 	}
@@ -95,7 +88,7 @@ type body struct {
 // duplicate concurrent builds (memo singleflight), and all three are
 // dropped together when the LRU evicts the entry — an evicted study's
 // breaker state (and failure count) is forgotten with it, while its
-// last good bodies live on in the server-level stale store.
+// last good bodies may live on in the server-level stale store.
 type studyEntry struct {
 	key     StudyKey
 	cfg     core.Config
@@ -111,26 +104,52 @@ type staleKey struct {
 	body  bodyKey
 }
 
+// staleBudget bounds the bytes of body data the stale store retains.
+// Its keys carry the client-chosen ?seed=, so without a bound a
+// seed-scanning client grows server memory forever (~0.3 MB per
+// small-scale seed for fig3, demand/yelp and spread/banks/phone).
+// 8 MiB keeps the recent bodies of a few dozen small-scale
+// configurations — several times what the default 4-study LRU holds —
+// which is the window in which a rebuild after eviction can fail.
+const staleBudget = 8 << 20
+
 // staleStore retains the last successfully built body per (study,
 // endpoint, format), outliving the study LRU: it is the fallback the
 // stale-while-error path serves when a rebuild after eviction (or
-// Forget) fails. Because every body is a pure function of its config,
-// a "stale" body is byte-identical to what the failed rebuild would
-// have produced — staleness here means "built in an earlier epoch",
-// not "out of date". Growth is bounded by the set of configurations
-// ever served times the endpoint/format vocabulary.
+// Forget) fails, and nothing else reads it. Because every body is a pure
+// function of its config, a "stale" body is byte-identical to what the
+// failed rebuild would have produced — staleness here means "built in an
+// earlier epoch", not "out of date". Retained bytes stay within
+// staleBudget: the least recently stored body is evicted first, and a
+// body larger than the budget is not retained.
 type staleStore struct {
-	mu sync.Mutex
-	m  map[staleKey]*body
+	mu    sync.Mutex
+	m     map[staleKey]*body
+	order []staleKey // store order, least recent first
+	bytes int
 }
 
 func (st *staleStore) put(k staleKey, b *body) {
+	if len(b.data) > staleBudget {
+		return
+	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.m == nil {
 		st.m = make(map[staleKey]*body)
 	}
+	if old, ok := st.m[k]; ok {
+		st.bytes -= len(old.data)
+		st.order = slices.DeleteFunc(st.order, func(o staleKey) bool { return o == k })
+	}
 	st.m[k] = b
-	st.mu.Unlock()
+	st.order = append(st.order, k)
+	st.bytes += len(b.data)
+	for st.bytes > staleBudget {
+		st.bytes -= len(st.m[st.order[0]].data)
+		delete(st.m, st.order[0])
+		st.order = st.order[1:]
+	}
 }
 
 func (st *staleStore) get(k staleKey) (*body, bool) {

@@ -75,3 +75,52 @@ func TestStudyCacheLRU(t *testing.T) {
 		t.Error("recreated entry has no study")
 	}
 }
+
+// TestStaleStoreSeedScanBounded scans seeds the way a client walking
+// ?seed= does — three endpoints per seed, ~0.3 MB of bodies per seed as
+// at small scale — and checks the stale store keeps at most staleBudget
+// bytes, evicting the least recently stored bodies first, and never
+// retains a body larger than the budget.
+func TestStaleStoreSeedScanBounded(t *testing.T) {
+	var st staleStore
+	endpoints := []bodyKey{
+		{"experiment/fig3", "json"}, {"demand/yelp", "json"}, {"spread/banks/phone", "json"},
+	}
+	key := func(seed uint64, b bodyKey) staleKey {
+		return staleKey{study: StudyKey{Scale: "small", Seed: seed}, body: b}
+	}
+	const seeds = 200
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, b := range endpoints {
+			st.put(key(seed, b), &body{data: make([]byte, 100_000)})
+		}
+	}
+	retained, oldest := 0, uint64(0)
+	for seed := uint64(1); seed <= seeds; seed++ {
+		for _, b := range endpoints {
+			if got, ok := st.get(key(seed, b)); ok {
+				retained += len(got.data)
+				if oldest == 0 {
+					oldest = seed
+				}
+			} else if oldest != 0 {
+				t.Fatalf("seed %d %s evicted after seed %d was kept: not least recently stored first", seed, b.endpoint, oldest)
+			}
+		}
+	}
+	if retained > staleBudget {
+		t.Errorf("stale store retains %d bytes after a %d-seed scan, budget %d", retained, seeds, staleBudget)
+	}
+	if oldest <= 1 || retained < staleBudget/2 {
+		t.Errorf("retained %d bytes from seed %d on: want the most recent seeds up to the budget", retained, oldest)
+	}
+
+	big := key(seeds+1, endpoints[0])
+	st.put(big, &body{data: make([]byte, staleBudget+1)})
+	if _, ok := st.get(big); ok {
+		t.Error("a body larger than the budget was retained")
+	}
+	if _, ok := st.get(key(seeds, endpoints[2])); !ok {
+		t.Error("an oversized body evicted what the store held")
+	}
+}

@@ -221,15 +221,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 			}
 			return &body{data: data, contentType: contentType, etag: etag}, nil
 		}, s.opts.Retry)
-		// Only a real build attempt feeds the breaker — not cache hits,
-		// coalesced waits or negative-cache answers — and it is recorded
-		// here, in the detached goroutine, so a request that abandons
-		// the select below still reports its build's fate.
+		// Only a real build attempt feeds the breaker and the stale
+		// store — not cache hits, coalesced waits or negative-cache
+		// answers — and it is recorded here, in the detached goroutine,
+		// so a request that abandons the select below still reports its
+		// build's fate.
 		if attempted {
 			e.breaker.record(err == nil)
-		}
-		if err == nil {
-			s.stale.put(sk, b)
+			if err == nil {
+				s.stale.put(sk, b)
+			}
 		}
 		done <- outcome{b, err}
 	}()

@@ -29,9 +29,10 @@
 // retry policy (Options.Retry) and, per study, behind a circuit
 // breaker: after BreakerThreshold consecutive failed builds the study's
 // circuit opens and cold builds are refused for BreakerCooldown, then a
-// single probe build tests recovery. Every successful body is also
-// copied into a server-level stale store that survives LRU eviction;
-// when a rebuild fails (or the circuit is open) the last good body is
+// single probe build tests recovery. Every freshly built body is also
+// copied into a server-level stale store that survives LRU eviction and
+// is bounded in bytes (least recently stored bodies go first); when a
+// rebuild fails (or the circuit is open) the last good body is
 // served with `Warning: 110 - "response is stale"` instead of an error
 // — sound, because the body is a pure function of the config, so the
 // stale bytes equal what the failed rebuild would have produced.

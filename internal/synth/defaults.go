@@ -1,10 +1,15 @@
 package synth
 
-import "repro/internal/entity"
+import (
+	"fmt"
+
+	"repro/internal/entity"
+)
 
 // Default shape parameters, calibrated so the coverage and connectivity
-// curves reproduce the paper's qualitative shapes at laptop scale (see
-// EXPERIMENTS.md for the measured comparison):
+// curves reproduce the paper's qualitative shapes at laptop scale (the
+// measured comparison is the claim report `analyze -out` writes to
+// shape_checks.txt):
 //
 //   - identifying attributes are near-universally available on listings
 //     (top-10 sites reach ~90% 1-coverage, top-100 ~100%),
@@ -94,10 +99,24 @@ type Scale struct {
 	DirectoryHosts int
 }
 
-// Scales for the standard runs. Small keeps unit tests fast; Default is
-// what cmd/webrepro and the benches use; Large stresses the pipeline.
+// Scales for the standard runs. Small keeps unit tests, the serving
+// layer's default and the benchmark fast; Default is the paper-facing
+// calibration (`analyze -scale default`); Large stresses the pipeline.
 var (
 	ScaleSmall   = Scale{Entities: 2000, DirectoryHosts: 3000}
 	ScaleDefault = Scale{Entities: 20000, DirectoryHosts: 30000}
 	ScaleLarge   = Scale{Entities: 60000, DirectoryHosts: 90000}
 )
+
+// scales is the one table of public scale names, shared by cmd/analyze
+// and the serving layer through ParseScale.
+var scales = map[string]Scale{"small": ScaleSmall, "default": ScaleDefault, "large": ScaleLarge}
+
+// ParseScale resolves a public scale name.
+func ParseScale(name string) (Scale, error) {
+	sc, ok := scales[name]
+	if !ok {
+		return Scale{}, fmt.Errorf("unknown scale %q (small, default, large)", name)
+	}
+	return sc, nil
+}
