@@ -3,24 +3,21 @@
 // packages (no time.Now / global rand / order-leaking map iteration),
 // batch-amortized obs instrumentation, and failpoint-site hygiene.
 //
-// It runs two ways:
+// Usage, from inside the module:
 //
-//	reprolint [packages]                 # standalone whole-repo mode
-//	go vet -vettool=$(which reprolint) ./...   # per-package vet units
+//	reprolint [packages]
 //
-// Standalone mode loads the module from the current directory and adds
-// the cross-package failpoint-uniqueness check that per-package vet
-// units cannot see. Exit codes follow vet: 0 clean, 1 error,
-// 2 diagnostics.
-//
-// Each analyzer can be disabled with -<name>=false, or the run can be
-// restricted by naming analyzers: -noalloc -failpoint runs only those.
+// It loads the module in the current directory (packages default to
+// ./...), runs every analyzer in internal/lint over each matched
+// package plus the cross-package failpoint-uniqueness check, and prints
+// findings as file:line:col: message [analyzer]. It takes no flags.
+// Exit codes follow vet: 0 clean, 1 load or typecheck error,
+// 2 findings.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,95 +25,28 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string) int {
-	// The two metadata queries cmd/go issues before running any unit.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		// The format cmd/go's buildid parser accepts from an unstamped
-		// analysis tool (same line x/tools' unitchecker prints).
-		fmt.Println("reprolint version devel comments-go-here buildID=01234567890123456789012345678901")
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var fs []jsonFlag
-		for _, a := range lint.Analyzers() {
-			fs = append(fs, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-		}
-		data, err := json.Marshal(fs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "reprolint:", err)
+func run(patterns []string, out io.Writer) int {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(out, "reprolint: unknown argument %s (reprolint takes no flags)\nusage: reprolint [packages]\n", p)
 			return 1
 		}
-		fmt.Println(string(data))
-		return 0
 	}
-
-	fset := flag.NewFlagSet("reprolint", flag.ContinueOnError)
-	fset.SetOutput(os.Stderr)
-	enabled := make(map[string]*bool)
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = fset.Bool(a.Name, false, a.Doc)
-	}
-	if err := fset.Parse(args); err != nil {
-		return 1
-	}
-	// Vet semantics: naming any analyzer restricts the run to the named
-	// set; otherwise everything runs.
-	analyzers := lint.Analyzers()
-	anySet := false
-	fset.Visit(func(f *flag.Flag) {
-		if _, ok := enabled[f.Name]; ok {
-			anySet = true
-		}
-	})
-	if anySet {
-		analyzers = nil
-		for _, a := range lint.Analyzers() {
-			if *enabled[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		}
-	}
-
-	rest := fset.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return lint.RunUnit(rest[0], analyzers, os.Stderr)
-	}
-
-	// Standalone whole-repo mode.
 	dir, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
+		fmt.Fprintln(out, "reprolint:", err)
 		return 1
 	}
-	res, err := lint.RunRepo(dir, rest...)
+	res, err := lint.RunRepo(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "reprolint:", err)
+		fmt.Fprintln(out, "reprolint:", err)
 		return 1
 	}
-	diags := res.Diags
-	if anySet {
-		kept := diags[:0]
-		names := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			names[a.Name] = true
-		}
-		for _, d := range diags {
-			if names[d.Analyzer] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
-	if len(diags) > 0 {
-		lint.PrintDiags(os.Stderr, res.Fset, diags)
+	if len(res.Diags) > 0 {
+		lint.PrintDiags(out, res.Fset, res.Diags)
 		return 2
 	}
 	return 0

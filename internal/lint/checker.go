@@ -1,12 +1,14 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
+	"io"
 )
 
 // RepoResult is the outcome of a whole-repo run: every diagnostic from
 // every analyzer, including the cross-package failpoint uniqueness
-// check that per-package vet units cannot perform.
+// check.
 type RepoResult struct {
 	Fset  *token.FileSet
 	Diags []Diagnostic
@@ -14,12 +16,15 @@ type RepoResult struct {
 
 // RunRepo loads the module rooted at dir with `go list`, typechecks the
 // packages matched by patterns from source, and runs the full analyzer
-// suite over each — reprolint's standalone mode and the engine behind
-// the clean-tree cross-check test.
+// suite over each — the engine behind cmd/reprolint and the clean-tree
+// cross-check test.
 func RunRepo(dir string, patterns ...string) (*RepoResult, error) {
 	w, err := LoadRepo(dir, patterns, false)
 	if err != nil {
 		return nil, err
+	}
+	if len(w.Packages) == 0 {
+		return nil, fmt.Errorf("lint: no module packages match %q", patterns)
 	}
 	res := &RepoResult{Fset: w.Fset}
 	perPkg := make(map[string]map[string][]token.Pos)
@@ -33,4 +38,11 @@ func RunRepo(dir string, patterns ...string) (*RepoResult, error) {
 	res.Diags = append(res.Diags, GlobalFailpointDiags(w.Fset, perPkg)...)
 	sortDiags(w.Fset, res.Diags)
 	return res, nil
+}
+
+// PrintDiags writes findings in the standard file:line:col vet format.
+func PrintDiags(out io.Writer, fset *token.FileSet, diags []Diagnostic) {
+	for _, d := range diags {
+		fmt.Fprintf(out, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+	}
 }

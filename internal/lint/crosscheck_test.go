@@ -242,7 +242,8 @@ func TestNoallocCoversAllocsPerRunPins(t *testing.T) {
 
 // TestRepoTreeLintClean: the committed tree must carry zero unexplained
 // diagnostics — every finding is either fixed or hatched with a
-// justification. This is the same bar CI's vet step enforces.
+// justification. This is the same bar CI's `go run ./cmd/reprolint ./...`
+// step enforces.
 func TestRepoTreeLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")

@@ -13,8 +13,8 @@ import (
 // package-level var (so the site exists before any code path can
 // evaluate it), and names are globally unique across packages. The
 // global half of the uniqueness check needs whole-program visibility,
-// so it runs in reprolint's standalone mode and in the repo cross-check
-// test; `go vet` units check everything package-local.
+// so it runs in RunRepo (GlobalFailpointDiags), after every package's
+// local pass.
 var Failpoint = &Analyzer{
 	Name: "failpoint",
 	Doc:  "failpoint sites: literal names, registered exactly once from a package-level var, globally unique",

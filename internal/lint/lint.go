@@ -4,8 +4,8 @@
 // check — AllocsPerRun pins on the 0-alloc hot paths, golden SHA-256
 // snapshots of the deterministic click streams, the batch-amortized
 // instrumentation discipline, the registered-failpoint convention — has
-// a corresponding analyzer here, so breaking one fails `go vet` with a
-// named diagnostic before it can drift a BENCH row.
+// a corresponding analyzer here, so breaking one fails `reprolint` with
+// a named diagnostic before it can drift a BENCH row.
 //
 // The four analyzers:
 //
@@ -29,19 +29,18 @@
 //   - failpoint: every fail.Register/Arm/Lookup/Disarm site must name its
 //     site with a string literal, Register must happen exactly once per
 //     name from a package-level var, and site names must be globally
-//     unique across packages (the global half runs in whole-repo mode and
-//     in the repo cross-check test; `go vet` units are per-package).
+//     unique across packages (the global half runs once per RunRepo,
+//     over every loaded package).
 //
 // A fifth pseudo-analyzer, directive, validates the `//repro:` comments
 // themselves: unknown verbs, misplaced `//repro:noalloc`, and escape
 // hatches missing their justification are all diagnostics.
 //
-// The suite runs three ways: `reprolint ./...` (standalone, loads the
-// module via `go list` and typechecks from source), `go vet
-// -vettool=$(which reprolint) ./...` (the vet unit-checker protocol,
-// typechecking each unit against the toolchain's export data), and
-// in-process from the tests in this package (fixture packages under
-// testdata/src with `// want` expectations, analysistest-style).
+// The suite runs two ways: `reprolint ./...` (cmd/reprolint over
+// RunRepo, which loads the module via `go list` and typechecks from
+// source), and in-process from the tests in this package (fixture
+// packages under testdata/src with `// want` expectations,
+// analysistest-style).
 //
 // All analyzers skip _test.go files: the contracts bind production code,
 // and test files are where AllocsPerRun/golden tests legitimately use
@@ -82,7 +81,7 @@ type Pass struct {
 	Dirs     *Directives
 
 	// Failpoints collects the names this package registers, for the
-	// cross-package uniqueness check available in whole-program modes.
+	// cross-package uniqueness check in RunRepo.
 	Failpoints map[string][]token.Pos
 
 	diags *[]Diagnostic
@@ -107,16 +106,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{DirectiveAnalyzer, Noalloc, Determinism, Obsbatch, Failpoint}
-}
-
-// ByName returns the named analyzer or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // RunPackage runs the given analyzers over one typed package and returns

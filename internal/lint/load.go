@@ -142,13 +142,13 @@ func LoadRepo(dir string, patterns []string, tests bool) (*World, error) {
 			w.Packages = append(w.Packages, pkg)
 			continue
 		}
-		aug, err := w.checkSource(lp.ImportPath, lp.Name, lp.Dir, concat(lp.GoFiles, lp.TestGoFiles, lp.Dir), nil)
+		aug, err := w.checkSource(lp.ImportPath, lp.Dir, concat(lp.GoFiles, lp.TestGoFiles, lp.Dir))
 		if err != nil {
 			return nil, err
 		}
 		w.Packages = append(w.Packages, aug)
 		if len(lp.XTestGoFiles) > 0 {
-			x, err := w.checkSource(lp.ImportPath+"_test", lp.Name+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir), nil)
+			x, err := w.checkSource(lp.ImportPath+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir))
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +192,7 @@ func (w *World) ensurePlain(path string) (*Package, error) {
 	}
 	w.checking[path] = true
 	defer delete(w.checking, path)
-	pkg, err := w.checkSource(path, lp.Name, lp.Dir, concat(lp.GoFiles, nil, lp.Dir), nil)
+	pkg, err := w.checkSource(path, lp.Dir, concat(lp.GoFiles, nil, lp.Dir))
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +200,9 @@ func (w *World) ensurePlain(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// checkSource parses and typechecks one package from source. overrides
-// maps import paths to already-typechecked packages (used by the
-// fixture loader); everything else resolves through ensurePlain or
-// export data.
-func (w *World) checkSource(path, name, dir string, filenames []string, overrides map[string]*types.Package) (*Package, error) {
+// checkSource parses and typechecks one package from source; its
+// imports resolve through ensurePlain or export data.
+func (w *World) checkSource(path, dir string, filenames []string) (*Package, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, fn := range filenames {
 		f, err := w.parseFile(fn)
@@ -215,14 +213,13 @@ func (w *World) checkSource(path, name, dir string, filenames []string, override
 	}
 	info := newInfo()
 	conf := types.Config{
-		Importer: &worldImporter{w: w, overrides: overrides},
+		Importer: &worldImporter{w: w},
 		Error:    func(error) {}, // collect everything; Check returns the first
 	}
 	tpkg, err := conf.Check(path, w.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	_ = name
 	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
@@ -252,8 +249,7 @@ func newInfo() *types.Info {
 // worldImporter routes imports: module packages typecheck from source,
 // "unsafe" is the builtin, everything else reads export data.
 type worldImporter struct {
-	w         *World
-	overrides map[string]*types.Package
+	w *World
 }
 
 func (wi *worldImporter) Import(path string) (*types.Package, error) {
@@ -263,9 +259,6 @@ func (wi *worldImporter) Import(path string) (*types.Package, error) {
 func (wi *worldImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
-	}
-	if p, ok := wi.overrides[path]; ok {
-		return p, nil
 	}
 	if lp := wi.w.listed[path]; lp != nil && lp.Module != nil {
 		pkg, err := wi.w.ensurePlain(path)

@@ -1,10 +1,7 @@
 package lint
 
 import (
-	"bytes"
-	"go/token"
 	"go/types"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,24 +9,6 @@ func TestImporterUnsafe(t *testing.T) {
 	wi := &worldImporter{w: &World{}}
 	if p, err := wi.Import("unsafe"); err != nil || p != types.Unsafe {
 		t.Errorf("worldImporter.Import(unsafe) = %v, %v", p, err)
-	}
-	ui := newUnitImporter(token.NewFileSet(), &vetConfig{})
-	if p, err := ui.Import("unsafe"); err != nil || p != types.Unsafe {
-		t.Errorf("unitImporter.Import(unsafe) = %v, %v", p, err)
-	}
-	if _, err := ui.Import("no/such/pkg"); err == nil {
-		t.Error("unitImporter must fail for a package missing from PackageFile")
-	}
-}
-
-func TestWriteVetxEdgeCases(t *testing.T) {
-	var out bytes.Buffer
-	if code := writeVetx(&vetConfig{}, &out); code != 0 {
-		t.Errorf("empty VetxOutput: code = %d, want 0 (nothing to write)", code)
-	}
-	bad := filepath.Join(t.TempDir(), "no-such-dir", "x.vetx")
-	if code := writeVetx(&vetConfig{VetxOutput: bad}, &out); code != 1 {
-		t.Errorf("unwritable VetxOutput: code = %d, want 1", code)
 	}
 }
 

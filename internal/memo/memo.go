@@ -101,27 +101,14 @@ func (m *Map[K, V]) Get(key K, build func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// forgetEntry clears key's slot only if it still holds e: a Forget (or
-// a failed build) may already have cleared it and a fresh build begun,
-// and deleting that newer entry would let two builds for one key run
-// and cache out of order.
+// forgetEntry clears key's slot only if it still holds e: once the slot
+// is cleared a fresh build may begin, and deleting that newer entry
+// would let two builds for one key run and cache out of order.
 func (m *Map[K, V]) forgetEntry(key K, e *entry[V]) {
 	m.mu.Lock()
 	if m.m[key] == e {
 		delete(m.m, key)
 	}
-	m.mu.Unlock()
-}
-
-// Forget drops key's result (or negative-cache entry) so the next Get
-// rebuilds it — explicit invalidation for circuit-breaker resets and
-// ingest epochs. An in-flight build is not interrupted: its current
-// waiters still receive its result, but the slot is cleared, so the
-// next Get after Forget starts a fresh build.
-func (m *Map[K, V]) Forget(key K) {
-	m.mu.Lock()
-	delete(m.m, key)
-	delete(m.neg, key)
 	m.mu.Unlock()
 }
 
@@ -195,7 +182,7 @@ func (p Policy) now() time.Time {
 // BaseDelay, capped, with deterministic multiplicative jitter.
 func (p Policy) backoff(n int) time.Duration {
 	d := p.BaseDelay
-	for i := 2; i < n && d < p.MaxDelay; i++ {
+	for i := 2; i < n && (p.MaxDelay <= 0 || d < p.MaxDelay); i++ {
 		d *= 2
 	}
 	if p.MaxDelay > 0 && d > p.MaxDelay {

@@ -70,30 +70,32 @@ func TestGetRetryHealsTransient(t *testing.T) {
 }
 
 // TestGetRetryBackoffDeterministic: same seed, same schedule; the
-// exponential envelope doubles per attempt under the cap.
+// exponential envelope doubles per attempt up to the cap, and keeps
+// doubling when MaxDelay is 0 (uncapped).
 func TestGetRetryBackoffDeterministic(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: 350 * time.Millisecond, Seed: 9}
-	var a, b []time.Duration
-	for n := 2; n <= 5; n++ {
-		a = append(a, p.backoff(n))
-		b = append(b, p.backoff(n))
+	ms := time.Millisecond
+	cases := []struct {
+		name string
+		p    Policy
+		// envelopes[i] bounds backoff(i+2): BaseDelay<<i (capped at
+		// MaxDelay) scaled by jitter in [0.5, 1.0).
+		envelopes [][2]time.Duration
+	}{
+		{"capped", Policy{BaseDelay: 100 * ms, MaxDelay: 350 * ms, Seed: 9},
+			[][2]time.Duration{{50 * ms, 100 * ms}, {100 * ms, 200 * ms}, {175 * ms, 350 * ms}, {175 * ms, 350 * ms}}},
+		{"uncapped", Policy{BaseDelay: 10 * ms, Seed: 9},
+			[][2]time.Duration{{5 * ms, 10 * ms}, {10 * ms, 20 * ms}, {20 * ms, 40 * ms}, {40 * ms, 80 * ms}}},
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("backoff(%d) nondeterministic: %v vs %v", i+2, a[i], b[i])
-		}
-	}
-	// Envelopes: attempt 2 in [50,100)ms, attempt 3 in [100,200)ms,
-	// attempts 4 and 5 capped at [175,350)ms.
-	envelopes := [][2]time.Duration{
-		{50 * time.Millisecond, 100 * time.Millisecond},
-		{100 * time.Millisecond, 200 * time.Millisecond},
-		{175 * time.Millisecond, 350 * time.Millisecond},
-		{175 * time.Millisecond, 350 * time.Millisecond},
-	}
-	for i, d := range a {
-		if d < envelopes[i][0] || d >= envelopes[i][1] {
-			t.Errorf("backoff(%d) = %v outside [%v, %v)", i+2, d, envelopes[i][0], envelopes[i][1])
+	for _, c := range cases {
+		for i, env := range c.envelopes {
+			n := i + 2
+			d := c.p.backoff(n)
+			if again := c.p.backoff(n); again != d {
+				t.Fatalf("%s: backoff(%d) nondeterministic: %v vs %v", c.name, n, d, again)
+			}
+			if d < env[0] || d >= env[1] {
+				t.Errorf("%s: backoff(%d) = %v outside [%v, %v)", c.name, n, d, env[0], env[1])
+			}
 		}
 	}
 	if d := (Policy{}).backoff(2); d != 0 {
@@ -181,81 +183,6 @@ func TestGetRetrySingleflight(t *testing.T) {
 	wg.Wait()
 	if builds.Load() != 1 {
 		t.Errorf("%d builds across 16 concurrent callers, want 1", builds.Load())
-	}
-}
-
-func TestForget(t *testing.T) {
-	var m Map[string, int]
-	calls := 0
-	build := func() (int, error) { calls++; return calls, nil }
-	if v, _ := m.Get("k", build); v != 1 {
-		t.Fatalf("first build = %d", v)
-	}
-	m.Forget("k")
-	if _, ok := m.Cached("k"); ok {
-		t.Fatal("Cached true after Forget")
-	}
-	if v, _ := m.Get("k", build); v != 2 {
-		t.Fatalf("post-Forget build = %d, want a fresh build", v)
-	}
-
-	// Forget also clears the negative cache.
-	boom := errors.New("nope")
-	var nm Map[string, int]
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	p := Policy{ErrTTL: time.Hour, Now: clk.now}
-	nbuilds := 0
-	nm.GetRetry("k", func() (int, error) { nbuilds++; return 0, boom }, p)
-	nm.Forget("k")
-	if v, err := nm.GetRetry("k", func() (int, error) { nbuilds++; return 9, nil }, p); err != nil || v != 9 {
-		t.Fatalf("GetRetry after Forget = %v, %v (neg cache not cleared)", v, err)
-	}
-	if nbuilds != 2 {
-		t.Errorf("builds = %d, want 2", nbuilds)
-	}
-}
-
-// TestForgetDuringBuildKeepsNewerEntry pins the delete guard: when a
-// build that started before a Forget finishes with an error, it must
-// not evict the NEWER in-flight entry that replaced it.
-func TestForgetDuringBuildKeepsNewerEntry(t *testing.T) {
-	var m Map[string, int]
-	aStarted := make(chan struct{})
-	aRelease := make(chan struct{})
-	bStarted := make(chan struct{})
-	bRelease := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := m.Get("k", func() (int, error) {
-			close(aStarted)
-			<-aRelease
-			return 0, errors.New("stale build fails")
-		})
-		if err == nil {
-			t.Error("build A should fail")
-		}
-	}()
-	<-aStarted
-	m.Forget("k")
-	go func() {
-		defer wg.Done()
-		v, err := m.Get("k", func() (int, error) {
-			close(bStarted)
-			<-bRelease
-			return 42, nil
-		})
-		if err != nil || v != 42 {
-			t.Errorf("build B = %v, %v", v, err)
-		}
-	}()
-	<-bStarted      // B's entry now occupies the slot
-	close(aRelease) // A fails; its cleanup must not delete B's entry
-	close(bRelease)
-	wg.Wait()
-	if v, ok := m.Cached("k"); !ok || v != 42 {
-		t.Fatalf("Cached = %v, %v; build A's failure evicted build B's result", v, ok)
 	}
 }
 

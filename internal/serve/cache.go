@@ -115,8 +115,8 @@ const staleBudget = 8 << 20
 
 // staleStore retains the last successfully built body per (study,
 // endpoint, format), outliving the study LRU: it is the fallback the
-// stale-while-error path serves when a rebuild after eviction (or
-// Forget) fails, and nothing else reads it. Because every body is a pure
+// stale-while-error path serves when a rebuild after eviction fails,
+// and nothing else reads it. Because every body is a pure
 // function of its config, a "stale" body is byte-identical to what the
 // failed rebuild would have produced — staleness here means "built in an
 // earlier epoch", not "out of date". Retained bytes stay within
