@@ -278,25 +278,28 @@ func BenchmarkExtractIndexes(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			attrs := entity.AttrsFor(web.Config.Domain)
-			sharded := make(map[entity.Attr]*index.ShardedBuilder, len(attrs))
+			builders := make(map[entity.Attr]*index.Builder, len(attrs))
 			for _, a := range attrs {
 				universe := web.Config.Entities
 				if a == entity.AttrHomepage {
 					universe = len(web.DB.WithHomepage())
 				}
-				sharded[a] = index.NewShardedBuilder(web.Config.Domain, a, universe, 4*workers)
+				builders[a] = index.NewBuilder(web.Config.Domain, a, universe)
+				for si := range web.Sites { // hosts are distinct: row = site number
+					builders[a].Site(web.Sites[si].Host)
+				}
 			}
-			siteCh := make(chan *synth.Site, workers)
+			siteCh := make(chan int, workers)
 			var wg sync.WaitGroup
 			for wk := 0; wk < workers; wk++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for s := range siteCh {
-						for _, p := range web.RenderSite(s) {
+					for si := range siteCh {
+						for _, p := range web.RenderSite(&web.Sites[si]) {
 							for _, m := range x.Page(p.HTML) {
-								if bd, ok := sharded[m.Attr]; ok {
-									bd.Add(s.Host, m.EntityID)
+								if bd, ok := builders[m.Attr]; ok {
+									bd.AddTo(si, m.EntityID)
 								}
 							}
 						}
@@ -304,12 +307,11 @@ func BenchmarkExtractIndexes(b *testing.B) {
 				}()
 			}
 			for si := range web.Sites {
-				siteCh <- &web.Sites[si]
+				siteCh <- si
 			}
 			close(siteCh)
 			wg.Wait()
-			idx, err := sharded[entity.AttrPhone].Build()
-			if err != nil || idx.TotalPostings() == 0 {
+			if builders[entity.AttrPhone].Build().TotalPostings() == 0 {
 				b.Fatal("empty phone index")
 			}
 		}
@@ -662,72 +664,6 @@ func BenchmarkAblationMatchAhoCorasick(b *testing.B) {
 		}
 		if total == 0 {
 			b.Fatal("no matches")
-		}
-	}
-}
-
-// BenchmarkAblationIndexSerial vs ...Sharded: single-threaded index
-// aggregation against the host-sharded concurrent reducer.
-func ablationMentions(b *testing.B) []struct {
-	host string
-	id   int
-} {
-	b.Helper()
-	idx := benchIndex(b, entity.Schools, entity.AttrPhone)
-	var out []struct {
-		host string
-		id   int
-	}
-	for _, s := range idx.Sites {
-		for _, e := range s.Entities {
-			out = append(out, struct {
-				host string
-				id   int
-			}{s.Host, e})
-		}
-	}
-	return out
-}
-
-func BenchmarkAblationIndexSerial(b *testing.B) {
-	mentions := ablationMentions(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		builder := index.NewBuilder(entity.Schools, entity.AttrPhone, 6000)
-		for _, m := range mentions {
-			builder.Add(m.host, m.id)
-		}
-		if builder.Build().NumSites() == 0 {
-			b.Fatal("empty index")
-		}
-	}
-}
-
-func BenchmarkAblationIndexSharded(b *testing.B) {
-	mentions := ablationMentions(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb := index.NewShardedBuilder(entity.Schools, entity.AttrPhone, 6000, 16)
-		done := make(chan struct{}, 4)
-		chunk := (len(mentions) + 3) / 4
-		for w := 0; w < 4; w++ {
-			go func(lo int) {
-				hi := lo + chunk
-				if hi > len(mentions) {
-					hi = len(mentions)
-				}
-				for _, m := range mentions[lo:hi] {
-					sb.Add(m.host, m.id)
-				}
-				done <- struct{}{}
-			}(w * chunk)
-		}
-		for w := 0; w < 4; w++ {
-			<-done
-		}
-		idx, err := sb.Build()
-		if err != nil || idx.NumSites() == 0 {
-			b.Fatal("empty index")
 		}
 	}
 }

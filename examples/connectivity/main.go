@@ -88,7 +88,10 @@ func main() {
 			break
 		}
 	}
-	covered := idx.DistinctEntities()
+	covered, err := idx.DistinctEntities()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nReached %d of %d extractable entities (%.2f%%)\n",
 		len(known), covered, 100*float64(len(known))/float64(covered))
 	fmt.Println("— matching the largest-component share: connectivity is what makes")

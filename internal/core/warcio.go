@@ -116,7 +116,11 @@ func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (ma
 	}
 	// The review universe is the set of reviewed entities (§3.4).
 	if idx, ok := out[entity.AttrReview]; ok {
-		if n := idx.DistinctEntities(); n > 0 {
+		n, err := idx.DistinctEntities()
+		if err != nil {
+			return nil, pages, fmt.Errorf("core: review universe: %w", err)
+		}
+		if n > 0 {
 			idx.NumEntities = n
 		}
 	}

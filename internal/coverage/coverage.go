@@ -73,11 +73,16 @@ func KCoverageOrder(idx *index.Index, order []int, kMax int, tPoints []int) ([]C
 		}
 	}
 
+	bound, err := idx.EntityBound()
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %w", err)
+	}
+
 	curves := make([]Curve, kMax)
 	for k := 1; k <= kMax; k++ {
 		curves[k-1] = Curve{K: k, T: make([]int, 0, len(tPoints)), Coverage: make([]float64, 0, len(tPoints))}
 	}
-	seen := make(map[int]int) // entity -> #sites so far
+	seen := make([]int, bound) // entity -> #sites so far
 	atLeast := make([]int, kMax+1)
 	n := float64(idx.NumEntities)
 

@@ -92,6 +92,16 @@ func TestKCoverageValidation(t *testing.T) {
 	if _, err := KCoverage(bad, 1, []int{1}); err == nil {
 		t.Error("zero universe should fail")
 	}
+	neg := &index.Index{NumEntities: 2, Sites: []index.Site{{Host: "h", Entities: []int{-1, 0}}}}
+	if _, err := KCoverage(neg, 1, []int{1}); err == nil {
+		t.Error("negative entity id should fail")
+	}
+	// IDs past NumEntities are legal: the homepage universe is smaller
+	// than the id space.
+	wide := &index.Index{NumEntities: 1, Sites: []index.Site{{Host: "h", Entities: []int{5}}}}
+	if curves, err := KCoverage(wide, 1, []int{1}); err != nil || curves[0].Coverage[0] != 1 {
+		t.Errorf("wide ids: %v, %v", curves, err)
+	}
 }
 
 func TestKCoverageTPointsBeyondSites(t *testing.T) {

@@ -34,8 +34,11 @@ func TestPropertyFinalCoverageEqualsDistinct(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := float64(idx.DistinctEntities()) / float64(idx.NumEntities)
-		return curves[0].Coverage[0] == want
+		distinct, err := idx.DistinctEntities()
+		if err != nil {
+			return false
+		}
+		return curves[0].Coverage[0] == float64(distinct)/float64(idx.NumEntities)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -75,10 +78,14 @@ func TestPropertyGreedyFinalCoverageMatchesUnion(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(covered) == 0 {
-			return idx.DistinctEntities() == 0
+		distinct, err := idx.DistinctEntities()
+		if err != nil {
+			return false
 		}
-		return covered[len(covered)-1] == idx.DistinctEntities()
+		if len(covered) == 0 {
+			return distinct == 0
+		}
+		return covered[len(covered)-1] == distinct
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

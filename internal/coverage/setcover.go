@@ -22,13 +22,17 @@ func GreedySetCover(idx *index.Index, maxSites int) (order []int, covered []int,
 	if maxSites <= 0 || maxSites > len(idx.Sites) {
 		maxSites = len(idx.Sites)
 	}
+	bound, err := idx.EntityBound()
+	if err != nil {
+		return nil, nil, fmt.Errorf("coverage: %w", err)
+	}
 	h := make(gainHeap, len(idx.Sites))
 	for i := range idx.Sites {
 		h[i] = gainEntry{site: i, gain: len(idx.Sites[i].Entities), stamp: 0}
 	}
 	heap.Init(&h)
 
-	coveredSet := make(map[int]struct{})
+	isCovered := make([]bool, bound)
 	cum := 0
 	step := 1
 	for len(order) < maxSites && h.Len() > 0 {
@@ -37,7 +41,7 @@ func GreedySetCover(idx *index.Index, maxSites int) (order []int, covered []int,
 			// Stale gain: recompute against the current cover.
 			g := 0
 			for _, e := range idx.Sites[top.site].Entities {
-				if _, ok := coveredSet[e]; !ok {
+				if !isCovered[e] {
 					g++
 				}
 			}
@@ -52,8 +56,8 @@ func GreedySetCover(idx *index.Index, maxSites int) (order []int, covered []int,
 			break // nothing left to gain from any site
 		}
 		for _, e := range idx.Sites[top.site].Entities {
-			if _, ok := coveredSet[e]; !ok {
-				coveredSet[e] = struct{}{}
+			if !isCovered[e] {
+				isCovered[e] = true
 				cum++
 			}
 		}

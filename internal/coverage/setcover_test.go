@@ -144,4 +144,12 @@ func TestGreedyValidation(t *testing.T) {
 	if _, _, err := GreedySetCoverNaive(bad, 0); err == nil {
 		t.Error("naive zero universe should fail")
 	}
+	neg := &index.Index{NumEntities: 2, Sites: []index.Site{{Host: "h", Entities: []int{-1, 0}}}}
+	if _, _, err := GreedySetCover(neg, 0); err == nil {
+		t.Error("negative entity id should fail")
+	}
+	wide := &index.Index{NumEntities: 1, Sites: []index.Site{{Host: "h", Entities: []int{5}}}}
+	if _, covered, err := GreedySetCover(wide, 0); err != nil || len(covered) != 1 || covered[0] != 1 {
+		t.Errorf("wide ids: covered %v, %v", covered, err)
+	}
 }

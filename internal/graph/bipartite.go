@@ -33,21 +33,17 @@ type Bipartite struct {
 // sized by the largest entity ID present (the index's NumEntities is a
 // coverage denominator and may be smaller, e.g. for the homepage
 // attribute whose universe is entities-with-homepage).
+// Adjacency is counted, then filled into one array, sites by rank with
+// entities ascending: each entity lists its sites by rank.
 func FromIndex(idx *index.Index) (*Bipartite, error) {
 	if idx.NumEntities <= 0 {
 		return nil, fmt.Errorf("graph: index has no entity universe")
 	}
-	numEntities := idx.NumEntities
-	for si := range idx.Sites {
-		for _, e := range idx.Sites[si].Entities {
-			if e < 0 {
-				return nil, fmt.Errorf("graph: negative entity id %d", e)
-			}
-			if e >= numEntities {
-				numEntities = e + 1
-			}
-		}
+	bound, err := idx.EntityBound()
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
+	numEntities := max(idx.NumEntities, bound)
 	g := &Bipartite{
 		NumEntities: numEntities,
 		NumSites:    len(idx.Sites),
@@ -55,14 +51,25 @@ func FromIndex(idx *index.Index) (*Bipartite, error) {
 		siteOrder:   make([]int, len(idx.Sites)),
 		hosts:       make([]string, len(idx.Sites)),
 	}
+	deg := make([]int, len(g.adj))
+	for si := range idx.Sites {
+		deg[numEntities+si] = len(idx.Sites[si].Entities)
+		for _, e := range idx.Sites[si].Entities {
+			deg[e]++
+		}
+	}
+	backing := make([]int32, 2*idx.TotalPostings())
+	off := 0
+	for v, d := range deg {
+		g.adj[v] = backing[off : off : off+d]
+		off += d
+	}
 	for si := range idx.Sites {
 		node := numEntities + si
 		g.siteOrder[si] = node
 		g.hosts[si] = idx.Sites[si].Host
-		ents := idx.Sites[si].Entities
-		g.adj[node] = make([]int32, len(ents))
-		for j, e := range ents {
-			g.adj[node][j] = int32(e)
+		for _, e := range idx.Sites[si].Entities {
+			g.adj[node] = append(g.adj[node], int32(e))
 			g.adj[e] = append(g.adj[e], int32(node))
 		}
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,51 @@ func TestPropertyDiameterAtLeastAnyEccentricity(t *testing.T) {
 		return g.Eccentricity(v) <= d
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropertyFromIndexMatchesAppendOracle: the count-then-fill
+// adjacency gives every node the degree and neighbour order of the
+// per-edge append it replaced (sites by rank, entities ascending), the
+// order iFUB's tie-breaks depend on. Some indexes carry ids past
+// NumEntities, as the homepage attribute's do.
+func TestPropertyFromIndexMatchesAppendOracle(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := dist.NewRNG(seed)
+		n := 1 + rng.Intn(60)
+		b := index.NewBuilder(entity.Banks, entity.AttrHomepage, 1+rng.Intn(n))
+		for s := rng.Intn(30); s > 0; s-- {
+			host := hostN(rng.Intn(40))
+			for j := rng.Intn(10); j > 0; j-- {
+				b.Add(host, rng.Intn(n))
+			}
+			b.AddPage(host) // page-only sites are isolated nodes
+		}
+		idx := b.Build()
+		g, err := FromIndex(idx)
+		if err != nil {
+			return false
+		}
+		want := make([][]int32, g.NumEntities+len(idx.Sites))
+		for si := range idx.Sites {
+			node := g.NumEntities + si
+			for _, e := range idx.Sites[si].Entities {
+				want[node] = append(want[node], int32(e))
+				want[e] = append(want[e], int32(node))
+			}
+		}
+		if len(g.adj) != len(want) {
+			return false
+		}
+		for v := range want {
+			if g.Degree(v) != len(want[v]) || !slices.Equal(g.adj[v], want[v]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

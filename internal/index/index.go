@@ -2,14 +2,16 @@
 // methodology (§3.1): "we group pages by hosts, and for each host, we
 // aggregate the set of entities found on all the pages in that host."
 // One Index covers one (domain, attribute) pair; the coverage and graph
-// analyses consume it.
+// analyses consume it. Builder keeps one entity row per host; Build
+// packs the rows, in size order, into one column the sites view.
 package index
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -37,106 +39,103 @@ type Index struct {
 	// coverage fractions.
 	NumEntities int
 	// Sites is ordered descending by entity count (ties broken by host
-	// name) once Finalize has run.
+	// name) once Build has run. Their Entities are capacity-clipped
+	// views of one packed column: an append to one never overwrites
+	// the next.
 	Sites []Site
 }
 
-// Builder accumulates page-level mentions into an Index.
-// It is not safe for concurrent use; shard by host and merge, or guard
-// externally (internal/index.ShardedBuilder does this for the pipeline).
+// Builder accumulates page-level mentions into an Index, one row per
+// host (numbered by Site) holding its entity IDs unsorted until Build.
+// It is not safe for concurrent use, except that once every row is
+// registered, AddTo and AddPagesTo calls for distinct rows may run
+// concurrently: workers that own disjoint hosts need no lock.
 type Builder struct {
-	domain   entity.Domain
-	attr     entity.Attr
-	num      int
-	entities map[string]map[int]struct{}
-	pages    map[string]int
+	domain entity.Domain
+	attr   entity.Attr
+	num    int
+	rowOf  map[string]int
+	hosts  []string
+	rows   [][]int
+	pages  []int
 }
 
 // NewBuilder returns a Builder for one (domain, attribute) with the
 // given entity-database size.
 func NewBuilder(domain entity.Domain, attr entity.Attr, numEntities int) *Builder {
-	return &Builder{
-		domain:   domain,
-		attr:     attr,
-		num:      numEntities,
-		entities: make(map[string]map[int]struct{}),
-		pages:    make(map[string]int),
-	}
+	return &Builder{domain: domain, attr: attr, num: numEntities, rowOf: make(map[string]int)}
 }
+
+// Site returns host's row, registering the host on first use.
+func (b *Builder) Site(host string) int {
+	if r, ok := b.rowOf[host]; ok {
+		return r
+	}
+	r := len(b.hosts)
+	b.rowOf[host] = r
+	b.hosts = append(b.hosts, host)
+	b.rows = append(b.rows, nil)
+	b.pages = append(b.pages, 0)
+	return r
+}
+
+// AddTo records that the host of row mentions entity id.
+func (b *Builder) AddTo(row, id int) { b.rows[row] = append(b.rows[row], id) }
+
+// AddPagesTo adds n to the attribute-page counter of row's host.
+func (b *Builder) AddPagesTo(row, n int) { b.pages[row] += n }
 
 // Add records that host mentions entity id via the builder's attribute.
-func (b *Builder) Add(host string, id int) {
-	set, ok := b.entities[host]
-	if !ok {
-		set = make(map[int]struct{})
-		b.entities[host] = set
-	}
-	set[id] = struct{}{}
-}
+func (b *Builder) Add(host string, id int) { b.AddTo(b.Site(host), id) }
 
 // AddPage increments host's attribute-page counter.
-func (b *Builder) AddPage(host string) { b.pages[host]++ }
+func (b *Builder) AddPage(host string) { b.AddPagesTo(b.Site(host), 1) }
 
 // Merge folds other into b. Other must target the same attribute.
 func (b *Builder) Merge(other *Builder) error {
 	if other.domain != b.domain || other.attr != b.attr {
 		return fmt.Errorf("index: merging %s/%s into %s/%s", other.domain, other.attr, b.domain, b.attr)
 	}
-	for host, set := range other.entities {
-		dst, ok := b.entities[host]
-		if !ok {
-			dst = make(map[int]struct{}, len(set))
-			b.entities[host] = dst
-		}
-		for id := range set {
-			dst[id] = struct{}{}
-		}
-	}
-	for host, n := range other.pages {
-		b.pages[host] += n
+	for r, host := range other.hosts {
+		dst := b.Site(host)
+		b.rows[dst] = append(b.rows[dst], other.rows[r]...)
+		b.pages[dst] += other.pages[r]
 	}
 	return nil
 }
 
-// Build finalizes the index: sites sorted by descending entity count,
-// entity lists sorted ascending.
+// Build finalizes the index: rows sorted ascending and deduplicated,
+// rows with neither entities nor pages dropped, and the rest packed
+// into one column in the paper's top-t order — descending by entity
+// count, ties broken by host name.
 func (b *Builder) Build() *Index {
-	idx := &Index{Domain: b.domain, Attr: b.attr, NumEntities: b.num}
-	hosts := make(map[string]struct{}, len(b.entities))
-	for h := range b.entities {
-		hosts[h] = struct{}{}
-	}
-	for h := range b.pages {
-		hosts[h] = struct{}{}
-	}
-	for host := range hosts {
-		set := b.entities[host]
-		var ids []int
-		if len(set) > 0 {
-			ids = make([]int, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
+	order := make([]int, 0, len(b.rows))
+	total := 0
+	for r, row := range b.rows {
+		slices.Sort(row)
+		b.rows[r] = slices.Compact(row)
+		if n := len(b.rows[r]); n > 0 || b.pages[r] > 0 {
+			order = append(order, r)
+			total += n
 		}
-		idx.Sites = append(idx.Sites, Site{Host: host, Entities: ids, Pages: b.pages[host]})
 	}
-	idx.SortBySize()
-	return idx
-}
-
-// SortBySize orders sites descending by entity count, breaking ties by
-// host name so the order is deterministic. This is the paper's top-t
-// ordering ("order the list of websites in decreasing order of the
-// number of entities they contain").
-func (idx *Index) SortBySize() {
-	sort.Slice(idx.Sites, func(i, j int) bool {
-		a, b := idx.Sites[i], idx.Sites[j]
-		if len(a.Entities) != len(b.Entities) {
-			return len(a.Entities) > len(b.Entities)
+	slices.SortFunc(order, func(x, y int) int {
+		if c := cmp.Compare(len(b.rows[y]), len(b.rows[x])); c != 0 {
+			return c
 		}
-		return a.Host < b.Host
+		return strings.Compare(b.hosts[x], b.hosts[y])
 	})
+	idx := &Index{Domain: b.domain, Attr: b.attr, NumEntities: b.num}
+	col := make([]int, 0, total)
+	for _, r := range order {
+		s := Site{Host: b.hosts[r], Pages: b.pages[r]}
+		if lo := len(col); len(b.rows[r]) > 0 {
+			col = append(col, b.rows[r]...)
+			s.Entities = col[lo:len(col):len(col)]
+		}
+		idx.Sites = append(idx.Sites, s)
+	}
+	return idx
 }
 
 // NumSites returns the number of hosts in the index.
@@ -160,38 +159,53 @@ func (idx *Index) TotalPages() int {
 	return n
 }
 
+// EntityBound returns one past the largest entity ID posted (0 if
+// none): the length of a dense per-entity array, which NumEntities may
+// undercut. A negative ID is an error; the study never posts one.
+func (idx *Index) EntityBound() (int, error) {
+	n := 0
+	for i := range idx.Sites {
+		for _, id := range idx.Sites[i].Entities {
+			if id < 0 {
+				return 0, fmt.Errorf("index: site %s has negative entity id %d", idx.Sites[i].Host, id)
+			}
+			n = max(n, id+1)
+		}
+	}
+	return n, nil
+}
+
 // DistinctEntities returns the number of distinct entities with at
 // least one posting. Used as the coverage denominator for the review
 // attribute, where the universe is "entities that have at least one
 // review on the Web" rather than the whole database.
-func (idx *Index) DistinctEntities() int {
-	seen := make(map[int]struct{})
+func (idx *Index) DistinctEntities() (int, error) {
+	n, err := idx.EntityBound()
+	if err != nil {
+		return 0, err
+	}
+	seen := make([]bool, n)
+	distinct := 0
 	for i := range idx.Sites {
 		for _, id := range idx.Sites[i].Entities {
-			seen[id] = struct{}{}
+			if !seen[id] {
+				seen[id] = true
+				distinct++
+			}
 		}
 	}
-	return len(seen)
+	return distinct, nil
 }
 
 // AvgSitesPerEntity returns the mean number of sites mentioning an
 // entity, over entities mentioned at least once (Table 2's
 // "Avg. #sites per entity").
-func (idx *Index) AvgSitesPerEntity() float64 {
-	counts := make(map[int]int)
-	for i := range idx.Sites {
-		for _, id := range idx.Sites[i].Entities {
-			counts[id]++
-		}
+func (idx *Index) AvgSitesPerEntity() (float64, error) {
+	distinct, err := idx.DistinctEntities()
+	if distinct == 0 {
+		return 0, err
 	}
-	if len(counts) == 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return float64(total) / float64(len(counts))
+	return float64(idx.TotalPostings()) / float64(distinct), nil
 }
 
 // WriteTo serializes the index as a text format:

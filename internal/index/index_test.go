@@ -85,12 +85,12 @@ func TestAvgSitesPerEntity(t *testing.T) {
 	b.Add("c.com", 1)
 	b.Add("a.com", 2)
 	idx := b.Build()
-	if got := idx.AvgSitesPerEntity(); got != 2 {
-		t.Errorf("AvgSitesPerEntity = %v", got)
+	if got, err := idx.AvgSitesPerEntity(); err != nil || got != 2 {
+		t.Errorf("AvgSitesPerEntity = %v, %v", got, err)
 	}
 	empty := NewBuilder(entity.Banks, entity.AttrPhone, 10).Build()
-	if got := empty.AvgSitesPerEntity(); got != 0 {
-		t.Errorf("empty avg = %v", got)
+	if got, err := empty.AvgSitesPerEntity(); err != nil || got != 0 {
+		t.Errorf("empty avg = %v, %v", got, err)
 	}
 }
 

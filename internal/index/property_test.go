@@ -94,8 +94,8 @@ func TestPropertyPostingsSortedDistinct(t *testing.T) {
 func TestPropertyDistinctEntitiesBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		idx := randomBuilt(seed)
-		d := idx.DistinctEntities()
-		return d >= 0 && d <= idx.TotalPostings() && d <= idx.NumEntities
+		d, err := idx.DistinctEntities()
+		return err == nil && d >= 0 && d <= idx.TotalPostings() && d <= idx.NumEntities
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

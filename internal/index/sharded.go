@@ -6,65 +6,35 @@ import (
 	"repro/internal/entity"
 )
 
-// ShardedBuilder is a concurrency-safe Builder: hosts are hashed into
-// shards, each with its own lock, so extraction workers can aggregate
-// in parallel with low contention. This is the laptop-scale stand-in
-// for the paper's grid aggregation over the crawl.
+// ShardedBuilder is a Builder behind one mutex, for producers keyed by
+// host name that add from several goroutines. Producers that know
+// which goroutine owns which hosts should register rows with
+// Builder.Site and add to them lock-free instead.
 type ShardedBuilder struct {
-	shards []shard
-}
-
-type shard struct {
 	mu sync.Mutex
 	b  *Builder
 }
 
-// NewShardedBuilder returns a builder with the given shard count
-// (values < 1 become 1).
-func NewShardedBuilder(domain entity.Domain, attr entity.Attr, numEntities, shards int) *ShardedBuilder {
-	if shards < 1 {
-		shards = 1
-	}
-	sb := &ShardedBuilder{shards: make([]shard, shards)}
-	for i := range sb.shards {
-		sb.shards[i].b = NewBuilder(domain, attr, numEntities)
-	}
-	return sb
-}
-
-func (sb *ShardedBuilder) shardFor(host string) *shard {
-	var h uint64 = 0xcbf29ce484222325
-	for i := 0; i < len(host); i++ {
-		h ^= uint64(host[i])
-		h *= 0x100000001b3
-	}
-	return &sb.shards[h%uint64(len(sb.shards))]
+// NewShardedBuilder returns a concurrency-safe builder. The shard count
+// is ignored: one row per host needs no host sharding.
+func NewShardedBuilder(domain entity.Domain, attr entity.Attr, numEntities, _ int) *ShardedBuilder {
+	return &ShardedBuilder{b: NewBuilder(domain, attr, numEntities)}
 }
 
 // Add records a (host, entity) mention. Safe for concurrent use.
 func (sb *ShardedBuilder) Add(host string, id int) {
-	s := sb.shardFor(host)
-	s.mu.Lock()
-	s.b.Add(host, id)
-	s.mu.Unlock()
+	sb.mu.Lock()
+	sb.b.Add(host, id)
+	sb.mu.Unlock()
 }
 
 // AddPage increments host's attribute-page counter. Safe for concurrent use.
 func (sb *ShardedBuilder) AddPage(host string) {
-	s := sb.shardFor(host)
-	s.mu.Lock()
-	s.b.AddPage(host)
-	s.mu.Unlock()
+	sb.mu.Lock()
+	sb.b.AddPage(host)
+	sb.mu.Unlock()
 }
 
-// Build merges all shards and finalizes the index. Callers must ensure
-// no concurrent Adds are in flight.
-func (sb *ShardedBuilder) Build() (*Index, error) {
-	root := sb.shards[0].b
-	for i := 1; i < len(sb.shards); i++ {
-		if err := root.Merge(sb.shards[i].b); err != nil {
-			return nil, err
-		}
-	}
-	return root.Build(), nil
-}
+// Build finalizes the index. Callers must ensure no concurrent Adds are
+// in flight. The error is always nil.
+func (sb *ShardedBuilder) Build() (*Index, error) { return sb.b.Build(), nil }

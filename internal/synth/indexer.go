@@ -17,41 +17,33 @@ import (
 // extract → aggregate) produces identical indexes on the same web, which
 // the test suite asserts.
 func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
-	attrs := entity.AttrsFor(w.Config.Domain)
-	builders := make(map[entity.Attr]*index.Builder, len(attrs))
-	for _, a := range attrs {
-		builders[a] = index.NewBuilder(w.Config.Domain, a, w.attrUniverse(a))
+	builders, err := w.siteBuilders()
+	if err != nil {
+		panic(err) // Generate gives every site its own host
 	}
 	keyAttr := entity.AttrPhone
 	if w.Config.Domain == entity.Books {
 		keyAttr = entity.AttrISBN
 	}
+	key, home, review := builders[keyAttr], builders[entity.AttrHomepage], builders[entity.AttrReview]
 	for si := range w.Sites {
-		s := &w.Sites[si]
-		for _, l := range s.Listings {
+		for _, l := range w.Sites[si].Listings {
 			if l.HasKey {
-				builders[keyAttr].Add(s.Host, l.Entity)
+				key.AddTo(si, l.Entity)
 			}
-			if l.HasHomepage {
-				if b, ok := builders[entity.AttrHomepage]; ok {
-					b.Add(s.Host, l.Entity)
-				}
+			if l.HasHomepage && home != nil {
+				home.AddTo(si, l.Entity)
 			}
-			if l.Reviews > 0 {
-				if b, ok := builders[entity.AttrReview]; ok {
-					b.Add(s.Host, l.Entity)
-					for i := 0; i < l.Reviews; i++ {
-						b.AddPage(s.Host)
-					}
-				}
+			if l.Reviews > 0 && review != nil {
+				review.AddTo(si, l.Entity)
+				review.AddPagesTo(si, l.Reviews)
 			}
 		}
 	}
-	out := make(map[entity.Attr]*index.Index, len(builders))
-	for a, b := range builders {
-		out[a] = b.Build()
+	out, err := buildIndexes(builders)
+	if err != nil {
+		panic(err) // listings hold database indexes, never negative
 	}
-	normalizeReviewUniverse(out)
 	return out
 }
 
@@ -67,15 +59,42 @@ func (w *Web) attrUniverse(a entity.Attr) int {
 	return w.Config.Entities
 }
 
-// normalizeReviewUniverse sets the review index denominator to the
-// number of entities with at least one review anywhere (§3.4: coverage
+// siteBuilders returns a Builder per attribute with every site
+// registered in order, so row number = site number. A host naming two
+// sites would merge them into one row, so it is an error.
+func (w *Web) siteBuilders() (map[entity.Attr]*index.Builder, error) {
+	attrs := entity.AttrsFor(w.Config.Domain)
+	builders := make(map[entity.Attr]*index.Builder, len(attrs))
+	for _, a := range attrs {
+		b := index.NewBuilder(w.Config.Domain, a, w.attrUniverse(a))
+		for si := range w.Sites {
+			if b.Site(w.Sites[si].Host) != si {
+				return nil, fmt.Errorf("synth: host %q names two sites", w.Sites[si].Host)
+			}
+		}
+		builders[a] = b
+	}
+	return builders, nil
+}
+
+// buildIndexes builds every attribute's index and sets the review
+// denominator to the entities with a review anywhere (§3.4: coverage
 // of "restaurants covered ... with respect to reviews").
-func normalizeReviewUniverse(idxs map[entity.Attr]*index.Index) {
-	if idx, ok := idxs[entity.AttrReview]; ok {
-		if n := idx.DistinctEntities(); n > 0 {
+func buildIndexes(builders map[entity.Attr]*index.Builder) (map[entity.Attr]*index.Index, error) {
+	out := make(map[entity.Attr]*index.Index, len(builders))
+	for a, b := range builders {
+		out[a] = b.Build()
+	}
+	if idx, ok := out[entity.AttrReview]; ok {
+		n, err := idx.DistinctEntities()
+		if err != nil {
+			return nil, fmt.Errorf("synth: review universe: %w", err)
+		}
+		if n > 0 {
 			idx.NumEntities = n
 		}
 	}
+	return out, nil
 }
 
 // ExtractIndexes runs the full extraction pipeline over the rendered
@@ -105,53 +124,43 @@ func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[e
 			return nil, fmt.Errorf("synth: build extraction session: %w", err)
 		}
 	}
-	attrs := entity.AttrsFor(w.Config.Domain)
-	sharded := make(map[entity.Attr]*index.ShardedBuilder, len(attrs))
-	for _, a := range attrs {
-		sharded[a] = index.NewShardedBuilder(w.Config.Domain, a, w.attrUniverse(a), 4*workers)
+	// Each site goes to one worker, and its rows are its own (row number
+	// = site number), so the adds need no lock.
+	builders, err := w.siteBuilders()
+	if err != nil {
+		return nil, err
 	}
-
-	siteCh := make(chan *Site, workers)
+	siteCh := make(chan int, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(sess *extract.Session) {
 			defer wg.Done()
-			var cur *Site
+			var cur int
 			emit := func(_ string, html []byte) {
 				pageReview := false
 				for _, m := range sess.Page(html) {
-					if b, ok := sharded[m.Attr]; ok {
-						b.Add(cur.Host, m.EntityID)
+					if b, ok := builders[m.Attr]; ok {
+						b.AddTo(cur, m.EntityID)
 					}
 					if m.Attr == entity.AttrReview {
 						pageReview = true
 					}
 				}
 				if pageReview {
-					sharded[entity.AttrReview].AddPage(cur.Host)
+					builders[entity.AttrReview].AddPagesTo(cur, 1)
 				}
 			}
-			for s := range siteCh {
-				cur = s
-				w.RenderPages(s, emit)
+			for cur = range siteCh {
+				w.RenderPages(&w.Sites[cur], emit)
 			}
 		}(sessions[i])
 	}
 	for si := range w.Sites {
-		siteCh <- &w.Sites[si]
+		siteCh <- si
 	}
 	close(siteCh)
 	wg.Wait()
 
-	out := make(map[entity.Attr]*index.Index, len(sharded))
-	for a, b := range sharded {
-		idx, err := b.Build()
-		if err != nil {
-			return nil, fmt.Errorf("synth: build %s index: %w", a, err)
-		}
-		out[a] = idx
-	}
-	normalizeReviewUniverse(out)
-	return out, nil
+	return buildIndexes(builders)
 }

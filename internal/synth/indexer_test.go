@@ -37,7 +37,11 @@ func TestDirectIndexesAttrs(t *testing.T) {
 	if got, want := idxs[entity.AttrHomepage].NumEntities, len(w.DB.WithHomepage()); got != want {
 		t.Errorf("homepage universe = %d, want %d", got, want)
 	}
-	if got, want := idxs[entity.AttrReview].NumEntities, idxs[entity.AttrReview].DistinctEntities(); got != want {
+	distinct, err := idxs[entity.AttrReview].DistinctEntities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := idxs[entity.AttrReview].NumEntities, distinct; got != want {
 		t.Errorf("review universe = %d, want %d distinct reviewed", got, want)
 	}
 	if idxs[entity.AttrPhone].TotalPostings() == 0 {
@@ -156,6 +160,16 @@ func TestExtractRestaurantsRequiresClassifier(t *testing.T) {
 	w := smallWeb(t, entity.Restaurants)
 	if _, err := w.ExtractIndexes(nil, 2); err == nil {
 		t.Error("restaurants extraction without classifier should fail")
+	}
+}
+
+// TestExtractRefusesRepeatedHost: workers add to their sites' rows
+// without a lock, so a host naming two sites is an error, not a race.
+func TestExtractRefusesRepeatedHost(t *testing.T) {
+	w := smallWeb(t, entity.Banks)
+	w.Sites[1].Host = w.Sites[0].Host
+	if _, err := w.ExtractIndexes(nil, 2); err == nil {
+		t.Error("a repeated host should fail")
 	}
 }
 

@@ -24,6 +24,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/dist"
 	"repro/internal/entity"
@@ -307,12 +308,27 @@ func (w *Web) distributeReviews(rng *dist.RNG) {
 	}
 }
 
-// hostName builds a deterministic host for a directory-population site.
+// hostName builds a deterministic host for a directory-population site:
+// top<rank>-<domain>.example.com for aggregators, and
+// dir<rank>.<domain>-sites.example.com with rank zero-padded to six
+// digits for directories.
 func hostName(d entity.Domain, c SiteClass, rank int) string {
+	b := make([]byte, 0, 64)
 	if c == Aggregator {
-		return fmt.Sprintf("top%d-%s.example.com", rank, d)
+		b = append(b, "top"...)
+		b = strconv.AppendInt(b, int64(rank), 10)
+		b = append(b, '-')
+		b = append(b, d...)
+		return string(append(b, ".example.com"...))
 	}
-	return fmt.Sprintf("dir%06d.%s-sites.example.com", rank, d)
+	b = append(b, "dir"...)
+	for p := 100000; p > rank && p > 1; p /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(rank), 10)
+	b = append(b, '.')
+	b = append(b, d...)
+	return string(append(b, "-sites.example.com"...))
 }
 
 // TotalListings returns the number of (site, entity) coverage pairs.

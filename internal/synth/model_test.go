@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -157,18 +158,66 @@ func TestReviewsSkewToHeadEntities(t *testing.T) {
 	}
 }
 
+// TestHostNamesDistinct: every site of a web has its own host, for
+// every domain over seeds 1–8 at small scale. ExtractIndexes relies on
+// it: each worker adds to its sites' index rows without a lock.
 func TestHostNamesDistinct(t *testing.T) {
-	w := smallWeb(t, entity.Retail)
-	seen := map[string]bool{}
-	for i := range w.Sites {
-		h := w.Sites[i].Host
-		if h == "" {
-			t.Fatal("empty host")
+	for _, d := range entity.AllDomains {
+		for seed := uint64(1); seed <= 8; seed++ {
+			w, err := Generate(Config{
+				Domain:         d,
+				Entities:       ScaleSmall.Entities,
+				DirectoryHosts: ScaleSmall.DirectoryHosts,
+				Seed:           seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]bool, len(w.Sites))
+			for i := range w.Sites {
+				h := w.Sites[i].Host
+				if h == "" {
+					t.Fatalf("%s seed %d: empty host", d, seed)
+				}
+				if seen[h] {
+					t.Fatalf("%s seed %d: duplicate host %q", d, seed, h)
+				}
+				seen[h] = true
+			}
 		}
-		if seen[h] {
-			t.Fatalf("duplicate host %q", h)
+	}
+}
+
+// TestHostNamePinned pins hostName to the fmt formats it replaced:
+// "top%d-%s.example.com" and "dir%06d.%s-sites.example.com", whose
+// padding stops at six digits.
+func TestHostNamePinned(t *testing.T) {
+	cases := []struct {
+		c    SiteClass
+		rank int
+		want string
+	}{
+		{Aggregator, 1, "top1-restaurants.example.com"},
+		{Aggregator, 1234567, "top1234567-restaurants.example.com"},
+		{Directory, 42, "dir000042.restaurants-sites.example.com"},
+		{Directory, 0, "dir000000.restaurants-sites.example.com"},
+		{Directory, 999999, "dir999999.restaurants-sites.example.com"},
+		{Directory, 1000000, "dir1000000.restaurants-sites.example.com"},
+		{Directory, 12345678, "dir12345678.restaurants-sites.example.com"},
+	}
+	for _, c := range cases {
+		if got := hostName(entity.Restaurants, c.c, c.rank); got != c.want {
+			t.Errorf("hostName(%v, %d) = %q, want %q", c.c, c.rank, got, c.want)
 		}
-		seen[h] = true
+		var old string
+		if c.c == Aggregator {
+			old = fmt.Sprintf("top%d-%s.example.com", c.rank, entity.Restaurants)
+		} else {
+			old = fmt.Sprintf("dir%06d.%s-sites.example.com", c.rank, entity.Restaurants)
+		}
+		if old != c.want {
+			t.Errorf("fmt format gives %q, want %q", old, c.want)
+		}
 	}
 }
 
