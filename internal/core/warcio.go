@@ -54,14 +54,18 @@ func WriteWARC(web *synth.Web, w io.Writer, gz bool) (*warc.CDX, error) {
 }
 
 // ExtractWARC runs the extraction pipeline over a WARC stream: each
-// response record is parsed and mined for entity mentions, aggregated by
-// the record's host. reviewClf is required for the restaurants domain.
-// It returns the per-attribute indexes and the number of pages
-// processed.
+// response record streams through one extract.Session, and its
+// mentions are aggregated by the record's host. reviewClf is required
+// for the restaurants domain. It returns the per-attribute indexes and
+// the number of pages processed.
 func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (map[entity.Attr]*index.Index, int, error) {
 	x, err := extract.New(db, reviewClf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: build extractor: %w", err)
+	}
+	sess, err := x.NewSession()
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: build extraction session: %w", err)
 	}
 	wr, err := warc.NewReader(r)
 	if err != nil {
@@ -76,6 +80,10 @@ func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (ma
 		}
 		builders[a] = index.NewBuilder(db.Domain, a, universe)
 	}
+	// Records arrive grouped by host, so each builder interns a host once
+	// per run of its pages and the mentions add by row.
+	rows := make(map[entity.Attr]int, len(attrs))
+	curHost := ""
 	pages := 0
 	for {
 		rec, err := wr.Next()
@@ -97,17 +105,23 @@ func ExtractWARC(r io.Reader, db *entity.DB, reviewClf *classify.NaiveBayes) (ma
 			continue // non-HTTP response records are not crawl pages
 		}
 		pages++
+		if host != curHost {
+			curHost = host
+			for a, b := range builders {
+				rows[a] = b.Site(host)
+			}
+		}
 		pageReview := false
-		for _, m := range x.Page(body) {
+		for _, m := range sess.Page(body) {
 			if b, ok := builders[m.Attr]; ok {
-				b.Add(host, m.EntityID)
+				b.AddTo(rows[m.Attr], m.EntityID)
 			}
 			if m.Attr == entity.AttrReview {
 				pageReview = true
 			}
 		}
 		if pageReview {
-			builders[entity.AttrReview].AddPage(host)
+			builders[entity.AttrReview].AddPagesTo(rows[entity.AttrReview], 1)
 		}
 	}
 	out := make(map[entity.Attr]*index.Index, len(builders))

@@ -192,6 +192,26 @@ func (db *DB) LookupISBN(isbn string) (int, bool) {
 	return id, ok
 }
 
+// LookupPhoneKey is LookupPhone for a key held as bytes: the ten NANP
+// digits of a canonical phone. It performs no allocation, so the
+// extraction scanner can look up every match it finds.
+//
+//repro:noalloc
+func (db *DB) LookupPhoneKey(key []byte) (int, bool) {
+	id, ok := db.byPhone[CanonicalPhone(key)]
+	return id, ok
+}
+
+// LookupISBNKey is LookupISBN for an already-normalized bare key: ten
+// or thirteen characters, digits plus an upper-case ISBN-10 check 'X'.
+// It performs no allocation.
+//
+//repro:noalloc
+func (db *DB) LookupISBNKey(key []byte) (int, bool) {
+	id, ok := db.byISBN[string(key)]
+	return id, ok
+}
+
 // LookupHomepage returns the entity ID whose homepage canonicalizes to
 // the same key as u.
 func (db *DB) LookupHomepage(u string) (int, bool) {

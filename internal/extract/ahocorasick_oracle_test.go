@@ -6,11 +6,11 @@ import (
 	"repro/internal/entity"
 )
 
-// AhoCorasick is a byte-level multi-pattern matcher. It began as the
-// DESIGN.md ablation alternative to regex phone matching and is now the
-// engine of the streaming extraction session: instead of regex-extracting
-// candidates from a materialized page string, the automaton runs
-// incrementally over streamed text runs in one pass.
+// AhoCorasick is a byte-level multi-pattern matcher. It was the
+// dictionary matcher of the streaming extraction session, over every
+// rendering of every database phone or ISBN, until the grammar scanner
+// (scan.go) replaced it; it survives as a test-only cross-check of the
+// regex oracle.
 //
 // The transition table is compact: the automaton maps the bytes that
 // actually occur in patterns to a dense class alphabet (class 0 is
@@ -122,7 +122,7 @@ type Match struct {
 //	s := int32(0)
 //	for each chunk { s = ac.Feed(s, chunk, base, emit) }
 //
-// Feed performs no allocation; it is the streaming session's hot loop.
+// Feed performs no allocation.
 func (ac *AhoCorasick) Feed(state int32, chunk []byte, base int, emit func(pi int32, end int)) int32 {
 	s := state
 	stride := int32(ac.stride)

@@ -1,5 +1,8 @@
 package extract
 
+// The regular-expression ISBN extractor: the test oracle the production
+// scanner (scan.go) is held to.
+
 import (
 	"regexp"
 	"strings"
@@ -11,11 +14,6 @@ import (
 // separators and an optional trailing X (ISBN-10 check character).
 var isbnCandidateRe = regexp.MustCompile(
 	`\b(?:97[89][- ]?)?[0-9](?:[- ]?[0-9]){8}[- ]?[0-9Xx]\b`)
-
-// isbnWindow is how many bytes around a candidate are searched for the
-// literal string "ISBN" (§3.2: "along with the string 'ISBN' in a small
-// window near the match").
-const isbnWindow = 48
 
 // ISBNs returns the distinct checksum-valid ISBNs found in text that
 // have the string "ISBN" (case-insensitive) within isbnWindow bytes of

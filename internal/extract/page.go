@@ -1,12 +1,21 @@
+// Package extract implements the identifying-attribute extractors of
+// §3.2: a US phone extractor, an ISBN extractor that requires the
+// string "ISBN" in a small window near the match, homepage extraction
+// from anchor hrefs, and review-page detection via the Naïve-Bayes
+// classifier. Extracted values are matched against the entity database
+// to establish entity presence on a page.
+//
+// There is one production path, Session: it streams a page through
+// htmlx's visitor and finds phones and ISBNs with a hand-written
+// scanner for the grammar the paper's regular expressions state. Those
+// expressions, applied to the page text, are the test oracle.
 package extract
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/entity"
-	"repro/internal/htmlx"
 )
 
 // Mention records that a page mentions an entity via one attribute.
@@ -18,32 +27,12 @@ type Mention struct {
 // Extractor extracts entity mentions from pages for one domain database.
 // The zero value is unusable; construct with New. An Extractor is safe
 // for concurrent use once built (the classifier is read-only at
-// extraction time). Page is the retained-DOM reference path; NewSession
-// returns the streaming, allocation-free path that must produce
-// identical mentions on rendered pages.
+// extraction time); NewSession returns its per-goroutine extraction
+// sessions.
 type Extractor struct {
 	db         *entity.DB
 	reviewClf  *classify.NaiveBayes // nil disables review detection
 	reviewAttr bool                 // whether the domain studies reviews
-
-	// The sessions' multi-pattern automaton over the database's rendered
-	// attribute forms, built lazily so the DOM-only paths never pay for it.
-	acOnce sync.Once
-	ac     *AhoCorasick
-	acErr  error
-}
-
-// automaton returns the domain's session automaton (phones for local
-// businesses, ISBNs + markers for books), building it on first use.
-func (x *Extractor) automaton() (*AhoCorasick, error) {
-	x.acOnce.Do(func() {
-		if x.db.Domain == entity.Books {
-			x.ac, x.acErr = ISBNAutomaton(x.db)
-		} else {
-			x.ac, x.acErr = PhoneAutomaton(x.db)
-		}
-	})
-	return x.ac, x.acErr
 }
 
 // New returns an Extractor for db. reviewClf may be nil when review
@@ -63,52 +52,6 @@ func New(db *entity.DB, reviewClf *classify.NaiveBayes) (*Extractor, error) {
 		}
 	}
 	return &Extractor{db: db, reviewClf: reviewClf, reviewAttr: hasReview}, nil
-}
-
-// Page extracts all entity mentions from one HTML page. The extraction
-// mirrors §3.2:
-//
-//   - phone: regex over the rendered page text,
-//   - ISBN: digit runs with an "ISBN" marker in a window, over page text,
-//   - homepage: href values of anchor elements matched against the DB,
-//   - reviews: pages matching a restaurant phone are classified with
-//     Naïve Bayes; a positive page yields a review mention for every
-//     phone-matched entity on it.
-func (x *Extractor) Page(html []byte) []Mention {
-	doc := htmlx.Parse(html)
-	text := doc.Text()
-	var out []Mention
-
-	if x.db.Domain == entity.Books {
-		for _, id := range MatchISBNs(x.db, text) {
-			out = append(out, Mention{EntityID: id, Attr: entity.AttrISBN})
-		}
-		return out
-	}
-
-	phoneIDs := MatchPhones(x.db, text)
-	for _, id := range phoneIDs {
-		out = append(out, Mention{EntityID: id, Attr: entity.AttrPhone})
-	}
-
-	seenHome := make(map[int]struct{})
-	for _, href := range doc.Anchors() {
-		if id, ok := x.db.LookupHomepage(href); ok {
-			if _, dup := seenHome[id]; !dup {
-				seenHome[id] = struct{}{}
-				out = append(out, Mention{EntityID: id, Attr: entity.AttrHomepage})
-			}
-		}
-	}
-
-	if x.reviewAttr && x.reviewClf != nil && len(phoneIDs) > 0 {
-		if isReview, err := x.reviewClf.Classify(text); err == nil && isReview {
-			for _, id := range phoneIDs {
-				out = append(out, Mention{EntityID: id, Attr: entity.AttrReview})
-			}
-		}
-	}
-	return out
 }
 
 // TrainReviewClassifier builds a review classifier from labeled example

@@ -1,10 +1,7 @@
-// Package extract implements the identifying-attribute extractors of
-// §3.2: a regular-expression US phone extractor, an ISBN extractor that
-// requires the string "ISBN" in a small window near the match, homepage
-// extraction from anchor hrefs, and review-page detection via the
-// Naïve-Bayes classifier. Extracted values are matched against the
-// entity database to establish entity presence on a page.
 package extract
+
+// The regular-expression phone extractor: the test oracle the
+// production scanner (scan.go) is held to.
 
 import (
 	"regexp"

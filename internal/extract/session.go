@@ -10,31 +10,35 @@ import (
 	"repro/internal/htmlx"
 )
 
-// Session is the streaming extraction pipeline for one worker: it fuses
-// tokenize → match → classify over a page without building the DOM, the
-// joined text string, or per-call token slices. All scratch state is
-// reused across pages, so Page performs zero allocations at steady
-// state. Output is mention-identical to Extractor.Page (the retained-DOM
-// reference path) on rendered pages — pinned by the property tests.
+// Session is the streaming extraction pipeline for one worker. It
+// streams a page through htmlx's visitor without building a DOM, a
+// joined text string or per-call token slices: text runs are collapsed
+// into one reused buffer (fed to the review scorer as they arrive),
+// anchors resolve as they stream, and one scanner pass over the
+// collapsed text then finds the phones or ISBNs (scan.go). All scratch
+// state is reused across pages, so Page performs zero allocations at
+// steady state. Output is mention-identical to the DOM + regex test
+// oracle, pinned by the property tests.
 //
 // A Session is not safe for concurrent use; create one per goroutine
 // with Extractor.NewSession (sessions share the extractor's read-only
-// automaton and classifier).
+// database and classifier).
 type Session struct {
-	x  *Extractor
-	ac *AhoCorasick
+	x *Extractor
 
 	str htmlx.Streamer
 
 	// text accumulates the page's whitespace-collapsed text — byte for
-	// byte the string the DOM path materializes via Node.Text — and is
-	// what the automaton and scorer consume incrementally.
+	// byte the oracle's joined, Fields-collapsed string — for the
+	// scanner; the scorer consumes it incrementally.
 	text    []byte
 	started bool // a non-space byte has been emitted
 	pending bool // whitespace run awaiting collapse into one ' '
 
-	acState int32
-	scorer  *classify.Scorer
+	scorer *classify.Scorer
+
+	phones phoneScan
+	isbns  isbnScan
 
 	mentions []Mention
 	phoneIDs []int
@@ -46,40 +50,23 @@ type Session struct {
 	seenKey  []uint64 // phone or ISBN mentions
 	seenHome []uint64
 
-	// Books: candidate/marker positions for the §3.2 "ISBN" window rule,
-	// resolved in candidate order at end of page.
-	cands   []isbnCand
-	markers []int
-
 	urlBuf []byte // canonical-homepage scratch
 
 	onTextF   func([]byte)
 	onAnchorF func([]byte)
-	emitF     func(pi int32, end int)
 }
 
-// isbnCand is one automaton ISBN hit: [lo, hi) in collapsed-text
-// coordinates plus the owning entity.
-type isbnCand struct {
-	lo, hi int
-	id     int
-}
-
-// NewSession returns a streaming extraction session. It builds the
-// extractor's shared automaton on first use and errors if the database
-// has no patterns for its domain or the classifier is unusable.
+// NewSession returns a streaming extraction session. It errors only if
+// the review classifier cannot build its scorer; a database without
+// phones (or ISBNs) yields sessions that find no key mentions.
 func (x *Extractor) NewSession() (*Session, error) {
-	ac, err := x.automaton()
-	if err != nil {
-		return nil, err
-	}
 	s := &Session{
 		x:        x,
-		ac:       ac,
 		seenKey:  make([]uint64, x.db.N()),
 		seenHome: make([]uint64, x.db.N()),
 	}
 	if x.reviewAttr && x.reviewClf != nil {
+		var err error
 		s.scorer, err = x.reviewClf.NewScorer()
 		if err != nil {
 			return nil, err
@@ -87,17 +74,16 @@ func (x *Extractor) NewSession() (*Session, error) {
 	}
 	s.onTextF = s.onText
 	s.onAnchorF = s.onAnchor
-	s.emitF = s.onHit
 	return s, nil
 }
 
 // Page extracts all entity mentions from one HTML page via the fused
 // streaming pipeline. The returned slice is reused by the next Page
-// call; copy it if it must outlive the call. Semantics mirror
-// Extractor.Page exactly: phones (or ISBNs with a nearby "ISBN" marker)
-// matched against the database over rendered page text, homepages from
-// anchor hrefs, and — when a classifier is present — a review mention
-// per phone-matched entity on positively classified pages.
+// call; copy it if it must outlive the call. It finds phones (or ISBNs
+// with a nearby "ISBN" marker) in the rendered page text and matches
+// them against the database, homepages from anchor hrefs, and — when a
+// classifier is present — a review mention per phone-matched entity on
+// positively classified pages.
 //
 //repro:noalloc
 func (s *Session) Page(html []byte) []Mention {
@@ -110,12 +96,9 @@ func (s *Session) Page(html []byte) []Mention {
 	s.text = s.text[:0]
 	s.started = false
 	s.pending = false
-	s.acState = 0
 	s.mentions = s.mentions[:0]
 	s.phoneIDs = s.phoneIDs[:0]
 	s.homeIDs = s.homeIDs[:0]
-	s.cands = s.cands[:0]
-	s.markers = s.markers[:0]
 	if s.scorer != nil {
 		s.scorer.Reset()
 	}
@@ -123,19 +106,11 @@ func (s *Session) Page(html []byte) []Mention {
 	s.str.Stream(html, s.onTextF, s.onAnchorF)
 
 	if s.x.db.Domain == entity.Books {
-		for _, c := range s.cands {
-			if !s.markerNear(c) {
-				continue
-			}
-			if s.seenKey[c.id] == s.gen {
-				continue
-			}
-			s.seenKey[c.id] = s.gen
-			s.mentions = append(s.mentions, Mention{EntityID: c.id, Attr: entity.AttrISBN}) //repro:alloc-ok mentions keeps its steady-state capacity across pages
-		}
+		s.matchISBNs()
 		return s.mentions
 	}
 
+	s.matchPhones()
 	for _, id := range s.phoneIDs {
 		s.mentions = append(s.mentions, Mention{EntityID: id, Attr: entity.AttrPhone}) //repro:alloc-ok mentions keeps its steady-state capacity across pages
 	}
@@ -152,41 +127,62 @@ func (s *Session) Page(html []byte) []Mention {
 	return s.mentions
 }
 
-// onText receives one decoded text run from the streaming visitor,
-// appends its whitespace-collapsed form to the page text, and feeds the
-// newly appended bytes to the automaton and the review scorer.
-func (s *Session) onText(run []byte) {
-	old := len(s.text)
-	s.text = appendCollapsed(s.text, run, &s.started, &s.pending)
-	// Node.Text joins text nodes with a space before collapsing; defer it
-	// so a trailing separator never materializes.
-	s.pending = true
-	chunk := s.text[old:]
-	if len(chunk) == 0 {
-		return
-	}
-	s.acState = s.ac.Feed(s.acState, chunk, old, s.emitF)
-	if s.scorer != nil {
-		s.scorer.Write(chunk)
+// matchPhones scans the page text for phones and records each database
+// entity found, once, in first-appearance order.
+//
+//repro:noalloc
+func (s *Session) matchPhones() {
+	s.phones = phoneScan{}
+	for {
+		if _, ok := s.phones.next(s.text); !ok {
+			return
+		}
+		id, ok := s.x.db.LookupPhoneKey(s.phones.key[:])
+		if !ok || s.seenKey[id] == s.gen {
+			continue
+		}
+		s.seenKey[id] = s.gen
+		s.phoneIDs = append(s.phoneIDs, id) //repro:alloc-ok phoneIDs keeps its steady-state capacity across pages
 	}
 }
 
-// onHit receives one automaton hit at absolute collapsed-text offset end.
-func (s *Session) onHit(pi int32, end int) {
-	v := s.ac.Value(pi)
-	if s.x.db.Domain == entity.Books {
-		if v == isbnMarkerValue {
-			s.markers = append(s.markers, end-4)
+// matchISBNs scans the page text for ISBN candidates and records a
+// mention, once per book, for each checksum-valid database ISBN with
+// an "ISBN" marker in its window.
+//
+//repro:noalloc
+func (s *Session) matchISBNs() {
+	s.isbns = isbnScan{}
+	for {
+		lo, hi, ok := s.isbns.next(s.text)
+		if !ok {
 			return
 		}
-		s.cands = append(s.cands, isbnCand{lo: end - s.ac.PatternLen(pi), hi: end, id: v})
-		return
+		key := s.isbns.key[:s.isbns.n]
+		if !validISBN(key) || !markerNear(s.text, lo, hi) {
+			continue
+		}
+		id, ok := s.x.db.LookupISBNKey(key)
+		if !ok || s.seenKey[id] == s.gen {
+			continue
+		}
+		s.seenKey[id] = s.gen
+		s.mentions = append(s.mentions, Mention{EntityID: id, Attr: entity.AttrISBN}) //repro:alloc-ok mentions keeps its steady-state capacity across pages
 	}
-	if s.seenKey[v] == s.gen {
-		return
+}
+
+// onText receives one decoded text run from the streaming visitor,
+// appends its whitespace-collapsed form to the page text, and feeds the
+// newly appended bytes to the review scorer.
+func (s *Session) onText(run []byte) {
+	old := len(s.text)
+	s.text = appendCollapsed(s.text, run, &s.started, &s.pending)
+	// The oracle joins text runs with a space before collapsing; defer
+	// it so a trailing separator never materializes.
+	s.pending = true
+	if s.scorer != nil && len(s.text) > old {
+		s.scorer.Write(s.text[old:])
 	}
-	s.seenKey[v] = s.gen
-	s.phoneIDs = append(s.phoneIDs, v)
 }
 
 // onAnchor resolves one anchor href against the homepage index.
@@ -203,38 +199,31 @@ func (s *Session) onAnchor(href []byte) {
 	s.homeIDs = append(s.homeIDs, id)
 }
 
-// markerNear reports whether any "ISBN" marker starting at position m
-// satisfies the §3.2 window rule for candidate c: m >= lo-isbnWindow and
-// the marker's end within isbnWindow past the candidate (the same
-// acceptance region hasISBNMarker checks on the joined string).
-func (s *Session) markerNear(c isbnCand) bool {
-	for _, m := range s.markers {
-		if m >= c.lo-isbnWindow && m+4 <= c.hi+isbnWindow {
-			return true
-		}
-	}
-	return false
-}
-
 // appendCollapsed appends run to dst with whitespace runs collapsed to
 // single spaces, exactly reproducing strings.Join(strings.Fields(x), " ")
 // semantics incrementally (unicode whitespace; no leading or trailing
 // separator). started/pending carry the collapse state across runs.
+// Runs of ASCII non-space bytes are copied with one append each; only
+// whitespace and non-ASCII runes go byte by byte.
 func appendCollapsed(dst, run []byte, started, pending *bool) []byte {
 	for i := 0; i < len(run); {
 		c := run[i]
-		if c < utf8.RuneSelf {
-			if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
-				*pending = true
-				i++
-				continue
+		if byteClass[c]&clsPlain != 0 {
+			j := i + 1
+			for j < len(run) && byteClass[run[j]]&clsPlain != 0 {
+				j++
 			}
 			if *started && *pending {
 				dst = append(dst, ' ')
 			}
 			*pending = false
 			*started = true
-			dst = append(dst, c)
+			dst = append(dst, run[i:j]...)
+			i = j
+			continue
+		}
+		if c < utf8.RuneSelf { // ASCII whitespace
+			*pending = true
 			i++
 			continue
 		}
