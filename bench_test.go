@@ -14,8 +14,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/bootstrap"
@@ -24,9 +22,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/demand"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/graph"
-	"repro/internal/htmlx"
 	"repro/internal/index"
 	"repro/internal/logs"
 	"repro/internal/seg"
@@ -245,12 +241,9 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractIndexes is the cold-build headline of the streaming
-// extraction PR: the same web extracted by the fused streaming pipeline
-// (ExtractIndexes) versus the retained-DOM pipeline it replaced —
-// render []Page, htmlx.Parse per page, joined Text, regex matching —
-// replicated here verbatim as the measured baseline. Compare ns/op and
-// allocs/op between the two sub-benchmarks.
+// BenchmarkExtractIndexes is the extraction cold build: the web's pages
+// rendered and streamed through extract.Session by ExtractIndexes, and
+// the mentions built into per-attribute indexes.
 func BenchmarkExtractIndexes(b *testing.B) {
 	web, err := synth.Generate(synth.Config{
 		Domain: entity.Banks, Entities: 300, DirectoryHosts: 450, Seed: 3,
@@ -265,53 +258,6 @@ func BenchmarkExtractIndexes(b *testing.B) {
 				b.Fatal(err)
 			}
 			if idxs[entity.AttrPhone].TotalPostings() == 0 {
-				b.Fatal("empty phone index")
-			}
-		}
-	})
-	b.Run("dom", func(b *testing.B) {
-		x, err := extract.New(web.DB, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		workers := runtime.GOMAXPROCS(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			attrs := entity.AttrsFor(web.Config.Domain)
-			builders := make(map[entity.Attr]*index.Builder, len(attrs))
-			for _, a := range attrs {
-				universe := web.Config.Entities
-				if a == entity.AttrHomepage {
-					universe = len(web.DB.WithHomepage())
-				}
-				builders[a] = index.NewBuilder(web.Config.Domain, a, universe)
-				for si := range web.Sites { // hosts are distinct: row = site number
-					builders[a].Site(web.Sites[si].Host)
-				}
-			}
-			siteCh := make(chan int, workers)
-			var wg sync.WaitGroup
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for si := range siteCh {
-						for _, p := range web.RenderSite(&web.Sites[si]) {
-							for _, m := range x.Page(p.HTML) {
-								if bd, ok := builders[m.Attr]; ok {
-									bd.AddTo(si, m.EntityID)
-								}
-							}
-						}
-					}
-				}()
-			}
-			for si := range web.Sites {
-				siteCh <- si
-			}
-			close(siteCh)
-			wg.Wait()
-			if builders[entity.AttrPhone].Build().TotalPostings() == 0 {
 				b.Fatal("empty phone index")
 			}
 		}
@@ -612,80 +558,6 @@ func BenchmarkAblationDiameterBrute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if d := g.DiameterBrute(c); d == 0 {
 			b.Fatal("zero diameter")
-		}
-	}
-}
-
-// BenchmarkAblationMatchRegex vs ...AhoCorasick: page-text phone
-// matching via regex-extract-then-lookup vs one-pass multi-pattern
-// search over all database phones.
-func ablationPages(b *testing.B) (*entity.DB, []string) {
-	b.Helper()
-	web, err := synth.Generate(synth.Config{
-		Domain: entity.Hotels, Entities: 2000, DirectoryHosts: 100, Seed: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var texts []string
-	for si := range web.Sites[:20] {
-		for _, p := range web.RenderSite(&web.Sites[si]) {
-			texts = append(texts, string(p.HTML))
-		}
-	}
-	return web.DB, texts
-}
-
-func BenchmarkAblationMatchRegex(b *testing.B) {
-	db, texts := ablationPages(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, t := range texts {
-			total += len(extract.MatchPhones(db, t))
-		}
-		if total == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
-func BenchmarkAblationMatchAhoCorasick(b *testing.B) {
-	db, texts := ablationPages(b)
-	ac, err := extract.PhoneAutomaton(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for _, t := range texts {
-			total += len(ac.FindValues(t))
-		}
-		if total == 0 {
-			b.Fatal("no matches")
-		}
-	}
-}
-
-// BenchmarkHTMLParse measures the tokenizer+DOM+text-extraction cost on
-// rendered pages — the extraction pipeline's per-page work.
-func BenchmarkHTMLParse(b *testing.B) {
-	_, texts := ablationPages(b)
-	var total int
-	for _, t := range texts {
-		total += len(t)
-	}
-	b.SetBytes(int64(total))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, t := range texts {
-			doc := htmlx.Parse([]byte(t))
-			n += len(doc.Text()) + len(doc.Anchors())
-		}
-		if n == 0 {
-			b.Fatal("no text extracted")
 		}
 	}
 }

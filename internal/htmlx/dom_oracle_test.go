@@ -1,5 +1,7 @@
 package htmlx
 
+// The retained DOM: the oracle FuzzStreamVsParse holds Streamer to.
+
 import "strings"
 
 // NodeType identifies the kind of a DOM node.

@@ -1,12 +1,20 @@
+// Package htmlx is a small, dependency-free streaming HTML visitor used
+// by the extraction pipeline to pull text content and anchor hrefs out of
+// crawled pages. It implements the subset of HTML5 parsing the study
+// needs: tags with quoted/unquoted attributes, character-reference
+// decoding, raw-text elements (script/style), void elements, and comment
+// skipping. It is tolerant of malformed markup — real crawls are dirty —
+// and never fails on bad input. A tokenizer and DOM (NewTokenizer,
+// Parse) live in the package's tests as the visitor's oracle.
 package htmlx
 
 import "bytes"
 
 // Streamer is a reusable streaming HTML visitor: it walks a document
-// with exactly the scanning rules of NewTokenizer + Parse but never
-// constructs tokens, Node trees, or joined text strings. A Streamer
-// holds only reusable scratch buffers, so steady-state streaming of
-// page after page performs zero allocations.
+// with exactly the scanning rules of the oracle's NewTokenizer + Parse
+// but never constructs tokens, Node trees, or joined text strings. A
+// Streamer holds only reusable scratch buffers, so steady-state
+// streaming of page after page performs zero allocations.
 //
 // A Streamer is not safe for concurrent use; give each goroutine its
 // own (the zero value is ready).
@@ -281,4 +289,57 @@ func foldedMapHit(src []byte, s span, set map[string]bool) bool {
 		buf[i] = c
 	}
 	return set[string(buf[:n])]
+}
+
+// voidElements never have closing tags or children.
+var voidElements = map[string]bool{
+	"area": true, "base": true, "br": true, "col": true, "embed": true,
+	"hr": true, "img": true, "input": true, "link": true, "meta": true,
+	"param": true, "source": true, "track": true, "wbr": true,
+}
+
+// indexCloseTagFold returns the absolute index of the first "</"+tag at
+// or after pos in src, matching the tag bytes ASCII-case-insensitively,
+// or -1. Shared by the streaming visitor and the test oracle's
+// tokenizer so both skip raw content identically.
+func indexCloseTagFold(src []byte, pos int, tag string) int {
+	n := 2 + len(tag)
+	for i := pos; i+n <= len(src); i++ {
+		if src[i] == '<' && src[i+1] == '/' && asciiFoldEq(src[i+2:i+n], tag) {
+			return i
+		}
+	}
+	return -1
+}
+
+// asciiFoldEq reports whether b equals s under ASCII case folding.
+// Generic over the second operand so the visitor (byte spans) and the
+// oracle tokenizer (string names) share one fold implementation.
+func asciiFoldEq[T ~string | ~[]byte](b []byte, s T) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c, d := b[i], s[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if d >= 'A' && d <= 'Z' {
+			d += 'a' - 'A'
+		}
+		if c != d {
+			return false
+		}
+	}
+	return true
+}
+
+// isTagNameStart reports whether c can open a start tag after '<'.
+func isTagNameStart(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
+// isSpace reports HTML whitespace inside tags.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
 }

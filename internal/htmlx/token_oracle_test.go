@@ -1,11 +1,7 @@
-// Package htmlx is a small, dependency-free HTML tokenizer and DOM used
-// by the extraction pipeline to pull text content and anchor hrefs out of
-// crawled pages. It implements the subset of HTML5 parsing the study
-// needs: tags with quoted/unquoted attributes, character-reference
-// decoding, raw-text elements (script/style), void elements, and comment
-// skipping. It is tolerant of malformed markup — real crawls are dirty —
-// and never returns an error for bad input, only for truncated reads.
 package htmlx
+
+// The tokenizer behind the DOM test oracle (dom_oracle_test.go): the
+// token-at-a-time form of the scanning rules Streamer walks in one pass.
 
 import (
 	"bytes"
@@ -68,13 +64,6 @@ func (t *Token) Attr(key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// voidElements never have closing tags or children.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
 }
 
 // rawTextElements contain raw character data until their literal
@@ -144,42 +133,6 @@ func (z *Tokenizer) rawText() Token {
 	return Token{Type: TextToken, Data: string(z.src[start:z.pos])}
 }
 
-// indexCloseTagFold returns the absolute index of the first "</"+tag at
-// or after pos in src, matching the tag bytes ASCII-case-insensitively,
-// or -1. Shared by the tokenizer's raw-text scan and the streaming
-// visitor so both skip raw content identically.
-func indexCloseTagFold(src []byte, pos int, tag string) int {
-	n := 2 + len(tag)
-	for i := pos; i+n <= len(src); i++ {
-		if src[i] == '<' && src[i+1] == '/' && asciiFoldEq(src[i+2:i+n], tag) {
-			return i
-		}
-	}
-	return -1
-}
-
-// asciiFoldEq reports whether b equals s under ASCII case folding.
-// Generic over the second operand so the tokenizer (string names) and
-// the streaming visitor (byte spans) share one fold implementation.
-func asciiFoldEq[T ~string | ~[]byte](b []byte, s T) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c, d := b[i], s[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if d >= 'A' && d <= 'Z' {
-			d += 'a' - 'A'
-		}
-		if c != d {
-			return false
-		}
-	}
-	return true
-}
-
 // lowerASCII lower-cases the ASCII letters of s, leaving all other
 // bytes (including multi-byte runes) untouched — the HTML5 rule for
 // tag and attribute names. Allocates only when an upper-case ASCII
@@ -215,14 +168,6 @@ func (z *Tokenizer) tag() (Token, bool) {
 	default:
 		return Token{}, false
 	}
-}
-
-func isTagNameStart(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
 }
 
 // bangTag handles comments, doctype and CDATA-ish constructs.

@@ -142,13 +142,19 @@ func LoadRepo(dir string, patterns []string, tests bool) (*World, error) {
 			w.Packages = append(w.Packages, pkg)
 			continue
 		}
-		aug, err := w.checkSource(lp.ImportPath, lp.Dir, concat(lp.GoFiles, lp.TestGoFiles, lp.Dir))
+		aug, err := w.checkSource(lp.ImportPath, lp.Dir, concat(lp.GoFiles, lp.TestGoFiles, lp.Dir), &worldImporter{w: w})
 		if err != nil {
 			return nil, err
 		}
 		w.Packages = append(w.Packages, aug)
 		if len(lp.XTestGoFiles) > 0 {
-			x, err := w.checkSource(lp.ImportPath+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir))
+			vi := &variantImporter{
+				w:     w,
+				under: lp.ImportPath,
+				pkgs:  map[string]*types.Package{lp.ImportPath: aug.Types},
+				reach: make(map[string]bool),
+			}
+			x, err := w.checkSource(lp.ImportPath+"_test", lp.Dir, concat(lp.XTestGoFiles, nil, lp.Dir), vi)
 			if err != nil {
 				return nil, err
 			}
@@ -192,7 +198,7 @@ func (w *World) ensurePlain(path string) (*Package, error) {
 	}
 	w.checking[path] = true
 	defer delete(w.checking, path)
-	pkg, err := w.checkSource(path, lp.Dir, concat(lp.GoFiles, nil, lp.Dir))
+	pkg, err := w.checkSource(path, lp.Dir, concat(lp.GoFiles, nil, lp.Dir), &worldImporter{w: w})
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +206,9 @@ func (w *World) ensurePlain(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// checkSource parses and typechecks one package from source; its
-// imports resolve through ensurePlain or export data.
-func (w *World) checkSource(path, dir string, filenames []string) (*Package, error) {
+// checkSource parses and typechecks one package from source, resolving
+// its imports through imp.
+func (w *World) checkSource(path, dir string, filenames []string, imp types.Importer) (*Package, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, fn := range filenames {
 		f, err := w.parseFile(fn)
@@ -213,7 +219,7 @@ func (w *World) checkSource(path, dir string, filenames []string) (*Package, err
 	}
 	info := newInfo()
 	conf := types.Config{
-		Importer: &worldImporter{w: w},
+		Importer: imp,
 		Error:    func(error) {}, // collect everything; Check returns the first
 	}
 	tpkg, err := conf.Check(path, w.Fset, files, info)
@@ -268,6 +274,58 @@ func (wi *worldImporter) ImportFrom(path, srcDir string, mode types.ImportMode) 
 		return pkg.Types, nil
 	}
 	return wi.w.gc.ImportFrom(path, srcDir, 0)
+}
+
+// variantImporter resolves an external test package's imports the way
+// `go test` builds them: the package under test is its augmented form
+// (with its in-package test files, so helpers defined there are
+// visible), and every module package that imports it, directly or not,
+// is typechecked again against that form.
+type variantImporter struct {
+	w     *World
+	under string                    // import path of the package under test
+	pkgs  map[string]*types.Package // the augmented package and rebuilt dependents
+	reach map[string]bool           // memo: does a path import under?
+}
+
+func (vi *variantImporter) Import(path string) (*types.Package, error) {
+	return vi.ImportFrom(path, "", 0)
+}
+
+func (vi *variantImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := vi.pkgs[path]; ok {
+		return pkg, nil
+	}
+	if !vi.importsUnder(path) {
+		return (&worldImporter{w: vi.w}).ImportFrom(path, srcDir, mode)
+	}
+	lp := vi.w.listed[path]
+	pkg, err := vi.w.checkSource(path, lp.Dir, concat(lp.GoFiles, nil, lp.Dir), vi)
+	if err != nil {
+		return nil, err
+	}
+	vi.pkgs[path] = pkg.Types
+	return pkg.Types, nil
+}
+
+// importsUnder reports whether the module package path imports the
+// package under test, directly or transitively.
+func (vi *variantImporter) importsUnder(path string) bool {
+	if v, ok := vi.reach[path]; ok {
+		return v
+	}
+	vi.reach[path] = false // cycle guard
+	lp := vi.w.listed[path]
+	if lp == nil || lp.Module == nil {
+		return false
+	}
+	for _, imp := range lp.Imports {
+		if imp == vi.under || vi.importsUnder(imp) {
+			vi.reach[path] = true
+			return true
+		}
+	}
+	return false
 }
 
 func (w *World) lookupExport(path string) (io.ReadCloser, error) {
