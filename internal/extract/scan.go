@@ -84,11 +84,11 @@ type phoneScan struct {
 	key    [10]byte // the last match's NANP digits
 }
 
-// next returns the start of the next phone match at or after sc.pos
-// and leaves its ten digits in sc.key.
+// next advances to the next phone match at or after sc.pos, leaving
+// its ten digits in sc.key, and reports whether there was one.
 //
 //repro:noalloc
-func (sc *phoneScan) next(t []byte) (int, bool) {
+func (sc *phoneScan) next(t []byte) bool {
 	for s := sc.pos; s < len(t); s++ {
 		if byteClass[t[s]]&clsStart == 0 {
 			continue
@@ -96,19 +96,21 @@ func (sc *phoneScan) next(t []byte) (int, bool) {
 		if s >= sc.reNext {
 			if e := sc.reAt(t, s); e > 0 {
 				sc.pos, sc.reNext = s+1, e
-				return s, true
+				return true
 			}
 		}
 		if sc.bareAt(t, s) {
 			sc.pos = s + 1
-			return s, true
+			return true
 		}
 	}
 	sc.pos = len(t)
-	return 0, false
+	return false
 }
 
 // reAt returns the end of phoneRe's match at s, or 0.
+//
+//repro:noalloc
 func (sc *phoneScan) reAt(t []byte, s int) int {
 	p := s
 	if t[p] == '+' {
@@ -150,6 +152,8 @@ func (sc *phoneScan) reAt(t []byte, s int) int {
 }
 
 // bareAt reports whether barePhoneRe matches at s.
+//
+//repro:noalloc
 func (sc *phoneScan) bareAt(t []byte, s int) bool {
 	if s > 0 && byteClass[t[s-1]]&clsWord != 0 || !nanp3(t, s) || !nanp3(t, s+3) || s+10 > len(t) {
 		return false
@@ -205,6 +209,8 @@ func (sc *isbnScan) next(t []byte) (lo, hi int, ok bool) {
 
 // core matches [0-9](?:[- ]?[0-9]){8}[- ]?[0-9Xx]\b at p, writing the
 // ten characters to sc.key[k:], and returns the end or 0.
+//
+//repro:noalloc
 func (sc *isbnScan) core(t []byte, p, k int) int {
 	for i := 0; i < 10; i++ {
 		if i > 0 && p < len(t) && (t[p] == '-' || t[p] == ' ') {
@@ -230,6 +236,8 @@ func (sc *isbnScan) core(t []byte, p, k int) int {
 
 // validISBN reports whether the bare key is a checksum-valid ISBN-10
 // or ISBN-13 (the ValidISBN10/ValidISBN13 rules, inline on digits).
+//
+//repro:noalloc
 func validISBN(k []byte) bool {
 	sum := 0
 	switch len(k) {
@@ -257,6 +265,8 @@ func validISBN(k []byte) bool {
 
 // markerNear reports whether "ISBN", in any ASCII case, lies wholly in
 // t[lo-isbnWindow : hi+isbnWindow] (clamped to t): the §3.2 window rule.
+//
+//repro:noalloc
 func markerNear(t []byte, lo, hi int) bool {
 	lo = max(lo-isbnWindow, 0)
 	hi = min(hi+isbnWindow, len(t))

@@ -16,7 +16,7 @@ func scanPhones(text []byte) []entity.CanonicalPhone {
 	seen := make(map[entity.CanonicalPhone]bool)
 	var sc phoneScan
 	for {
-		if _, ok := sc.next(text); !ok {
+		if !sc.next(text) {
 			return out
 		}
 		p := entity.CanonicalPhone(sc.key[:])

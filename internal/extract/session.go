@@ -37,9 +37,6 @@ type Session struct {
 
 	scorer *classify.Scorer
 
-	phones phoneScan
-	isbns  isbnScan
-
 	mentions []Mention
 	phoneIDs []int
 	homeIDs  []int
@@ -132,12 +129,12 @@ func (s *Session) Page(html []byte) []Mention {
 //
 //repro:noalloc
 func (s *Session) matchPhones() {
-	s.phones = phoneScan{}
+	var sc phoneScan
 	for {
-		if _, ok := s.phones.next(s.text); !ok {
+		if !sc.next(s.text) {
 			return
 		}
-		id, ok := s.x.db.LookupPhoneKey(s.phones.key[:])
+		id, ok := s.x.db.LookupPhoneKey(sc.key[:])
 		if !ok || s.seenKey[id] == s.gen {
 			continue
 		}
@@ -152,13 +149,13 @@ func (s *Session) matchPhones() {
 //
 //repro:noalloc
 func (s *Session) matchISBNs() {
-	s.isbns = isbnScan{}
+	var sc isbnScan
 	for {
-		lo, hi, ok := s.isbns.next(s.text)
+		lo, hi, ok := sc.next(s.text)
 		if !ok {
 			return
 		}
-		key := s.isbns.key[:s.isbns.n]
+		key := sc.key[:sc.n]
 		if !validISBN(key) || !markerNear(s.text, lo, hi) {
 			continue
 		}
@@ -203,15 +200,22 @@ func (s *Session) onAnchor(href []byte) {
 // single spaces, exactly reproducing strings.Join(strings.Fields(x), " ")
 // semantics incrementally (unicode whitespace; no leading or trailing
 // separator). started/pending carry the collapse state across runs.
-// Runs of ASCII non-space bytes are copied with one append each; only
+// A run of ASCII non-space bytes, with the single spaces between them
+// (which collapse to themselves), is copied with one append; only other
 // whitespace and non-ASCII runes go byte by byte.
 func appendCollapsed(dst, run []byte, started, pending *bool) []byte {
 	for i := 0; i < len(run); {
 		c := run[i]
 		if byteClass[c]&clsPlain != 0 {
 			j := i + 1
-			for j < len(run) && byteClass[run[j]]&clsPlain != 0 {
-				j++
+			for j < len(run) {
+				if byteClass[run[j]]&clsPlain != 0 {
+					j++
+				} else if run[j] == ' ' && j+1 < len(run) && byteClass[run[j+1]]&clsPlain != 0 {
+					j += 2
+				} else {
+					break
+				}
 			}
 			if *started && *pending {
 				dst = append(dst, ' ')
