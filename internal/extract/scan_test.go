@@ -79,8 +79,9 @@ func isASCII(b []byte) bool {
 	return true
 }
 
-// scanEdgeCases are the grammar's boundary shapes: prefixes, parens,
-// separators, word boundaries, the ISBN-13 prefix fallback and 'X'.
+// scanEdgeCases seed FuzzScanVsRegex (and so run on every go test):
+// the grammar's boundary shapes — prefixes, parens, separators, word
+// boundaries, the ISBN-13 prefix fallback and 'X'.
 var scanEdgeCases = []string{
 	"",
 	"+1 (415) 555-1234",
@@ -140,12 +141,6 @@ var scanEdgeCases = []string{
 	"ISBN of something. " + strings.Repeat("x", 60) + " 0306406152",
 	"0306406152 " + strings.Repeat("y", 40) + "iSbN",
 	"ıSBN 0306406152",
-}
-
-func TestScanVsRegexEdgeCases(t *testing.T) {
-	for _, c := range scanEdgeCases {
-		checkScanVsRegex(t, []byte(c))
-	}
 }
 
 // TestScanVsRegexRandomized drives the differential property over
