@@ -15,16 +15,14 @@ func scanPhones(text []byte) []entity.CanonicalPhone {
 	var out []entity.CanonicalPhone
 	seen := make(map[entity.CanonicalPhone]bool)
 	var sc phoneScan
-	for {
-		if !sc.next(text) {
-			return out
-		}
+	for sc.next(text) {
 		p := entity.CanonicalPhone(sc.key[:])
 		if !seen[p] {
 			seen[p] = true
 			out = append(out, p)
 		}
 	}
+	return out
 }
 
 // scanISBNSpans returns the ISBN scanner's candidate spans, checking

@@ -130,10 +130,7 @@ func (s *Session) Page(html []byte) []Mention {
 //repro:noalloc
 func (s *Session) matchPhones() {
 	var sc phoneScan
-	for {
-		if !sc.next(s.text) {
-			return
-		}
+	for sc.next(s.text) {
 		id, ok := s.x.db.LookupPhoneKey(sc.key[:])
 		if !ok || s.seenKey[id] == s.gen {
 			continue
