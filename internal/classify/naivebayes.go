@@ -6,6 +6,7 @@
 package classify
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -34,10 +35,12 @@ func Tokenize(s string) []string {
 // smoothing. Class true is "review", class false is "not a review".
 // The zero value is unusable; construct with NewNaiveBayes.
 //
-// Scoring is driven by a precomputed log-likelihood-ratio table (one
-// map hit per token, no math.Log in the loop) that is built lazily on
-// first score and invalidated by Train. Training and scoring must not
-// run concurrently; once trained, any number of goroutines may score.
+// Scoring is driven by a precomputed log-likelihood-ratio snapshot — an
+// open-addressing token table probed once per token by a packed key,
+// no string hashing and no math.Log in the loop — that is built lazily
+// on first score and invalidated by Train. Training and scoring must
+// not run concurrently; once trained, any number of goroutines may
+// score.
 type NaiveBayes struct {
 	alpha float64 // Laplace smoothing pseudo-count
 
@@ -51,11 +54,80 @@ type NaiveBayes struct {
 }
 
 // llrTable is the immutable scoring snapshot: the class-prior log odds
-// plus, per vocabulary token, log(P(tok|review)/P(tok|¬review)).
-// Unseen tokens contribute 0 — equal evidence for both classes.
+// plus, per vocabulary token, log(P(tok|review)/P(tok|¬review)) in an
+// open-addressing table. Unseen tokens contribute 0 — equal evidence
+// for both classes.
+//
+// A slot's key is the token's length and its first 8 bytes packed into
+// a word, one shift-or per byte (see packWord). Tokens are runs of
+// [a-z0-9], so they never contain a zero byte and a token of up to 8
+// bytes is fully determined by its word and length; the bytes past the
+// 8th live in one arena and are compared only when word and length
+// match. The table is a power of two in size and at most half full,
+// probed linearly from a multiplicative mix of word and length.
 type llrTable struct {
-	prior float64
-	llr   map[string]float64
+	prior  float64
+	slots  []tokenSlot
+	shift  uint   // 64 - log2(len(slots)): keeps the mix's top bits
+	arena  []byte // bytes [8:n] of every token longer than 8
+	maxLen int    // longest vocabulary token
+}
+
+// tokenSlot is one table entry; n == 0 marks an empty slot (vocabulary
+// tokens have at least 2 bytes).
+type tokenSlot struct {
+	word uint64
+	n    int
+	off  int // the token's bytes [8:n] are arena[off : off+n-8]
+	llr  float64
+}
+
+// tokenMix is the multiplier of the probe mix (2^64 / golden ratio).
+const tokenMix = 0x9E3779B97F4A7C15
+
+// packWord packs the first 8 bytes of tok into a word exactly as the
+// scorer does while it reads them.
+func packWord(tok string) uint64 {
+	var w uint64
+	for i := 0; i < len(tok) && i < 8; i++ {
+		w = w<<8 | uint64(tok[i])
+	}
+	return w
+}
+
+// home returns the first slot probed for a token's word and length.
+func (t *llrTable) home(word uint64, n int) int {
+	return int((word ^ uint64(n)) * tokenMix >> t.shift)
+}
+
+// lookup returns the ratio of the token with packed word, length n and
+// bytes past the 8th tail, and whether it is in the vocabulary.
+func (t *llrTable) lookup(word uint64, n int, tail []byte) (float64, bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(word, n); ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if e.n == 0 {
+			return 0, false
+		}
+		if e.n == n && e.word == word && (n <= 8 || bytes.Equal(t.arena[e.off:e.off+n-8], tail)) {
+			return e.llr, true
+		}
+	}
+}
+
+// insert adds a vocabulary token (at least 2 bytes, not yet present).
+func (t *llrTable) insert(tok string, llr float64) {
+	e := tokenSlot{word: packWord(tok), n: len(tok), llr: llr}
+	if len(tok) > 8 {
+		e.off = len(t.arena)
+		t.arena = append(t.arena, tok[8:]...)
+	}
+	t.maxLen = max(t.maxLen, len(tok))
+	i := t.home(e.word, e.n)
+	for t.slots[i].n != 0 {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	t.slots[i] = e
 }
 
 // NewNaiveBayes returns an untrained model with the given Laplace
@@ -110,12 +182,8 @@ func (nb *NaiveBayes) TrainBytes(text []byte, isReview bool) {
 		nb.vocab[tok] = struct{}{}
 	}
 	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
+		if c := tokenByte[text[i]]; c != 0 {
 			text[i] = c // lowercase ASCII in place
-		}
-		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
 			if start < 0 {
 				start = i
 			}
@@ -149,18 +217,29 @@ func (nb *NaiveBayes) llrtab() (*llrTable, error) {
 	if t := nb.table.Load(); t != nil {
 		return t, nil
 	}
-	v := float64(len(nb.vocab))
+	bits := uint(3)
+	for 1<<bits < 2*len(nb.vocab) {
+		bits++
+	}
 	t := &llrTable{
 		prior: math.Log(float64(nb.docs[1]) / float64(nb.docs[0])),
-		llr:   make(map[string]float64, len(nb.vocab)),
+		slots: make([]tokenSlot, 1<<bits),
+		shift: 64 - bits,
 	}
 	for tok := range nb.vocab {
-		p1 := (float64(nb.counts[1][tok]) + nb.alpha) / (float64(nb.tokens[1]) + nb.alpha*v)
-		p0 := (float64(nb.counts[0][tok]) + nb.alpha) / (float64(nb.tokens[0]) + nb.alpha*v)
-		t.llr[tok] = math.Log(p1 / p0)
+		t.insert(tok, nb.ratio(tok))
 	}
 	nb.table.Store(t)
 	return t, nil
+}
+
+// ratio returns tok's log-likelihood ratio log(P(tok|review) /
+// P(tok|¬review)) under Laplace smoothing.
+func (nb *NaiveBayes) ratio(tok string) float64 {
+	v := float64(len(nb.vocab))
+	p1 := (float64(nb.counts[1][tok]) + nb.alpha) / (float64(nb.tokens[1]) + nb.alpha*v)
+	p0 := (float64(nb.counts[0][tok]) + nb.alpha) / (float64(nb.tokens[0]) + nb.alpha*v)
+	return math.Log(p1 / p0)
 }
 
 // LogOdds returns log P(review | text) - log P(¬review | text) up to the
@@ -176,12 +255,12 @@ func (nb *NaiveBayes) LogOdds(text string) (float64, error) {
 		return 0, err
 	}
 	sc := Scorer{t: t}
-	sc.WriteString(text)
+	sc.Write([]byte(text))
 	return sc.LogOdds(), nil
 }
 
 // ScoreBytes scores raw text bytes without building strings or token
-// slices: one table hit per token, ASCII lower-casing on the fly.
+// slices: one table probe per token, ASCII lower-casing on the fly.
 func (nb *NaiveBayes) ScoreBytes(text []byte) (float64, error) {
 	t, err := nb.llrtab()
 	if err != nil {
@@ -215,55 +294,65 @@ func (nb *NaiveBayes) NewScorer() (*Scorer, error) {
 	return &Scorer{t: t}, nil
 }
 
-// Scorer is an incremental document scorer over a model snapshot.
+// Scorer is an incremental document scorer over a model snapshot. It
+// keeps the pending token as its length, its packed first 8 bytes and
+// a buffer of the bytes past the 8th, so a token is looked up without
+// building a string or hashing it byte by byte.
 type Scorer struct {
-	t   *llrTable
-	sum float64
-	tok []byte // pending token, lower-cased; spans Write boundaries
+	t    *llrTable
+	sum  float64
+	word uint64 // pending token's first 8 bytes, packed as packWord does
+	n    int    // pending token length; tokens span Write boundaries
+	tail []byte // pending token's bytes past the 8th (up to t.maxLen)
 }
+
+// tokenByte maps a token byte (ASCII letter or digit) to its lower-case
+// form and every other byte — including each byte of a multi-byte rune
+// — to 0, a separator.
+var tokenByte = func() (tb [256]byte) {
+	for c := '0'; c <= '9'; c++ {
+		tb[c] = byte(c)
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		tb[c] = byte(c)
+		tb[c-'a'+'A'] = byte(c)
+	}
+	return tb
+}()
 
 // Reset clears accumulated state so the scorer can score a new document.
 //
 //repro:noalloc
 func (s *Scorer) Reset() {
 	s.sum = 0
-	s.tok = s.tok[:0]
+	s.word, s.n, s.tail = 0, 0, s.tail[:0]
 }
 
-// Write feeds text bytes. Tokens may span Write boundaries.
+// Write feeds text bytes. Tokens may span Write boundaries. The loop
+// keeps the pending token in locals and stores it back once per call.
 //
 //repro:noalloc
 func (s *Scorer) Write(p []byte) {
-	for i := 0; i < len(p); i++ {
-		s.writeByte(p[i])
-	}
-}
-
-// WriteString feeds text given as a string.
-func (s *Scorer) WriteString(p string) {
-	for i := 0; i < len(p); i++ {
-		s.writeByte(p[i])
-	}
-}
-
-func (s *Scorer) writeByte(c byte) {
-	if c >= 'A' && c <= 'Z' {
-		c += 'a' - 'A'
-	}
-	if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
-		s.tok = append(s.tok, c)
-		return
-	}
-	s.flush()
-}
-
-func (s *Scorer) flush() {
-	if len(s.tok) >= 2 {
-		if lr, ok := s.t.llr[string(s.tok)]; ok {
-			s.sum += lr
+	t := s.t
+	sum, word, n, tail := s.sum, s.word, s.n, s.tail
+	for _, c := range p {
+		if l := tokenByte[c]; l != 0 {
+			if n < 8 {
+				word = word<<8 | uint64(l)
+			} else if n < t.maxLen {
+				tail = append(tail, l) //repro:alloc-ok tail grows once, to the longest vocabulary token
+			}
+			n++
+			continue
 		}
+		if n >= 2 {
+			if lr, ok := t.lookup(word, n, tail); ok {
+				sum += lr
+			}
+		}
+		word, n, tail = 0, 0, tail[:0]
 	}
-	s.tok = s.tok[:0]
+	s.sum, s.word, s.n, s.tail = sum, word, n, tail
 }
 
 // LogOdds finalizes any pending token and returns the accumulated
@@ -272,7 +361,12 @@ func (s *Scorer) flush() {
 //
 //repro:noalloc
 func (s *Scorer) LogOdds() float64 {
-	s.flush()
+	if s.n >= 2 {
+		if lr, ok := s.t.lookup(s.word, s.n, s.tail); ok {
+			s.sum += lr
+		}
+	}
+	s.word, s.n, s.tail = 0, 0, s.tail[:0]
 	return s.t.prior + s.sum
 }
 
@@ -287,12 +381,9 @@ func (nb *NaiveBayes) TopFeatures(k int) []string {
 		tok string
 		lr  float64
 	}
-	v := float64(len(nb.vocab))
 	feats := make([]feat, 0, len(nb.vocab))
 	for tok := range nb.vocab {
-		p1 := (float64(nb.counts[1][tok]) + nb.alpha) / (float64(nb.tokens[1]) + nb.alpha*v)
-		p0 := (float64(nb.counts[0][tok]) + nb.alpha) / (float64(nb.tokens[0]) + nb.alpha*v)
-		feats = append(feats, feat{tok, math.Log(p1 / p0)})
+		feats = append(feats, feat{tok, nb.ratio(tok)})
 	}
 	sort.Slice(feats, func(i, j int) bool {
 		if feats[i].lr != feats[j].lr {

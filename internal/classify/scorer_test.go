@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,4 +204,70 @@ func TestScoreBytesAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Scorer allocs/op = %v, want 0", allocs)
 	}
+}
+
+// oracleScore is the scorer's reference: a map from token to ratio
+// rebuilt from the model's counts, probed once per token of 2+ bytes
+// of ASCII-lower-cased [a-z0-9], ratios summed in token order.
+func oracleScore(nb *NaiveBayes, text []byte) float64 {
+	v := float64(len(nb.vocab))
+	llr := make(map[string]float64, len(nb.vocab))
+	for tok := range nb.vocab {
+		p1 := (float64(nb.counts[1][tok]) + nb.alpha) / (float64(nb.tokens[1]) + nb.alpha*v)
+		p0 := (float64(nb.counts[0][tok]) + nb.alpha) / (float64(nb.tokens[0]) + nb.alpha*v)
+		llr[tok] = math.Log(p1 / p0)
+	}
+	var sum float64
+	var tok []byte
+	flush := func() {
+		if lr, ok := llr[string(tok)]; ok && len(tok) >= 2 {
+			sum += lr
+		}
+		tok = tok[:0]
+	}
+	for _, c := range text {
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+			tok = append(tok, c)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return math.Log(float64(nb.docs[1])/float64(nb.docs[0])) + sum
+}
+
+// FuzzScorerVsMap pins the scorer's token table to the map oracle: a
+// model trained on fixed documents plus the first half of the input
+// scores the whole input, written in two chunks split anywhere,
+// bit-identically to oracleScore. The fixed documents hold tokens of 8,
+// 9, 16 and 17 bytes and pairs that share their first 8 bytes and
+// length, so probes must compare the arena tail.
+func FuzzScorerVsMap(f *testing.F) {
+	f.Add([]byte("a ab abcdefgh abcdefghi abcdefghijklmnop abcdefghijklmnopq"), uint16(13))
+	f.Add([]byte("THE FOOD Was DELICIOUS 1234567890 42x7 ABCDEFGHIJ abcdefghik"), uint16(30))
+	f.Add([]byte("café—naïve 世界tokens\xffsplit\x00zero ü ABcdefGHijklmnopQ"), uint16(7))
+	f.Add([]byte("restaurant restaurants restauranx"), uint16(15))
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789 abcdefgh12 abcdefgh13"), uint16(20))
+	f.Add([]byte(""), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		nb := NewNaiveBayes(1)
+		nb.Train("delicious food wonderful abcdefghij abcdefghijklmnop restaurant 2012 ab abcdefgh12", true)
+		nb.Train("parking hours abcdefghik abcdefghijklmnopq restaurants menu 555 abcdefgh13", false)
+		nb.Train(string(data[:len(data)/2]), true)
+		want := oracleScore(nb, data)
+		sc, err := nb.NewScorer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int(split) % (len(data) + 1)
+		sc.Write(data[:k])
+		sc.Write(data[k:])
+		if got := sc.LogOdds(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scorer %v (%#x) != map oracle %v (%#x) on %q split at %d",
+				got, math.Float64bits(got), want, math.Float64bits(want), data, k)
+		}
+	})
 }

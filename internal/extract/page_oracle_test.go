@@ -60,7 +60,8 @@ func (x *Extractor) Page(html []byte) []Mention {
 func pageTextAnchors(html []byte) (string, []string) {
 	var b strings.Builder
 	var anchors []string
-	htmlx.Stream(html, func(run []byte) {
+	var st htmlx.Streamer
+	st.Stream(html, func(run []byte) {
 		b.Write(run)
 		b.WriteByte(' ')
 	}, func(href []byte) {

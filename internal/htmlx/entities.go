@@ -23,6 +23,9 @@ var namedEntities = map[string]rune{
 // literal characters. Numeric references (&#123; and &#x1F;) and the
 // common named references are decoded; malformed or unknown references
 // are left untouched. The function allocates only when s contains '&'.
+// Only tests call it; it stays here because the noalloc cross-check,
+// which pins it at 0 allocs on plain text, reads directives from
+// production files only.
 //
 //repro:noalloc
 func DecodeEntities(s string) string {
@@ -161,43 +164,28 @@ func parseEntityNum[T ~string | ~[]byte](num T, base int64) (int64, bool) {
 	return v, true
 }
 
-// EscapeText escapes the five significant HTML characters in s for safe
-// embedding as element text or attribute values. The synthetic web
-// renderer uses it so generated pages round-trip through the tokenizer.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, `&<>"'`) {
-		return s
-	}
-	var b bytes.Buffer
-	b.Grow(len(s) + 8)
-	WriteEscaped(&b, s)
-	return b.String()
-}
+// escapeIndex maps each byte to its entry in escapes, or 0 when the
+// byte is written as is. It is the package's only escaping decision:
+// the five HTML-significant bytes are escaped, nothing else is.
+var escapeIndex = [256]uint8{'&': 1, '<': 2, '>': 3, '"': 4, '\'': 5}
 
-// WriteEscaped writes s to b with the same escaping as EscapeText but
-// without building an intermediate string — the streaming renderer's
-// zero-allocation escape path.
+// escapes holds the replacement text for each escapeIndex entry.
+var escapes = [...]string{1: "&amp;", 2: "&lt;", 3: "&gt;", 4: "&quot;", 5: "&#39;"}
+
+// WriteEscaped writes s to b with the five significant HTML characters
+// escaped, for safe embedding as element text or attribute values. It
+// walks s once and writes each clean run between escapes with one
+// WriteString — the streaming renderer's zero-allocation escape path.
 func WriteEscaped(b *bytes.Buffer, s string) {
-	if !strings.ContainsAny(s, `&<>"'`) {
-		b.WriteString(s)
-		return
-	}
+	last := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '"':
-			b.WriteString("&quot;")
-		case '\'':
-			b.WriteString("&#39;")
-		default:
-			b.WriteByte(c)
+		if e := escapeIndex[s[i]]; e != 0 {
+			b.WriteString(s[last:i])
+			b.WriteString(escapes[e])
+			last = i + 1
 		}
 	}
+	b.WriteString(s[last:])
 }
 
 // EscapeWriter adapts a bytes.Buffer into a text sink that escapes
@@ -216,21 +204,11 @@ func (w EscapeWriter) WriteString(s string) (int, error) {
 
 // WriteByte writes one byte, escaped if significant.
 func (w EscapeWriter) WriteByte(c byte) error {
-	switch c {
-	case '&':
-		w.B.WriteString("&amp;")
-	case '<':
-		w.B.WriteString("&lt;")
-	case '>':
-		w.B.WriteString("&gt;")
-	case '"':
-		w.B.WriteString("&quot;")
-	case '\'':
-		w.B.WriteString("&#39;")
-	default:
-		w.B.WriteByte(c)
+	if e := escapeIndex[c]; e != 0 {
+		w.B.WriteString(escapes[e])
+		return nil
 	}
-	return nil
+	return w.B.WriteByte(c)
 }
 
 func min(a, b int) int {

@@ -56,6 +56,14 @@ func TestEscapeText(t *testing.T) {
 		{"<script>", "&lt;script&gt;"},
 		{`"quoted"`, "&quot;quoted&quot;"},
 		{"it's", "it&#39;s"},
+		{"", ""},
+		{"&start", "&amp;start"},
+		{"end>", "end&gt;"},
+		{"<>", "&lt;&gt;"},
+		{"a<<b", "a&lt;&lt;b"},
+		{`&<>"'`, "&amp;&lt;&gt;&quot;&#39;"},
+		{"<café 世界>", "&lt;café 世界&gt;"},
+		{"x&é—ü'y", "x&amp;é—ü&#39;y"},
 	}
 	for _, c := range cases {
 		if got := EscapeText(c.in); got != c.want {

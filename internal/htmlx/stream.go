@@ -34,7 +34,9 @@ type span struct{ lo, hi int }
 // filtered, mirroring the DOM attribute value). Either callback may be
 // nil. The byte slices passed to the callbacks are only valid for the
 // duration of the call: they may alias src or a scratch buffer that is
-// overwritten by the next run.
+// overwritten by the next run. The end of each text run is found with
+// bytes.IndexByte for the next '<', so text is never walked byte by
+// byte here; runs without '&' reach onText as subslices of src.
 //
 // Equivalence with the retained-DOM path is pinned by
 // FuzzStreamVsParse: joining the onText runs with single spaces and
@@ -59,8 +61,10 @@ func (st *Streamer) Stream(src []byte, onText, onAnchor func([]byte)) {
 		if src[pos] == '<' {
 			pos++
 		}
-		for pos < len(src) && src[pos] != '<' {
-			pos++
+		if i := bytes.IndexByte(src[pos:], '<'); i >= 0 {
+			pos += i
+		} else {
+			pos = len(src)
 		}
 		if rawDepth == 0 && onText != nil {
 			run := src[start:pos]
@@ -72,12 +76,6 @@ func (st *Streamer) Stream(src []byte, onText, onAnchor func([]byte)) {
 			}
 		}
 	}
-}
-
-// Stream is the convenience form of Streamer.Stream for one-off use.
-func Stream(src []byte, onText, onAnchor func([]byte)) {
-	var st Streamer
-	st.Stream(src, onText, onAnchor)
 }
 
 // markup handles a '<' construct at pos. It returns the new position
@@ -263,24 +261,17 @@ func scanAttr(src []byte, p int) (key, val span, ok bool, np int) {
 	return key, val, true, p
 }
 
-// isVoidSpan reports whether the tag name span is a void element.
+// isVoidSpan reports whether the tag name span is a void element, one
+// that never has a closing tag or children. It lower-cases the short
+// span into a stack buffer and switches on it, with no map probe; the
+// oracle tokenizer keeps the same set as a map (voidElements), and
+// FuzzStreamVsParse holds the two equal.
 func isVoidSpan(src []byte, s span) bool {
-	return foldedMapHit(src, s, voidElements)
-}
-
-// isRawSpan reports whether the tag name span is script or style.
-func isRawSpan(src []byte, s span) bool {
-	return asciiFoldEq(src[s.lo:s.hi], "script") || asciiFoldEq(src[s.lo:s.hi], "style")
-}
-
-// foldedMapHit lower-cases the (short) span into a stack buffer and
-// looks it up in a tag-name set without allocating.
-func foldedMapHit(src []byte, s span, set map[string]bool) bool {
 	n := s.hi - s.lo
-	if n == 0 || n > 8 { // longest void element is "source" (6)
+	if n < 2 || n > 6 { // "br" through "source"
 		return false
 	}
-	var buf [8]byte
+	var buf [6]byte
 	for i := 0; i < n; i++ {
 		c := src[s.lo+i]
 		if c >= 'A' && c <= 'Z' {
@@ -288,14 +279,17 @@ func foldedMapHit(src []byte, s span, set map[string]bool) bool {
 		}
 		buf[i] = c
 	}
-	return set[string(buf[:n])]
+	switch string(buf[:n]) {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input",
+		"link", "meta", "param", "source", "track", "wbr":
+		return true
+	}
+	return false
 }
 
-// voidElements never have closing tags or children.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// isRawSpan reports whether the tag name span is script or style.
+func isRawSpan(src []byte, s span) bool {
+	return asciiFoldEq(src[s.lo:s.hi], "script") || asciiFoldEq(src[s.lo:s.hi], "style")
 }
 
 // indexCloseTagFold returns the absolute index of the first "</"+tag at

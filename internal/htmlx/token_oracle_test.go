@@ -66,6 +66,13 @@ func (t *Token) Attr(key string) (string, bool) {
 	return "", false
 }
 
+// voidElements never have closing tags or children.
+var voidElements = map[string]bool{
+	"area": true, "base": true, "br": true, "col": true, "embed": true,
+	"hr": true, "img": true, "input": true, "link": true, "meta": true,
+	"param": true, "source": true, "track": true, "wbr": true,
+}
+
 // rawTextElements contain raw character data until their literal
 // closing tag (we treat title/textarea as raw too, which is RCDATA in
 // the spec; character references inside them still decode).

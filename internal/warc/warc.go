@@ -255,10 +255,17 @@ func parseRecord(br *bufio.Reader) (*Record, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("warc: bad Content-Length %q", rec.Headers["Content-Length"])
 	}
-	rec.Content = make([]byte, n)
-	if _, err := io.ReadFull(br, rec.Content); err != nil {
+	// Read through a limit rather than into make([]byte, n): the buffer
+	// grows with the bytes that arrive, so a forged Content-Length costs
+	// no more memory than the input holds.
+	content, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("warc: read content: %w", err)
 	}
+	if len(content) < n {
+		return nil, fmt.Errorf("warc: read content: %d of %d bytes: %w", len(content), n, io.ErrUnexpectedEOF)
+	}
+	rec.Content = content
 	return rec, nil
 }
 

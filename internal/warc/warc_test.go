@@ -223,6 +223,20 @@ func TestContentLengthTruncation(t *testing.T) {
 	}
 }
 
+// TestHugeContentLengthErrors: a record declaring far more content than
+// the input holds must fail with an error, not allocate the declared
+// length up front (which panics for lengths past the address space).
+func TestHugeContentLengthErrors(t *testing.T) {
+	raw := "WARC/1.0\r\nContent-Length: 9000000000000000000\r\n\r\nx"
+	r, err := NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err == nil || err == io.EOF {
+		t.Errorf("err = %v, want a short-content error", err)
+	}
+}
+
 func TestRoundTripQuickBodies(t *testing.T) {
 	f := func(body []byte, gz bool) bool {
 		var buf bytes.Buffer
