@@ -280,7 +280,8 @@ func (r *router) flush() {
 // representation (an interned-map hit for canonical catalog URLs, the
 // general parser for everything else — and real logs are full of
 // non-entity URLs) is the expensive stage of replay, so emit only
-// batches raw clicks; a pool of resolver goroutines does the
+// batches raw clicks, into batches the resolvers hand back once read;
+// a pool of resolver goroutines does the
 // resolution and routing concurrently, each with its own router over
 // the shared shard channels. Foreign clicks drop at the resolvers, so
 // shard workers fold pure entity indexes. emit is for a single
@@ -301,6 +302,11 @@ func (sa *ShardedAggregator) Feed() (emit func(logs.Click), done func()) {
 		resolvers = 1
 	}
 	in := make(chan []logs.Click, resolvers)
+	// Spent click batches cycle resolver → emit as freeList cycles ref
+	// batches shard → router. The pool holds every batch that can be in
+	// flight at once: in's buffer full, plus one being resolved per
+	// resolver.
+	spent := make(chan []logs.Click, 2*resolvers)
 	var rwg sync.WaitGroup
 	for i := 0; i < resolvers; i++ {
 		rwg.Add(1)
@@ -319,6 +325,11 @@ func (sa *ShardedAggregator) Feed() (emit func(logs.Click), done func()) {
 				}
 				sa.feedResolved.Add(resolved)
 				sa.feedDropped.Add(dropped)
+				// Every click is read: hand the batch back.
+				select {
+				case spent <- batch[:0]:
+				default:
+				}
 			}
 			r.flush()
 		}()
@@ -328,7 +339,11 @@ func (sa *ShardedAggregator) Feed() (emit func(logs.Click), done func()) {
 		buf = append(buf, c)
 		if len(buf) >= feedBatchSize {
 			in <- buf
-			buf = make([]logs.Click, 0, feedBatchSize)
+			select {
+			case buf = <-spent:
+			default:
+				buf = make([]logs.Click, 0, feedBatchSize)
+			}
 		}
 	}
 	done = func() {

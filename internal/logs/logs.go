@@ -6,6 +6,7 @@ package logs
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -204,21 +205,52 @@ func EntityURL(site Site, key string) (string, error) {
 }
 
 // Writer emits clicks as tab-separated lines
-// (source, cookie, day, url).
+// (source, cookie, day, url). Each line is formatted with strconv
+// straight into the bufio.Writer's free space, so a steady-state Write
+// allocates nothing.
 type Writer struct {
-	bw *bufio.Writer
+	bw    *bufio.Writer
+	spill []byte // line scratch for when the buffer's free space is short
 }
 
 // NewWriter returns a click-log writer on w.
-func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriterSize(w, 1<<16)} }
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), spill: make([]byte, 0, 256)}
+}
+
+// maxNumsLen bounds a line's bytes besides source and URL: a uint64
+// cookie (20 digits), an int day (20 with its sign) and 4 separators.
+const maxNumsLen = 20 + 20 + 4
 
 // Write appends one click.
+//
+//repro:noalloc
 func (w *Writer) Write(c Click) error {
 	if !c.Source.Valid() {
-		return fmt.Errorf("logs: invalid source %q", c.Source)
+		return fmt.Errorf("logs: invalid source %q", c.Source) //repro:alloc-ok error path, once per bad click
 	}
-	if _, err := fmt.Fprintf(w.bw, "%s\t%d\t%d\t%s\n", c.Source, c.Cookie, c.Day, c.URL); err != nil {
-		return fmt.Errorf("logs: write click: %w", err)
+	// A line that fits goes into the buffer's free space, which bw.Write
+	// then only accounts for; one that does not is built in spill and
+	// split across the flush by bw.Write, so every write reaching the
+	// underlying writer is still a full buffer.
+	b := w.bw.AvailableBuffer()
+	spilled := cap(b) < len(c.Source)+len(c.URL)+maxNumsLen
+	if spilled {
+		b = w.spill[:0]
+	}
+	b = append(b, c.Source...)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, c.Cookie, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(c.Day), 10)
+	b = append(b, '\t')
+	b = append(b, c.URL...)
+	b = append(b, '\n')
+	if spilled {
+		w.spill = b
+	}
+	if _, err := w.bw.Write(b); err != nil {
+		return fmt.Errorf("logs: write click: %w", err) //repro:alloc-ok error path, the stream is dead after it
 	}
 	return nil
 }
@@ -231,47 +263,170 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Reader parses a click log written by Writer.
+const (
+	// readBlock is the Reader's first buffer size; each refill of the
+	// buffer becomes one string.
+	readBlock = 1 << 16
+	// maxLine bounds a line, newline included. Past it Next fails with
+	// bufio.ErrTooLong rather than buffering without limit.
+	maxLine = 1 << 22
+)
+
+// Reader parses a click log written by Writer. Lines split exactly as
+// bufio.ScanLines splits them: at '\n', with one trailing '\r' dropped
+// and a last line without a newline still returned.
+//
+// The Reader reads into its own buffer and copies each refilled block
+// (about 64 KiB) into one string. Lines are substrings of that string,
+// so a replay costs one allocation per block, not several per line. A
+// returned Click's URL therefore shares its block's allocation: while
+// any URL from a block is reachable, the whole block stays live. Clone
+// URLs that outlive the replay (strings.Clone).
 type Reader struct {
-	sc   *bufio.Scanner
-	line int
+	r     io.Reader
+	buf   []byte // read buffer: readBlock bytes, doubled up to maxLine for a long line
+	block string // the current block: a copy of buf's filled bytes
+	pos   int    // offset in block of the next unread byte
+	done  bool   // r is drained or failed: block holds the last bytes
+	err   error  // the read error that ended r (nil for io.EOF)
+	line  int
 }
 
 // NewReader returns a click-log reader on r.
 func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return &Reader{sc: sc}
+	return &Reader{r: r, buf: make([]byte, readBlock)}
 }
 
-// Next returns the next click, or io.EOF at end of input.
+// Next returns the next click, or io.EOF at end of input. Blank and
+// whitespace-only lines are skipped but counted in the line numbers
+// that errors carry. A malformed line returns an error wrapping
+// ErrMalformed and is consumed; a read error is returned after every
+// line read before it, and again on each later call.
+//
+//repro:noalloc
 func (r *Reader) Next() (Click, error) {
-	for r.sc.Scan() {
+	for {
+		line, ok := r.nextLine()
+		if !ok {
+			break
+		}
 		r.line++
-		line := r.sc.Text()
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		parts := strings.SplitN(line, "\t", 4)
-		if len(parts) != 4 {
-			return Click{}, fmt.Errorf("logs: line %d has %d fields: %w", r.line, len(parts), ErrMalformed)
-		}
-		src := Source(parts[0])
-		if !src.Valid() {
-			return Click{}, fmt.Errorf("logs: line %d bad source %q: %w", r.line, parts[0], ErrMalformed)
-		}
-		cookie, err := strconv.ParseUint(parts[1], 10, 64)
-		if err != nil {
-			return Click{}, fmt.Errorf("logs: line %d cookie %q: %w", r.line, parts[1], ErrMalformed)
-		}
-		day, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return Click{}, fmt.Errorf("logs: line %d day %q: %w", r.line, parts[2], ErrMalformed)
-		}
-		return Click{Source: src, Cookie: cookie, Day: day, URL: parts[3]}, nil
+		return r.parse(line)
 	}
-	if err := r.sc.Err(); err != nil {
-		return Click{}, fmt.Errorf("logs: scan: %w", err)
+	if r.err != nil {
+		return Click{}, fmt.Errorf("logs: scan: %w", r.err) //repro:alloc-ok error path, once per stream
 	}
 	return Click{}, io.EOF
+}
+
+// parse converts one non-blank line. Fields split at the first three
+// tabs; later tabs stay in the URL.
+//
+//repro:noalloc
+func (r *Reader) parse(line string) (Click, error) {
+	src, rest, ok := strings.Cut(line, "\t")
+	if !ok {
+		return Click{}, r.malformedFields(1)
+	}
+	cookieField, rest, ok := strings.Cut(rest, "\t")
+	if !ok {
+		return Click{}, r.malformedFields(2)
+	}
+	dayField, url, ok := strings.Cut(rest, "\t")
+	if !ok {
+		return Click{}, r.malformedFields(3)
+	}
+	c := Click{URL: url}
+	// The constants, not the field, so a Click pins its block by the
+	// URL alone.
+	switch src {
+	case string(Search):
+		c.Source = Search
+	case string(Browse):
+		c.Source = Browse
+	default:
+		return Click{}, fmt.Errorf("logs: line %d bad source %q: %w", r.line, src, ErrMalformed) //repro:alloc-ok error path, once per malformed line
+	}
+	var err error
+	if c.Cookie, err = strconv.ParseUint(cookieField, 10, 64); err != nil {
+		return Click{}, fmt.Errorf("logs: line %d cookie %q: %w", r.line, cookieField, ErrMalformed) //repro:alloc-ok error path, once per malformed line
+	}
+	if c.Day, err = strconv.Atoi(dayField); err != nil {
+		return Click{}, fmt.Errorf("logs: line %d day %q: %w", r.line, dayField, ErrMalformed) //repro:alloc-ok error path, once per malformed line
+	}
+	return c, nil
+}
+
+func (r *Reader) malformedFields(n int) error {
+	return fmt.Errorf("logs: line %d has %d fields: %w", r.line, n, ErrMalformed)
+}
+
+// nextLine returns the next line without its '\n' and one trailing
+// '\r', or false once the input is exhausted or has failed.
+//
+//repro:noalloc
+func (r *Reader) nextLine() (string, bool) {
+	for {
+		rest := r.block[r.pos:]
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			r.pos += i + 1
+			return strings.TrimSuffix(rest[:i], "\r"), true
+		}
+		if r.done {
+			if rest == "" {
+				return "", false
+			}
+			r.pos = len(r.block)
+			return strings.TrimSuffix(rest, "\r"), true
+		}
+		r.fill()
+	}
+}
+
+// fill starts a new block: it moves the unfinished line at the end of
+// the current one to the front of buf and reads after it until a
+// newline arrives, buf fills, or the input ends or fails. Reads stop
+// at the first error, as bufio.Scanner's do, and the error is held
+// until every line before it is out. A line that fills a maxLine
+// buffer fails with bufio.ErrTooLong even if the input ends right
+// after it, again as bufio.Scanner does.
+func (r *Reader) fill() {
+	n := copy(r.buf, r.block[r.pos:])
+	if n == len(r.buf) {
+		if n >= maxLine {
+			r.block, r.pos, r.done, r.err = "", 0, true, bufio.ErrTooLong
+			return
+		}
+		grown := make([]byte, min(2*len(r.buf), maxLine))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	for empties := 0; ; {
+		m, err := r.r.Read(r.buf[n:])
+		if m < 0 || m > len(r.buf)-n {
+			m, err = 0, bufio.ErrBadReadCount
+		}
+		from := n
+		n += m
+		if err != nil {
+			r.done = true
+			if err != io.EOF {
+				r.err = err
+			}
+			break
+		}
+		if m > 0 {
+			empties = 0
+			if n == len(r.buf) || bytes.IndexByte(r.buf[from:n], '\n') >= 0 {
+				break
+			}
+		} else if empties++; empties == 100 {
+			r.done, r.err = true, io.ErrNoProgress
+			break
+		}
+	}
+	r.block, r.pos = string(r.buf[:n]), 0
 }

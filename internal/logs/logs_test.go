@@ -1,11 +1,15 @@
 package logs
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestParseEntityURL(t *testing.T) {
@@ -239,5 +243,192 @@ func TestURLWithTabRejectedGracefully(t *testing.T) {
 	}
 	if c.URL != "http://x/a\tb" {
 		t.Errorf("URL = %q", c.URL)
+	}
+}
+
+// TestReaderEdgeCases pins the line semantics Reader keeps from
+// bufio.Scanner, each case read through Reader and through the Scanner
+// oracle (oracle_test.go), which must agree result for result.
+func TestReaderEdgeCases(t *testing.T) {
+	click := func(src Source, cookie uint64, day int, url string) outcome {
+		return outcome{click: Click{Source: src, Cookie: cookie, Day: day, URL: url}}
+	}
+	eof := outcome{err: io.EOF.Error()}
+	// edgeLog puts a line's '\n' at offset readBlock+off: at, just before
+	// and just after the first block's end.
+	edgeLog := func(off int) (string, outcome) {
+		head := "search\t1\t2\thttp://x\n"
+		pad := readBlock + off - len(head) - len("browse\t3\t4\t")
+		url := "http://y/" + strings.Repeat("a", pad-len("http://y/"))
+		return head + "browse\t3\t4\t" + url + "\nsearch\t5\t6\thttp://z\n", click(Browse, 3, 4, url)
+	}
+	type edgeCase struct {
+		name string
+		log  string
+		want []outcome // nil: compare with the oracle only
+	}
+	cases := []edgeCase{
+		{name: "crlf", log: "search\t1\t2\thttp://x\r\nbrowse\t3\t4\thttp://y\r\n",
+			want: []outcome{click(Search, 1, 2, "http://x"), click(Browse, 3, 4, "http://y"), eof}},
+		{name: "no final newline", log: "search\t1\t2\thttp://x\nbrowse\t3\t4\thttp://y",
+			want: []outcome{click(Search, 1, 2, "http://x"), click(Browse, 3, 4, "http://y"), eof}},
+		{name: "no final newline crlf", log: "search\t1\t2\thttp://x\r",
+			want: []outcome{click(Search, 1, 2, "http://x"), eof}},
+		{name: "whitespace-only lines", log: " \n\t\t\n\r\n  \n\v\f\nbad\nsearch\t1\t2\thttp://x\n  ",
+			want: []outcome{
+				{err: "logs: line 6 has 1 fields: " + ErrMalformed.Error(), malformed: true},
+				click(Search, 1, 2, "http://x"), eof}},
+		{name: "three fields", log: "search\t1\t2\nsearch\t1\t2\t\n",
+			want: []outcome{
+				{err: "logs: line 1 has 3 fields: " + ErrMalformed.Error(), malformed: true},
+				click(Search, 1, 2, ""), eof}},
+		{name: "url with tabs", log: "search\t1\t2\thttp://x/a\tb\t\tc\n",
+			want: []outcome{click(Search, 1, 2, "http://x/a\tb\t\tc"), eof}},
+	}
+	for _, off := range []int{-2, -1, 0, 1} {
+		log, mid := edgeLog(off)
+		cases = append(cases, edgeCase{fmt.Sprintf("newline at block end %+d", off), log,
+			[]outcome{click(Search, 1, 2, "http://x"), mid, click(Search, 5, 6, "http://z"), eof}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := drain(t, NewReader(strings.NewReader(c.log)).Next, 100)
+			sameOutcomes(t, "oracle", drain(t, newOracleReader(strings.NewReader(c.log)).Next, 100), got)
+			if c.want != nil {
+				sameOutcomes(t, "Reader", got, c.want)
+			}
+		})
+	}
+
+	// A line past maxLine fails the stream, not the line.
+	t.Run("line too long", func(t *testing.T) {
+		log := "search\t1\t2\thttp://x\nsearch\t1\t2\t" + strings.Repeat("a", maxLine) + "\nsearch\t1\t2\thttp://y\n"
+		got := drain(t, NewReader(strings.NewReader(log)).Next, 10)
+		sameOutcomes(t, "oracle", drain(t, newOracleReader(strings.NewReader(log)).Next, 10), got)
+		last := got[len(got)-1]
+		if len(got) != 2 || last.malformed || !strings.Contains(last.err, bufio.ErrTooLong.Error()) {
+			t.Fatalf("got %d results ending %+v, want one click then a non-malformed %v", len(got), last, bufio.ErrTooLong)
+		}
+	})
+
+	// Failing readers: lines read before the failure come out, then the
+	// error, as the oracle gives them. The timeout strikes mid-log, on
+	// the second read, so the last line before it is cut short.
+	var big strings.Builder
+	for i := 0; big.Len() < 3*readBlock; i++ {
+		fmt.Fprintf(&big, "search\t%d\t%d\thttp://www.yelp.example.com/biz/place-%d\n", i, i%365, i)
+	}
+	for _, c := range []struct {
+		name string
+		r    func() io.Reader
+		want error
+	}{
+		{"DataErrReader", func() io.Reader { return iotest.DataErrReader(strings.NewReader(big.String())) }, nil},
+		{"TimeoutReader", func() io.Reader { return iotest.TimeoutReader(strings.NewReader(big.String())) }, iotest.ErrTimeout},
+		{"stalled reader", func() io.Reader { return io.MultiReader(strings.NewReader(big.String()), stalledReader{}) }, io.ErrNoProgress},
+		{"bad read count", func() io.Reader { return io.MultiReader(strings.NewReader(big.String()), badCountReader{}) }, bufio.ErrBadReadCount},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewReader(c.r())
+			got := drain(t, r.Next, 1<<14)
+			sameOutcomes(t, "oracle", drain(t, newOracleReader(c.r()).Next, 1<<14), got)
+			_, err := r.Next()
+			if c.want == nil && err != io.EOF || c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("after %d results Next = %v, want %v", len(got), err, c.want)
+			}
+		})
+	}
+}
+
+// TestWriterWriteZeroAlloc pins Write at zero allocations, across
+// buffer flushes (each run writes several buffers' worth) and with a
+// URL longer than the spill scratch starts out.
+func TestWriterWriteZeroAlloc(t *testing.T) {
+	clicks := make([]Click, 3000)
+	for i := range clicks {
+		clicks[i] = Click{Source: Browse, Cookie: uint64(i) << 40, Day: i % 365,
+			URL: "http://www.yelp.example.com/biz/golden-kitchen-springfield-" + strings.Repeat("x", i%7)}
+	}
+	clicks[1500].URL = "http://x/" + strings.Repeat("y", 1000)
+	w := NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(20, func() {
+		for _, c := range clicks {
+			if err := w.Write(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("Write allocates %v per %d clicks, want 0", n, len(clicks))
+	}
+}
+
+// TestReaderNextAllocs bounds Reader's allocations: one string per
+// ~64 KiB block, so well under one per 256 lines of a click log.
+func TestReaderNextAllocs(t *testing.T) {
+	const lines = 100_000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < lines; i++ {
+		if err := w.Write(Click{Source: Search, Cookie: uint64(i) * 2654435761, Day: i % 365,
+			URL: fmt.Sprintf("http://www.yelp.example.com/biz/place-%d", i%5000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewReader(bytes.NewReader(data))
+	n := 0
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	runtime.ReadMemStats(&after)
+	if n != lines {
+		t.Fatalf("read %d clicks, want %d", n, lines)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d lines, %d bytes: %d allocations", lines, len(data), mallocs)
+	if mallocs >= lines/256 {
+		t.Fatalf("reading %d lines (%d bytes) made %d allocations, want < %d", lines, len(data), mallocs, lines/256)
+	}
+}
+
+// stalledReader never makes progress: every Read returns 0, nil.
+type stalledReader struct{}
+
+func (stalledReader) Read([]byte) (int, error) { return 0, nil }
+
+// badCountReader claims to have read more bytes than it was given.
+type badCountReader struct{}
+
+func (badCountReader) Read(p []byte) (int, error) { return len(p) + 1, nil }
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, iotest.ErrTimeout }
+
+func TestWriterReportsWriteErrors(t *testing.T) {
+	w := NewWriter(failWriter{})
+	c := Click{Source: Search, Cookie: 1, Day: 2, URL: "http://x/" + strings.Repeat("a", 1<<16)}
+	if err := w.Write(c); !errors.Is(err, iotest.ErrTimeout) {
+		t.Errorf("Write past the buffer = %v, want the writer's error", err)
+	}
+	if err := NewWriter(failWriter{}).Write(Click{Source: Browse}); err != nil {
+		t.Fatalf("buffered Write = %v, want nil until the flush", err)
+	}
+	w = NewWriter(failWriter{})
+	_ = w.Write(Click{Source: Browse})
+	if err := w.Flush(); !errors.Is(err, iotest.ErrTimeout) {
+		t.Errorf("Flush = %v, want the writer's error", err)
 	}
 }

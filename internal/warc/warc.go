@@ -170,8 +170,16 @@ func (w *Writer) WriteResponse(uri string, html []byte) (offset, length int64, e
 	})
 }
 
+// maxRecordBytes bounds one decompressed gzip member: 64 MiB, far above
+// any page record a crawl stores (crawlers truncate responses at a few
+// MiB). A member that inflates past it fails Next, so a small
+// compressed input cannot expand without bound in memory. A variable
+// so tests can lower it.
+var maxRecordBytes int64 = 64 << 20
+
 // Reader reads WARC records sequentially from an underlying reader,
-// transparently handling per-record gzip members.
+// transparently handling per-record gzip members. A gzip member may
+// decompress to at most 64 MiB.
 type Reader struct {
 	br   *bufio.Reader
 	gzip bool
@@ -202,9 +210,12 @@ func (r *Reader) Next() (*Record, error) {
 			return nil, fmt.Errorf("warc: gzip member: %w", err)
 		}
 		gz.Multistream(false)
-		data, err := io.ReadAll(gz)
+		data, err := io.ReadAll(io.LimitReader(gz, maxRecordBytes+1))
 		if err != nil {
 			return nil, fmt.Errorf("warc: decompress record: %w", err)
+		}
+		if int64(len(data)) > maxRecordBytes {
+			return nil, fmt.Errorf("warc: gzip member decompresses past %d bytes", maxRecordBytes)
 		}
 		if err := gz.Close(); err != nil {
 			return nil, fmt.Errorf("warc: gzip close: %w", err)

@@ -259,3 +259,49 @@ func TestRoundTripQuickBodies(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGzipMemberBounded: a gzip member that inflates past
+// maxRecordBytes fails Next instead of being read whole, while one
+// exactly at the limit still reads.
+func TestGzipMemberBounded(t *testing.T) {
+	defer func(old int64) { maxRecordBytes = old }(maxRecordBytes)
+	maxRecordBytes = 64 << 10
+	record := func(bodyLen int, gz bool) []byte {
+		var buf bytes.Buffer
+		body := bytes.Repeat([]byte("a"), bodyLen)
+		if _, _, err := NewWriter(&buf, gz, testDate).WriteResponse("http://z.example.com/", body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	read := func(member []byte) error {
+		r, err := NewReader(bytes.NewReader(member))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Next()
+		return err
+	}
+
+	bomb := record(1<<20, true)
+	if len(bomb) > 8<<10 {
+		t.Fatalf("test member is %d bytes compressed; want a small one", len(bomb))
+	}
+	if err := read(bomb); err == nil || err == io.EOF || !strings.Contains(err.Error(), "decompresses past") {
+		t.Fatalf("1 MiB member under a 64 KiB limit: err = %v, want a size error", err)
+	}
+
+	// Size a body so the decompressed record is exactly the limit (the
+	// Content-Length digits do not change between the two sizes).
+	bodyLen := int(maxRecordBytes) - 1000
+	bodyLen += int(maxRecordBytes) - len(record(bodyLen, false))
+	if n := len(record(bodyLen, false)); n != int(maxRecordBytes) {
+		t.Fatalf("sized record is %d bytes, want %d", n, maxRecordBytes)
+	}
+	if err := read(record(bodyLen, true)); err != nil {
+		t.Fatalf("member at the limit: %v", err)
+	}
+	if err := read(record(bodyLen+1, true)); err == nil {
+		t.Fatal("member one byte past the limit read without error")
+	}
+}
