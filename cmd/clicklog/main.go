@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -341,9 +340,6 @@ func sniffFormat(path string) (string, error) {
 
 // aggregate replays o.in into a fresh sharded aggregator.
 func aggregate(o aggOptions) (*aggResult, error) {
-	if o.shards <= 0 {
-		o.shards = runtime.GOMAXPROCS(0)
-	}
 	format := o.format
 	if format == "" || format == "auto" {
 		var err error

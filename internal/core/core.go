@@ -24,7 +24,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/classify"
@@ -90,9 +90,14 @@ func (c Config) withDefaults() Config {
 // sound. The leading "v1|" versions the canonical encoding itself.
 func (c Config) Hash() string {
 	r := c.withDefaults()
-	canonical := fmt.Sprintf("v1|seed=%d|entities=%d|dirhosts=%d|catalog=%d|events=%d|extract=%t",
-		r.Seed, r.Entities, r.DirectoryHosts, r.CatalogN, r.EventsPerSource, r.UseExtraction)
-	sum := sha256.Sum256([]byte(canonical))
+	b := make([]byte, 0, 128)
+	b = strconv.AppendUint(append(b, "v1|seed="...), r.Seed, 10)
+	b = strconv.AppendInt(append(b, "|entities="...), int64(r.Entities), 10)
+	b = strconv.AppendInt(append(b, "|dirhosts="...), int64(r.DirectoryHosts), 10)
+	b = strconv.AppendInt(append(b, "|catalog="...), int64(r.CatalogN), 10)
+	b = strconv.AppendInt(append(b, "|events="...), int64(r.EventsPerSource), 10)
+	b = strconv.AppendBool(append(b, "|extract="...), r.UseExtraction)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }
 

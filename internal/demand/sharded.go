@@ -47,11 +47,12 @@ type ShardedAggregator struct {
 }
 
 // NewShardedAggregator returns an aggregator with `shards` partitions
-// over cat (minimum 1). The catalog URL/key lookups are shared
-// read-only by Feed's resolver workers.
+// over cat; shards <= 0 means GOMAXPROCS, as for PipelineConfig.Shards.
+// The catalog URL/key lookups are shared read-only by Feed's resolver
+// workers.
 func NewShardedAggregator(cat *Catalog, shards int) *ShardedAggregator {
-	if shards < 1 {
-		shards = 1
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
 	n := len(cat.Entities)
 	sa := &ShardedAggregator{

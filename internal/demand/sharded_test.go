@@ -1,6 +1,7 @@
 package demand
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/logs"
@@ -67,12 +68,18 @@ func TestShardRoutingIsStable(t *testing.T) {
 	}
 }
 
+// TestNewShardedAggregatorClampsShards: a shard count of zero or below
+// means GOMAXPROCS, the package's convention for worker counts
+// (PipelineConfig.Shards, clicklog agg -shards 0).
 func TestNewShardedAggregatorClampsShards(t *testing.T) {
 	cat := testCatalog(t, logs.Yelp, 10)
-	if got := NewShardedAggregator(cat, 0).Shards(); got != 1 {
-		t.Errorf("shards=0 clamped to %d, want 1", got)
+	want := runtime.GOMAXPROCS(0)
+	for _, shards := range []int{0, -4} {
+		if got := NewShardedAggregator(cat, shards).Shards(); got != want {
+			t.Errorf("shards=%d gives %d shards, want GOMAXPROCS = %d", shards, got, want)
+		}
 	}
-	if got := NewShardedAggregator(cat, -4).Shards(); got != 1 {
-		t.Errorf("shards=-4 clamped to %d, want 1", got)
+	if got := NewShardedAggregator(cat, 3).Shards(); got != 3 {
+		t.Errorf("shards=3 gives %d shards", got)
 	}
 }

@@ -3,6 +3,7 @@ package entity
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dist"
@@ -59,16 +60,13 @@ func Generate(cfg Config) (*DB, error) {
 		hf = 0.85
 	}
 	rng := dist.NewRNG(cfg.Seed ^ 0xe17a_b1e5)
-	db := &DB{
-		Domain:     cfg.Domain,
-		Entities:   make([]Entity, 0, cfg.N),
-		byPhone:    make(map[CanonicalPhone]int),
-		byISBN:     make(map[string]int),
-		byHomepage: make(map[string]int),
-	}
+	db := &DB{Domain: cfg.Domain, Entities: make([]Entity, 0, cfg.N)}
 	if cfg.Domain == Books {
+		db.byISBN = make(map[string]int, 2*cfg.N) // ISBN-10 and ISBN-13 keys
 		genBooks(db, rng, cfg.N)
 	} else {
+		db.byPhone = make(map[CanonicalPhone]int, cfg.N)
+		db.byHomepage = make(map[string]int, int(hf*float64(cfg.N))+1)
 		genBusinesses(db, rng, cfg.N, hf)
 	}
 	return db, nil
@@ -79,20 +77,26 @@ func genBooks(db *DB, rng *dist.RNG, n int) {
 		// Draw distinct ISBN-10 bodies until unique.
 		var isbn10, isbn13 string
 		for {
-			body := fmt.Sprintf("%09d", rng.Intn(1_000_000_000))
-			check, err := ISBN10CheckDigit(body)
+			// The nine-digit body, zero-padded: "978" + body is the
+			// ISBN-13 body.
+			b := [13]byte{'9', '7', '8'}
+			for v, j := rng.Intn(1_000_000_000), 11; j >= 3; v, j = v/10, j-1 {
+				b[j] = byte('0' + v%10)
+			}
+			check10, err := ISBN10CheckDigit(string(b[3:12]))
 			if err != nil {
 				continue
 			}
-			isbn10 = body + string(check)
+			isbn10 = string(b[3:12]) + string(check10)
 			if _, dup := db.byISBN[isbn10]; dup {
 				continue
 			}
-			conv, err := ISBN10To13(isbn10)
+			check13, err := ISBN13CheckDigit(string(b[:12]))
 			if err != nil {
 				continue
 			}
-			isbn13 = conv
+			b[12] = check13
+			isbn13 = string(b[:])
 			break
 		}
 		e := Entity{
@@ -136,22 +140,22 @@ func genBusinesses(db *DB, rng *dist.RNG, n int, homepageFraction float64) {
 	}
 }
 
-// homepageURL builds a unique homepage for entity i derived from its name.
+// homepageURL builds a unique homepage for entity i derived from its
+// name: the first 24 ASCII letters and digits of the name, lower-cased,
+// then i.
 func homepageURL(name string, i int) string {
-	slug := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return r
-		case r >= 'A' && r <= 'Z':
-			return r + ('a' - 'A')
-		default:
-			return -1
+	var buf [80]byte
+	b := append(buf[:0], "http://www."...)
+	for j, n := 0, 0; j < len(name) && n < 24; j++ {
+		switch c := name[j]; {
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
+			b, n = append(b, c), n+1
+		case c >= 'A' && c <= 'Z':
+			b, n = append(b, c+('a'-'A')), n+1
 		}
-	}, name)
-	if len(slug) > 24 {
-		slug = slug[:24]
 	}
-	return fmt.Sprintf("http://www.%s%d.example.com/", slug, i)
+	b = strconv.AppendInt(b, int64(i), 10)
+	return string(append(b, ".example.com/"...))
 }
 
 // CanonicalURL normalizes a URL for homepage identity comparison:

@@ -3,12 +3,11 @@
 // aggregate the set of entities found on all the pages in that host."
 // One Index covers one (domain, attribute) pair; the coverage and graph
 // analyses consume it. Builder keeps one entity row per host; Build
-// packs the rows, in size order, into one column the sites view.
+// sorts each row in place and orders the rows by size.
 package index
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -40,34 +39,63 @@ type Index struct {
 	NumEntities int
 	// Sites is ordered descending by entity count (ties broken by host
 	// name) once Build has run. Their Entities are capacity-clipped
-	// views of one packed column: an append to one never overwrites
-	// the next.
+	// views of the builder's rows: an append to one never overwrites
+	// another.
 	Sites []Site
 }
 
 // Builder accumulates page-level mentions into an Index, one row per
-// host (numbered by Site) holding its entity IDs unsorted until Build.
-// It is not safe for concurrent use, except that once every row is
-// registered, AddTo and AddPagesTo calls for distinct rows may run
-// concurrently: workers that own disjoint hosts need no lock.
+// host holding its entity IDs unsorted until Build. It is not safe for
+// concurrent use, except that once every row is registered, AddTo and
+// AddPagesTo calls for distinct rows may run concurrently: workers that
+// own disjoint hosts need no lock.
 type Builder struct {
 	domain entity.Domain
 	attr   entity.Attr
 	num    int
-	rowOf  map[string]int
+	rowOf  map[string]int // built by the first Site call
 	hosts  []string
+	byHost []int // rows in ascending host order; nil: Build sorts names
 	rows   [][]int
 	pages  []int
 }
 
 // NewBuilder returns a Builder for one (domain, attribute) with the
-// given entity-database size.
+// given entity-database size. Rows are registered by Site.
 func NewBuilder(domain entity.Domain, attr entity.Attr, numEntities int) *Builder {
-	return &Builder{domain: domain, attr: attr, num: numEntities, rowOf: make(map[string]int)}
+	return &Builder{domain: domain, attr: attr, num: numEntities}
+}
+
+// NewBuilderRows returns a Builder whose row r is hosts[r], which must
+// be distinct: no host map is built. byHost (read, never written) lists
+// the rows in ascending host order, so Build breaks size ties by rank.
+// counts, if non-nil, gives each row's number of AddTo calls: the rows
+// are carved from one column, so filling them never reallocates.
+func NewBuilderRows(domain entity.Domain, attr entity.Attr, numEntities int, hosts []string, byHost, counts []int) *Builder {
+	b := &Builder{domain: domain, attr: attr, num: numEntities,
+		hosts: hosts[:len(hosts):len(hosts)], byHost: byHost,
+		rows: make([][]int, len(hosts)), pages: make([]int, len(hosts))}
+	if counts != nil {
+		total := 0
+		for _, n := range counts {
+			total += n
+		}
+		col := make([]int, total)
+		for r, n := range counts {
+			b.rows[r], col = col[:0:n], col[n:]
+		}
+	}
+	return b
 }
 
 // Site returns host's row, registering the host on first use.
 func (b *Builder) Site(host string) int {
+	if b.rowOf == nil {
+		b.rowOf = make(map[string]int, len(b.hosts))
+		for r, h := range b.hosts {
+			b.rowOf[h] = r
+		}
+	}
 	if r, ok := b.rowOf[host]; ok {
 		return r
 	}
@@ -76,6 +104,7 @@ func (b *Builder) Site(host string) int {
 	b.hosts = append(b.hosts, host)
 	b.rows = append(b.rows, nil)
 	b.pages = append(b.pages, 0)
+	b.byHost = nil // a new host has no rank
 	return r
 }
 
@@ -91,49 +120,41 @@ func (b *Builder) Add(host string, id int) { b.AddTo(b.Site(host), id) }
 // AddPage increments host's attribute-page counter.
 func (b *Builder) AddPage(host string) { b.AddPagesTo(b.Site(host), 1) }
 
-// Merge folds other into b. Other must target the same attribute.
-func (b *Builder) Merge(other *Builder) error {
-	if other.domain != b.domain || other.attr != b.attr {
-		return fmt.Errorf("index: merging %s/%s into %s/%s", other.domain, other.attr, b.domain, b.attr)
-	}
-	for r, host := range other.hosts {
-		dst := b.Site(host)
-		b.rows[dst] = append(b.rows[dst], other.rows[r]...)
-		b.pages[dst] += other.pages[r]
-	}
-	return nil
-}
-
-// Build finalizes the index: rows sorted ascending and deduplicated,
-// rows with neither entities nor pages dropped, and the rest packed
-// into one column in the paper's top-t order — descending by entity
-// count, ties broken by host name.
+// Build finalizes the index: each row sorted ascending and deduplicated
+// in place, rows with neither entities nor pages dropped, and the rest
+// in the paper's top-t order — descending by entity count, ties broken
+// by host name — by one integer sort of (size, host rank) keys. Hosts
+// without a rank from NewBuilderRows are ranked by name first.
 func (b *Builder) Build() *Index {
-	order := make([]int, 0, len(b.rows))
-	total := 0
-	for r, row := range b.rows {
+	byHost := b.byHost
+	if byHost == nil {
+		byHost = make([]int, len(b.hosts))
+		for r := range byHost {
+			byHost[r] = r
+		}
+		slices.SortFunc(byHost, func(x, y int) int { return strings.Compare(b.hosts[x], b.hosts[y]) })
+	}
+	keys := make([]uint64, 0, len(b.rows))
+	for rank, r := range byHost {
+		row := b.rows[r]
 		slices.Sort(row)
-		b.rows[r] = slices.Compact(row)
-		if n := len(b.rows[r]); n > 0 || b.pages[r] > 0 {
-			order = append(order, r)
-			total += n
+		row = slices.Compact(row)
+		b.rows[r] = row[:len(row):len(row)]
+		if len(row) > 0 || b.pages[r] > 0 { // ^size: larger rows sort first
+			keys = append(keys, uint64(^uint32(len(row)))<<32|uint64(rank))
 		}
 	}
-	slices.SortFunc(order, func(x, y int) int {
-		if c := cmp.Compare(len(b.rows[y]), len(b.rows[x])); c != 0 {
-			return c
-		}
-		return strings.Compare(b.hosts[x], b.hosts[y])
-	})
+	slices.Sort(keys)
 	idx := &Index{Domain: b.domain, Attr: b.attr, NumEntities: b.num}
-	col := make([]int, 0, total)
-	for _, r := range order {
-		s := Site{Host: b.hosts[r], Pages: b.pages[r]}
-		if lo := len(col); len(b.rows[r]) > 0 {
-			col = append(col, b.rows[r]...)
-			s.Entities = col[lo:len(col):len(col)]
+	if len(keys) > 0 {
+		idx.Sites = make([]Site, len(keys))
+	}
+	for i, k := range keys {
+		r := byHost[uint32(k)]
+		idx.Sites[i] = Site{Host: b.hosts[r], Pages: b.pages[r]}
+		if len(b.rows[r]) > 0 {
+			idx.Sites[i].Entities = b.rows[r]
 		}
-		idx.Sites = append(idx.Sites, s)
 	}
 	return idx
 }
@@ -242,52 +263,4 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		return n, fmt.Errorf("index: flush: %w", err)
 	}
 	return n, nil
-}
-
-// Read parses an index written by WriteTo.
-func Read(r io.Reader) (*Index, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("index: read header: %w", err)
-		}
-		return nil, fmt.Errorf("index: empty input")
-	}
-	head := strings.Split(sc.Text(), "\t")
-	if len(head) != 3 {
-		return nil, fmt.Errorf("index: malformed header %q", sc.Text())
-	}
-	num, err := strconv.Atoi(head[2])
-	if err != nil {
-		return nil, fmt.Errorf("index: header entity count: %w", err)
-	}
-	idx := &Index{Domain: entity.Domain(head[0]), Attr: entity.Attr(head[1]), NumEntities: num}
-	line := 1
-	for sc.Scan() {
-		line++
-		parts := strings.SplitN(sc.Text(), "\t", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("index: line %d has %d fields", line, len(parts))
-		}
-		pages, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("index: line %d pages: %w", line, err)
-		}
-		site := Site{Host: parts[0], Pages: pages}
-		if parts[2] != "" {
-			for _, f := range strings.Split(parts[2], ",") {
-				id, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("index: line %d entity id %q: %w", line, f, err)
-				}
-				site.Entities = append(site.Entities, id)
-			}
-		}
-		idx.Sites = append(idx.Sites, site)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("index: scan: %w", err)
-	}
-	return idx, nil
 }

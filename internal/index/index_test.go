@@ -1,13 +1,82 @@
 package index
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/entity"
 )
+
+// Merge folds other into b. Other must target the same attribute. No
+// production path merges builders, so it lives with the tests that
+// route adds through a second builder.
+func (b *Builder) Merge(other *Builder) error {
+	if other.domain != b.domain || other.attr != b.attr {
+		return fmt.Errorf("index: merging %s/%s into %s/%s", other.domain, other.attr, b.domain, b.attr)
+	}
+	for r, host := range other.hosts {
+		dst := b.Site(host)
+		b.rows[dst] = append(b.rows[dst], other.rows[r]...)
+		b.pages[dst] += other.pages[r]
+	}
+	return nil
+}
+
+// Read parses an index written by WriteTo. No production path reads an
+// index file back, so it lives with the round-trip tests.
+func Read(r io.Reader) (*Index, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("index: read header: %w", err)
+		}
+		return nil, fmt.Errorf("index: empty input")
+	}
+	head := strings.Split(sc.Text(), "\t")
+	if len(head) != 3 {
+		return nil, fmt.Errorf("index: malformed header %q", sc.Text())
+	}
+	num, err := strconv.Atoi(head[2])
+	if err != nil {
+		return nil, fmt.Errorf("index: header entity count: %w", err)
+	}
+	idx := &Index{Domain: entity.Domain(head[0]), Attr: entity.Attr(head[1]), NumEntities: num}
+	line := 1
+	for sc.Scan() {
+		line++
+		parts := strings.SplitN(sc.Text(), "\t", 3)
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("index: line %d has %d fields", line, len(parts))
+		}
+		pages, err := strconv.Atoi(parts[1])
+		if err != nil {
+			return nil, fmt.Errorf("index: line %d pages: %w", line, err)
+		}
+		site := Site{Host: parts[0], Pages: pages}
+		if parts[2] != "" {
+			for _, f := range strings.Split(parts[2], ",") {
+				id, err := strconv.Atoi(f)
+				if err != nil {
+					return nil, fmt.Errorf("index: line %d entity id %q: %w", line, f, err)
+				}
+				site.Entities = append(site.Entities, id)
+			}
+		}
+		idx.Sites = append(idx.Sites, site)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("index: scan: %w", err)
+	}
+	return idx, nil
+}
 
 func TestBuilderBasics(t *testing.T) {
 	b := NewBuilder(entity.Restaurants, entity.AttrPhone, 100)

@@ -15,7 +15,12 @@ import (
 // the bytes lets If-None-Match revalidations be answered 304 without
 // touching the study cache or building any body at all.
 func ETagFor(cfg core.Config, endpoint, format string) string {
-	sum := sha256.Sum256([]byte(cfg.Hash() + "|" + endpoint + "|" + format))
+	return etagOf(cfg.Hash(), endpoint, format)
+}
+
+// etagOf is ETagFor over an already computed config hash.
+func etagOf(configHash, endpoint, format string) string {
+	sum := sha256.Sum256([]byte(configHash + "|" + endpoint + "|" + format))
 	return `"` + hex.EncodeToString(sum[:8]) + `"`
 }
 

@@ -133,21 +133,29 @@ func retryAfterSeconds(d time.Duration) string {
 // deterministic, so the config-derived ETag is still the truth and a
 // later revalidation correctly 304s — plus the RFC 7234 staleness
 // warning that tells caches and clients the origin could not rebuild.
-func (s *Server) writeStale(w http.ResponseWriter, b *body, cfg core.Config) {
+func (s *Server) writeStale(w http.ResponseWriter, b *body, configHash string) {
 	s.cStale.Inc()
+	w.Header().Set("Warning", `110 - "response is stale"`)
+	writeBody(w, b, configHash)
+}
+
+// writeBody writes a built body with its success headers. An error
+// response must not carry the config-derived ETag, or a cache could
+// revalidate it forever.
+func writeBody(w http.ResponseWriter, b *body, configHash string) {
 	h := w.Header()
 	h.Set("ETag", b.etag)
-	h.Set("X-Config-Hash", cfg.Hash())
+	h.Set("X-Config-Hash", configHash)
 	h.Set("Content-Type", b.contentType)
-	h.Set("Warning", `110 - "response is stale"`)
 	_, _ = w.Write(b.data)
 }
 
 // serveCached is the shared path of every study-backed endpoint: parse
 // the study key, answer If-None-Match revalidations 304 straight from
-// the deterministic ETag (no study or body is touched), otherwise serve
-// the response body from the per-(study, endpoint, format) cache,
-// building it at most once however many requests race.
+// the deterministic ETag (no study or body is touched), write a
+// committed body from the per-(study, endpoint, format) cache on the
+// request goroutine, and otherwise build it, at most once however many
+// requests race.
 //
 // The failure path degrades in order of preference: a failed build is
 // retried per s.opts.Retry; a build that still fails is answered with
@@ -163,8 +171,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cfg := configFor(key, s.opts.Workers)
-	etag := ETagFor(cfg, endpoint, format)
+	configHash := configFor(key, s.opts.Workers).Hash()
+	etag := etagOf(configHash, endpoint, format)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -178,21 +186,23 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 	bk := bodyKey{endpoint: endpoint, format: format}
 	sk := staleKey{study: key, body: bk}
 
-	// Breaker gate: only a cold build consults the circuit. A committed
-	// body serves regardless of breaker state — degradation never takes
-	// away what is already built.
-	if _, ok := e.bodies.Cached(bk); !ok {
-		if ok, wait := e.breaker.allow(); !ok {
-			s.cBreakerOpen.Inc()
-			if st, found := s.stale.get(sk); found {
-				s.writeStale(w, st, cfg)
-				return
-			}
-			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			writeError(w, http.StatusServiceUnavailable,
-				"study %s unavailable: cold builds suspended after repeated failures", key)
+	// A committed body serves regardless of breaker state — degradation
+	// never takes away what is already built. Only a cold build consults
+	// the circuit.
+	if b, ok := e.bodies.Cached(bk); ok {
+		writeBody(w, b, configHash)
+		return
+	}
+	if ok, wait := e.breaker.allow(); !ok {
+		s.cBreakerOpen.Inc()
+		if st, found := s.stale.get(sk); found {
+			s.writeStale(w, st, configHash)
 			return
 		}
+		w.Header().Set("Retry-After", retryAfterSeconds(wait))
+		writeError(w, http.StatusServiceUnavailable,
+			"study %s unavailable: cold builds suspended after repeated failures", key)
+		return
 	}
 	// The build runs on a context detached from this request, budgeted
 	// by the server's own timeout: coalesced waiters share one build
@@ -238,19 +248,13 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 	case out := <-done:
 		if out.err != nil {
 			if st, found := s.stale.get(sk); found {
-				s.writeStale(w, st, cfg)
+				s.writeStale(w, st, configHash)
 				return
 			}
 			writeBuildError(w, out.err)
 			return
 		}
-		// Success headers only: an error response must not carry the
-		// config-derived ETag, or a cache could revalidate it forever.
-		h := w.Header()
-		h.Set("ETag", out.b.etag)
-		h.Set("X-Config-Hash", cfg.Hash())
-		h.Set("Content-Type", out.b.contentType)
-		_, _ = w.Write(out.b.data)
+		writeBody(w, out.b, configHash)
 	case <-r.Context().Done():
 		writeBuildError(w, r.Context().Err())
 	}

@@ -52,10 +52,15 @@ func (w *statusWriter) wroteStatus() int {
 }
 
 // AccessLog emits one structured log line per request: method, path,
-// status, response bytes and wall-clock duration.
+// status, response bytes and wall-clock duration. While the logger
+// drops Info records, requests pass straight through, unwrapped.
 func AccessLog(log *slog.Logger) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !log.Enabled(r.Context(), slog.LevelInfo) {
+				next.ServeHTTP(w, r)
+				return
+			}
 			sw := &statusWriter{ResponseWriter: w}
 			t0 := time.Now()
 			next.ServeHTTP(sw, r)

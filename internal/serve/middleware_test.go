@@ -75,6 +75,25 @@ func TestAccessLogDefaultsTo200(t *testing.T) {
 	}
 }
 
+// TestAccessLogPassesThroughWhenInfoDisabled: a logger that drops Info
+// records logs nothing, and the handler gets the caller's writer, not
+// the status-recording wrapper.
+func TestAccessLogPassesThroughWhenInfoDisabled(t *testing.T) {
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	rec := httptest.NewRecorder()
+	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if w != http.ResponseWriter(rec) {
+			t.Errorf("handler got %T, want the caller's writer", w)
+		}
+		w.WriteHeader(http.StatusTeapot)
+	}), AccessLog(log))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if rec.Code != http.StatusTeapot || buf.Len() != 0 {
+		t.Errorf("status %d, log %q; want 418 and no log", rec.Code, buf.String())
+	}
+}
+
 // TestLimitBoundsConcurrency admits at most n requests at once: with
 // n=2 and 4 concurrent slow requests, the peak observed concurrency is
 // exactly 2.

@@ -136,6 +136,30 @@ func TestRepeatedRequestsIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmBodyHeaders: a body served from the cache carries the cold
+// response's success headers: the ETag derived from the config hash,
+// the X-Config-Hash itself and the content type.
+func TestWarmBodyHeaders(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	const path = "/v1/spread/books/isbn?scale=small&seed=7&format=csv"
+	key, err := parseStudyKey(map[string][]string{"scale": {"small"}, "seed": {"7"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := configFor(key, 0).Hash()
+	_, cold, coldBody := get(t, ts, path, nil)
+	status, warm, warmBody := get(t, ts, path, nil)
+	if status != http.StatusOK || string(warmBody) != string(coldBody) {
+		t.Fatalf("warm: status %d, body equal %t", status, string(warmBody) == string(coldBody))
+	}
+	for _, h := range []http.Header{cold, warm} {
+		if h.Get("X-Config-Hash") != hash || h.Get("ETag") != etagOf(hash, "spread/books/isbn", "csv") ||
+			h.Get("Content-Type") != ctCSV {
+			t.Errorf("headers %v, want config hash %s and its ETag", h, hash)
+		}
+	}
+}
+
 func TestIfNoneMatch304(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	const path = "/v1/experiments/table1?scale=small&seed=1"

@@ -3,6 +3,8 @@ package synth
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/classify"
@@ -15,15 +17,33 @@ import (
 // from the model's coverage decisions, bypassing HTML. This is the fast
 // path used for large parameter sweeps; ExtractIndexes (render → parse →
 // extract → aggregate) produces identical indexes on the same web, which
-// the test suite asserts.
+// the test suite asserts. Postings are counted per site, then filled.
 func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
-	builders, err := w.siteBuilders()
-	if err != nil {
-		panic(err) // Generate gives every site its own host
-	}
 	keyAttr := entity.AttrPhone
 	if w.Config.Domain == entity.Books {
 		keyAttr = entity.AttrISBN
+	}
+	counts := make(map[entity.Attr][]int, 3)
+	for _, a := range entity.AttrsFor(w.Config.Domain) {
+		counts[a] = make([]int, len(w.Sites))
+	}
+	keyN, homeN, reviewN := counts[keyAttr], counts[entity.AttrHomepage], counts[entity.AttrReview]
+	for si := range w.Sites {
+		for _, l := range w.Sites[si].Listings {
+			if l.HasKey {
+				keyN[si]++
+			}
+			if l.HasHomepage && homeN != nil {
+				homeN[si]++
+			}
+			if l.Reviews > 0 && reviewN != nil {
+				reviewN[si]++
+			}
+		}
+	}
+	builders, err := w.siteBuilders(counts)
+	if err != nil {
+		panic(err) // Generate gives every site its own host
 	}
 	key, home, review := builders[keyAttr], builders[entity.AttrHomepage], builders[entity.AttrReview]
 	for si := range w.Sites {
@@ -59,20 +79,26 @@ func (w *Web) attrUniverse(a entity.Attr) int {
 	return w.Config.Entities
 }
 
-// siteBuilders returns a Builder per attribute with every site
-// registered in order, so row number = site number. A host naming two
-// sites would merge them into one row, so it is an error.
-func (w *Web) siteBuilders() (map[entity.Attr]*index.Builder, error) {
+// siteBuilders returns a Builder per attribute, with row r = site r and
+// counts[a] (if any) as attribute a's postings per site. One sort by
+// host ranks the hosts for every attribute; equal neighbours there are
+// a host naming two sites, which would merge two rows, so an error.
+func (w *Web) siteBuilders(counts map[entity.Attr][]int) (map[entity.Attr]*index.Builder, error) {
+	hosts := make([]string, len(w.Sites))
+	byHost := make([]int, len(w.Sites))
+	for si := range w.Sites {
+		hosts[si], byHost[si] = w.Sites[si].Host, si
+	}
+	slices.SortFunc(byHost, func(x, y int) int { return strings.Compare(hosts[x], hosts[y]) })
+	for i := 1; i < len(byHost); i++ {
+		if h := hosts[byHost[i]]; h == hosts[byHost[i-1]] {
+			return nil, fmt.Errorf("synth: host %q names two sites", h)
+		}
+	}
 	attrs := entity.AttrsFor(w.Config.Domain)
 	builders := make(map[entity.Attr]*index.Builder, len(attrs))
 	for _, a := range attrs {
-		b := index.NewBuilder(w.Config.Domain, a, w.attrUniverse(a))
-		for si := range w.Sites {
-			if b.Site(w.Sites[si].Host) != si {
-				return nil, fmt.Errorf("synth: host %q names two sites", w.Sites[si].Host)
-			}
-		}
-		builders[a] = b
+		builders[a] = index.NewBuilderRows(w.Config.Domain, a, w.attrUniverse(a), hosts, byHost, counts[a])
 	}
 	return builders, nil
 }
@@ -126,7 +152,7 @@ func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[e
 	}
 	// Each site goes to one worker, and its rows are its own (row number
 	// = site number), so the adds need no lock.
-	builders, err := w.siteBuilders()
+	builders, err := w.siteBuilders(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -173,6 +173,22 @@ func TestExtractRefusesRepeatedHost(t *testing.T) {
 	}
 }
 
+// TestDirectIndexesRefusesRepeatedHost: the direct builders share one
+// host order, in which a repeated host shows as two equal neighbours;
+// DirectIndexes has no error return, so it panics with the same error
+// rather than merging two sites into one row.
+func TestDirectIndexesRefusesRepeatedHost(t *testing.T) {
+	w := smallWeb(t, entity.Banks)
+	w.Sites[len(w.Sites)-1].Host = w.Sites[0].Host
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), "names two sites") {
+			t.Errorf("recovered %v, want the repeated-host error", err)
+		}
+	}()
+	w.DirectIndexes()
+}
+
 func TestRenderSitePages(t *testing.T) {
 	w := smallWeb(t, entity.Restaurants)
 	var big *Site

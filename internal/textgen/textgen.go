@@ -1,7 +1,7 @@
 package textgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dist"
@@ -65,19 +65,22 @@ type Address struct {
 
 // String renders the address on one line.
 func (a Address) String() string {
-	return fmt.Sprintf("%s, %s, %s %s", a.Street, a.City, a.State, a.Zip)
+	return a.Street + ", " + a.City + ", " + a.State + " " + a.Zip
 }
 
-// USAddress returns a random US address.
+// USAddress returns a random US address. The draws run left to right:
+// house number, street name, street type, city, state, ZIP (always five
+// digits). Street and ZIP share one allocation.
 func USAddress(rng *dist.RNG) Address {
-	return Address{
-		Street: fmt.Sprintf("%d %s %s", 1+rng.Intn(9999),
-			streetNames[rng.Intn(len(streetNames))],
-			streetTypes[rng.Intn(len(streetTypes))]),
-		City:  cities[rng.Intn(len(cities))],
-		State: states[rng.Intn(len(states))],
-		Zip:   fmt.Sprintf("%05d", 10000+rng.Intn(89999)),
-	}
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(1+rng.Intn(9999)), 10)
+	b = append(append(b, ' '), streetNames[rng.Intn(len(streetNames))]...)
+	b = append(append(b, ' '), streetTypes[rng.Intn(len(streetTypes))]...)
+	street := len(b)
+	a := Address{City: cities[rng.Intn(len(cities))], State: states[rng.Intn(len(states))]}
+	s := string(strconv.AppendInt(b, int64(10000+rng.Intn(89999)), 10))
+	a.Street, a.Zip = s[:street], s[street:]
+	return a
 }
 
 // City returns a random city name.
@@ -193,8 +196,8 @@ func ProductTitle(rng *dist.RNG) string {
 	brands := []string{"Acme", "Zenith", "Polaris", "Vertex", "Nimbus", "Quanta", "Stellar", "Orion"}
 	items := []string{"Wireless Headphones", "Coffee Maker", "Desk Lamp", "Backpack",
 		"Water Bottle", "Bluetooth Speaker", "Notebook", "Running Shoes", "Blender", "Monitor Stand"}
-	return fmt.Sprintf("%s %s Model %d", brands[rng.Intn(len(brands))],
-		items[rng.Intn(len(items))], 100+rng.Intn(900))
+	return brands[rng.Intn(len(brands))] + " " + items[rng.Intn(len(items))] +
+		" Model " + strconv.Itoa(100+rng.Intn(900))
 }
 
 func capitalize(s string) string {
