@@ -211,6 +211,9 @@ func ParseAction(s string) (Action, error) {
 		if err != nil {
 			return a, fmt.Errorf("sleep duration: %w", err)
 		}
+		if d < 0 {
+			return a, fmt.Errorf("sleep duration %v is negative", d)
+		}
 		a.Delay = d
 		if len(fields) == 3 {
 			times = fields[2]

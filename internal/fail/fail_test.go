@@ -172,6 +172,7 @@ func TestParseAction(t *testing.T) {
 		{in: "error:2:3", bad: true},
 		{in: "sleep", bad: true},
 		{in: "sleep:zzz", bad: true},
+		{in: "sleep:-1s", bad: true},
 		{in: "shortwrite:-1", bad: true},
 		{in: "panic:1", bad: true},
 	}

@@ -207,7 +207,10 @@ func EntityURL(site Site, key string) (string, error) {
 // Writer emits clicks as tab-separated lines
 // (source, cookie, day, url). Each line is formatted with strconv
 // straight into the bufio.Writer's free space, so a steady-state Write
-// allocates nothing.
+// allocates nothing. The format has no escaping, so Write refuses a
+// URL that Reader could not read back: one holding '\n' would split
+// into two lines, and a trailing '\r' would be taken for a CRLF line
+// end.
 type Writer struct {
 	bw    *bufio.Writer
 	spill []byte // line scratch for when the buffer's free space is short
@@ -228,6 +231,9 @@ const maxNumsLen = 20 + 20 + 4
 func (w *Writer) Write(c Click) error {
 	if !c.Source.Valid() {
 		return fmt.Errorf("logs: invalid source %q", c.Source) //repro:alloc-ok error path, once per bad click
+	}
+	if strings.IndexByte(c.URL, '\n') >= 0 || strings.HasSuffix(c.URL, "\r") {
+		return fmt.Errorf("logs: URL %q does not fit one line", c.URL) //repro:alloc-ok error path, once per bad click
 	}
 	// A line that fits goes into the buffer's free space, which bw.Write
 	// then only accounts for; one that does not is built in spill and

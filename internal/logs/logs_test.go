@@ -181,6 +181,32 @@ func TestWriterRejectsBadSource(t *testing.T) {
 	}
 }
 
+// TestWriterRejectsUnwritableURL: a URL the line format cannot carry is
+// refused and nothing is written, while a '\r' inside a URL, which
+// reads back intact, is accepted.
+func TestWriterRejectsUnwritableURL(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, url := range []string{"http://x/a\nb", "http://x/\n", "\n", "http://x/\r", "http://x/\r\n"} {
+		if err := w.Write(Click{Source: Search, Cookie: 1, Day: 2, URL: url}); err == nil {
+			t.Errorf("Write accepted URL %q", url)
+		}
+	}
+	if err := w.Write(Click{Source: Search, Cookie: 1, Day: 2, URL: "http://x/a\rb"}); err != nil {
+		t.Fatalf("Write refused an inner '\\r': %v", err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "search\t1\t2\thttp://x/a\rb\n"; got != want {
+		t.Fatalf("wrote %q, want %q", got, want)
+	}
+	c, err := NewReader(&buf).Next()
+	if err != nil || c.URL != "http://x/a\rb" {
+		t.Fatalf("read back %+v, %v", c, err)
+	}
+}
+
 func TestReaderErrors(t *testing.T) {
 	cases := []string{
 		"too\tfew\n",

@@ -118,8 +118,9 @@ func (m *Map[K, V]) forgetEntry(key K, e *entry[V]) {
 // Contract: Cached never observes a mid-build value (the entry's done
 // channel must already be closed) and never observes a failed build
 // (err must be nil) — a false return means "no committed value", full
-// stop. Callers like serve's stale-while-error path rely on this: a
-// body obtained from Cached is always a complete, successful build.
+// stop. GetRetry relies on this to answer from the cache without
+// building: a value obtained from Cached is always a complete,
+// successful build.
 func (m *Map[K, V]) Cached(key K) (V, bool) {
 	m.mu.Lock()
 	e, ok := m.m[key]

@@ -187,7 +187,7 @@ func TestGetRetrySingleflight(t *testing.T) {
 }
 
 // TestCachedContract: Cached never observes a mid-build or failed
-// value — the invariant stale-while-error serving stands on.
+// value — the invariant GetRetry's cache check stands on.
 func TestCachedContract(t *testing.T) {
 	var m Map[string, int]
 	started := make(chan struct{})

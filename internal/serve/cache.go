@@ -4,10 +4,8 @@ import (
 	"container/list"
 	"fmt"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -83,79 +81,69 @@ type body struct {
 	etag        string
 }
 
-// studyEntry pairs a cached Study with its response-body cache and the
-// circuit breaker guarding its cold builds. Both caches coalesce
-// duplicate concurrent builds (memo singleflight), and all three are
-// dropped together when the LRU evicts the entry — an evicted study's
-// breaker state (and failure count) is forgotten with it, while its
-// last good bodies may live on in the server-level stale store.
+// studyEntry pairs a cached Study with its response-body memo, which
+// coalesces duplicate concurrent builds (memo singleflight). Both are
+// dropped together when the LRU evicts the entry; the bodies they built
+// live on in the server-level body store.
 type studyEntry struct {
-	key     StudyKey
-	cfg     core.Config
-	study   *core.Study
-	bodies  memo.Map[bodyKey, *body]
-	breaker *breaker
+	key    StudyKey
+	cfg    core.Config
+	study  *core.Study
+	bodies memo.Map[bodyKey, *body]
 }
 
-// staleKey identifies one retained body in the stale store: a study
-// configuration plus the (endpoint, format) within it.
-type staleKey struct {
-	study StudyKey
-	body  bodyKey
-}
-
-// staleBudget bounds the bytes of body data the stale store retains.
+// bodyBudget bounds the bytes of body data the body store retains.
 // Its keys carry the client-chosen ?seed=, so without a bound a
 // seed-scanning client grows server memory forever (~0.3 MB per
 // small-scale seed for fig3, demand/yelp and spread/banks/phone).
 // 8 MiB keeps the recent bodies of a few dozen small-scale
-// configurations — several times what the default 4-study LRU holds —
-// which is the window in which a rebuild after eviction can fail.
-const staleBudget = 8 << 20
+// configurations, several times what the default 4-study LRU holds.
+const bodyBudget = 8 << 20
 
-// staleStore retains the last successfully built body per (study,
-// endpoint, format), outliving the study LRU: it is the fallback the
-// stale-while-error path serves when a rebuild after eviction fails,
-// and nothing else reads it. Because every body is a pure
-// function of its config, a "stale" body is byte-identical to what the
-// failed rebuild would have produced — staleness here means "built in an
-// earlier epoch", not "out of date". Retained bytes stay within
-// staleBudget: the least recently stored body is evicted first, and a
-// body larger than the budget is not retained.
-type staleStore struct {
+// bodyStore is where every committed body is read from, keyed by its
+// ETag. It outlives the study LRU: a body whose study was evicted is
+// served from here with no rebuild, and because every body is a pure
+// function of (config, endpoint, format), the stored bytes are what a
+// rebuild would produce. The first body stored under an ETag stays, so
+// one ETag serves one body for as long as it is kept. Retained bytes
+// stay within bodyBudget: the least recently stored body is evicted
+// first, and a body larger than the budget is not retained.
+type bodyStore struct {
 	mu    sync.Mutex
-	m     map[staleKey]*body
-	order []staleKey // store order, least recent first
+	m     map[string]*body
+	order []string // store order, least recent first
 	bytes int
 }
 
-func (st *staleStore) put(k staleKey, b *body) {
-	if len(b.data) > staleBudget {
-		return
+// put stores b under etag unless a body is already stored there, and
+// returns the body the store now serves for etag.
+func (st *bodyStore) put(etag string, b *body) *body {
+	if len(b.data) > bodyBudget {
+		return b
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if old, ok := st.m[etag]; ok {
+		return old
+	}
 	if st.m == nil {
-		st.m = make(map[staleKey]*body)
+		st.m = make(map[string]*body)
 	}
-	if old, ok := st.m[k]; ok {
-		st.bytes -= len(old.data)
-		st.order = slices.DeleteFunc(st.order, func(o staleKey) bool { return o == k })
-	}
-	st.m[k] = b
-	st.order = append(st.order, k)
+	st.m[etag] = b
+	st.order = append(st.order, etag)
 	st.bytes += len(b.data)
-	for st.bytes > staleBudget {
+	for st.bytes > bodyBudget {
 		st.bytes -= len(st.m[st.order[0]].data)
 		delete(st.m, st.order[0])
 		st.order = st.order[1:]
 	}
+	return b
 }
 
-func (st *staleStore) get(k staleKey) (*body, bool) {
+func (st *bodyStore) get(etag string) (*body, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	b, ok := st.m[k]
+	b, ok := st.m[etag]
 	return b, ok
 }
 
@@ -167,24 +155,20 @@ func (st *staleStore) get(k staleKey) (*body, bool) {
 // requests is safe: those requests keep their pointer and the entry is
 // garbage-collected when they finish.
 type studyCache struct {
-	mu          sync.Mutex
-	capacity    int
-	workers     int
-	brThreshold int
-	brCooldown  time.Duration
-	ll          *list.List // *studyEntry values; front = most recently used
-	entries     map[StudyKey]*list.Element
-	evictions   int
+	mu        sync.Mutex
+	capacity  int
+	workers   int
+	ll        *list.List // *studyEntry values; front = most recently used
+	entries   map[StudyKey]*list.Element
+	evictions int
 }
 
-func newStudyCache(capacity, workers, brThreshold int, brCooldown time.Duration) *studyCache {
+func newStudyCache(capacity, workers int) *studyCache {
 	return &studyCache{
-		capacity:    capacity,
-		workers:     workers,
-		brThreshold: brThreshold,
-		brCooldown:  brCooldown,
-		ll:          list.New(),
-		entries:     make(map[StudyKey]*list.Element),
+		capacity: capacity,
+		workers:  workers,
+		ll:       list.New(),
+		entries:  make(map[StudyKey]*list.Element),
 	}
 }
 
@@ -198,12 +182,7 @@ func (c *studyCache) get(key StudyKey) *studyEntry {
 		return el.Value.(*studyEntry)
 	}
 	cfg := configFor(key, c.workers)
-	e := &studyEntry{
-		key:     key,
-		cfg:     cfg,
-		study:   core.NewStudy(cfg),
-		breaker: newBreaker(c.brThreshold, c.brCooldown),
-	}
+	e := &studyEntry{key: key, cfg: cfg, study: core.NewStudy(cfg)}
 	c.entries[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()

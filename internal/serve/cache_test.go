@@ -3,7 +3,6 @@ package serve
 import (
 	"net/url"
 	"testing"
-	"time"
 )
 
 func TestParseStudyKeyDefaults(t *testing.T) {
@@ -47,7 +46,7 @@ func TestConfigForScales(t *testing.T) {
 }
 
 func TestStudyCacheLRU(t *testing.T) {
-	c := newStudyCache(2, 0, 3, time.Second)
+	c := newStudyCache(2, 0)
 	k1 := StudyKey{Scale: "small", Seed: 1}
 	k2 := StudyKey{Scale: "small", Seed: 2}
 	k3 := StudyKey{Scale: "small", Seed: 3}
@@ -78,16 +77,16 @@ func TestStudyCacheLRU(t *testing.T) {
 
 // TestStaleStoreSeedScanBounded scans seeds the way a client walking
 // ?seed= does — three endpoints per seed, ~0.3 MB of bodies per seed as
-// at small scale — and checks the stale store keeps at most staleBudget
-// bytes, evicting the least recently stored bodies first, and never
-// retains a body larger than the budget.
+// at small scale, each stored under its ETag — and checks the body
+// store keeps at most bodyBudget bytes, evicting the least recently
+// stored bodies first, and never retains a body larger than the budget.
 func TestStaleStoreSeedScanBounded(t *testing.T) {
-	var st staleStore
+	var st bodyStore
 	endpoints := []bodyKey{
 		{"experiment/fig3", "json"}, {"demand/yelp", "json"}, {"spread/banks/phone", "json"},
 	}
-	key := func(seed uint64, b bodyKey) staleKey {
-		return staleKey{study: StudyKey{Scale: "small", Seed: seed}, body: b}
+	key := func(seed uint64, b bodyKey) string {
+		return ETagFor(configFor(StudyKey{Scale: "small", Seed: seed}, 0), b.endpoint, b.format)
 	}
 	const seeds = 200
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -108,19 +107,26 @@ func TestStaleStoreSeedScanBounded(t *testing.T) {
 			}
 		}
 	}
-	if retained > staleBudget {
-		t.Errorf("stale store retains %d bytes after a %d-seed scan, budget %d", retained, seeds, staleBudget)
+	if retained > bodyBudget {
+		t.Errorf("body store retains %d bytes after a %d-seed scan, budget %d", retained, seeds, bodyBudget)
 	}
-	if oldest <= 1 || retained < staleBudget/2 {
+	if oldest <= 1 || retained < bodyBudget/2 {
 		t.Errorf("retained %d bytes from seed %d on: want the most recent seeds up to the budget", retained, oldest)
 	}
 
 	big := key(seeds+1, endpoints[0])
-	st.put(big, &body{data: make([]byte, staleBudget+1)})
+	st.put(big, &body{data: make([]byte, bodyBudget+1)})
 	if _, ok := st.get(big); ok {
 		t.Error("a body larger than the budget was retained")
 	}
 	if _, ok := st.get(key(seeds, endpoints[2])); !ok {
 		t.Error("an oversized body evicted what the store held")
+	}
+
+	// The first body stored under an ETag is the one served.
+	first := key(seeds, endpoints[2])
+	kept, _ := st.get(first)
+	if got := st.put(first, &body{data: []byte("rebuilt")}); got != kept {
+		t.Error("put replaced the body stored under an ETag")
 	}
 }

@@ -14,94 +14,22 @@ import (
 	"repro/internal/memo"
 )
 
-// fakeNow is a manually-advanced clock for breaker unit tests.
-type fakeNow struct {
+// fakeClock is a manually advanced clock for negative-cache TTLs.
+type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
 }
 
-func (c *fakeNow) now() time.Time {
+func (c *fakeClock) now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
 }
 
-func (c *fakeNow) advance(d time.Duration) {
+func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-// TestBreakerStateMachine drives the full closed → open → half-open →
-// closed cycle, including the single-probe guarantee and a failed
-// probe's re-opening.
-func TestBreakerStateMachine(t *testing.T) {
-	clk := &fakeNow{t: time.Unix(100, 0)}
-	b := newBreaker(3, 5*time.Second)
-	b.now = clk.now
-
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.allow(); !ok {
-			t.Fatalf("closed breaker refused build %d", i)
-		}
-		b.record(false)
-	}
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("breaker opened before threshold")
-	}
-	b.record(false) // third consecutive failure: trips
-	if ok, wait := b.allow(); ok || wait <= 0 || wait > 5*time.Second {
-		t.Fatalf("after trip: allow = %v, wait %v; want refusal with positive wait", ok, wait)
-	}
-
-	// A success would close it from anywhere, but first: cooldown.
-	clk.advance(6 * time.Second)
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("cooldown passed but probe refused")
-	}
-	// Exactly one probe: a second caller is refused while it runs.
-	if ok, _ := b.allow(); ok {
-		t.Fatal("second probe admitted while first is in flight")
-	}
-	b.record(false) // probe fails: back to open for a fresh cooldown
-	if ok, _ := b.allow(); ok {
-		t.Fatal("failed probe did not reopen the circuit")
-	}
-	clk.advance(6 * time.Second)
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("second cooldown passed but probe refused")
-	}
-	b.record(true)
-	for i := 0; i < 3; i++ {
-		if ok, _ := b.allow(); !ok {
-			t.Fatalf("closed-after-recovery breaker refused build %d", i)
-		}
-	}
-	// Failure count was reset by the success: two failures don't trip.
-	b.record(false)
-	b.record(false)
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("two failures after recovery tripped a threshold-3 breaker")
-	}
-}
-
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "1"},
-		{-time.Second, "1"},
-		{300 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{1100 * time.Millisecond, "2"},
-		{5 * time.Second, "5"},
-	}
-	for _, c := range cases {
-		if got := retryAfterSeconds(c.d); got != c.want {
-			t.Errorf("retryAfterSeconds(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
 }
 
 // decodeErrorWire parses the structured error envelope.
@@ -114,21 +42,15 @@ func decodeErrorWire(t *testing.T, body []byte) ErrorWire {
 	return ew
 }
 
-// TestStaleWhileErrorAndBreaker is the acceptance scenario end to end:
-// a warm body survives LRU eviction in the stale store; with the
-// serve/coldbuild failpoint armed, rebuilds fail and the stale body is
-// served with Warning: 110; repeated failures open the breaker, which
-// short-circuits to the stale body (or 503 + Retry-After where no
-// stale exists); after disarm and cooldown, a probe build heals and
-// fresh responses resume without the warning.
-func TestStaleWhileErrorAndBreaker(t *testing.T) {
-	s, ts := newTestServer(t, Options{
-		Studies:          1,                        // capacity 1: requesting a second study evicts the first
-		Retry:            memo.Policy{Attempts: 1}, // no retries, no negative cache: every request attempts a real build
-		BreakerThreshold: 3,
-		// Long enough that the circuit cannot half-open mid-test on a
-		// slow runner; recovery rewinds openedAt instead of sleeping.
-		BreakerCooldown: 30 * time.Second,
+// TestStoredBodyServedWithoutRebuild: a warm body survives its
+// study's LRU eviction in the body store and is served from there with
+// serve/coldbuild armed: 200, byte-identical, same ETag, no Warning,
+// and no build tried. A variant that was never stored has no fallback:
+// its failed build gets the 500 envelope, without an ETag.
+func TestStoredBodyServedWithoutRebuild(t *testing.T) {
+	_, ts := newTestServer(t, Options{
+		Studies: 1,                        // capacity 1: requesting a second study evicts the first
+		Retry:   memo.Policy{Attempts: 1}, // no retries, no negative cache
 	})
 
 	const path = "/v1/demand/yelp?scale=small&seed=1"
@@ -136,92 +58,92 @@ func TestStaleWhileErrorAndBreaker(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warm-up: status %d", status)
 	}
-	if h.Get("Warning") != "" {
-		t.Fatalf("fresh response carries Warning %q", h.Get("Warning"))
-	}
 	etag := h.Get("ETag")
 
-	// Evict study seed=1 (and its body cache) from the capacity-1 LRU.
+	// Evict study seed=1 (and its body memo) from the capacity-1 LRU.
 	if status, _, _ := get(t, ts, "/v1/demand/yelp?scale=small&seed=2", nil); status != http.StatusOK {
 		t.Fatalf("evictor study: status %d", status)
 	}
 
-	fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
+	p := fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
 	defer fail.Disarm("serve/coldbuild")
+	before := p.Hits()
 
-	// Rebuild fails → stale body, byte-identical, Warning: 110. Three
-	// failed builds also trip the threshold-3 breaker.
 	for i := 0; i < 3; i++ {
 		status, h, body := get(t, ts, path, nil)
 		if status != http.StatusOK {
-			t.Fatalf("stale request %d: status %d", i, status)
-		}
-		if w := h.Get("Warning"); w != `110 - "response is stale"` {
-			t.Fatalf("stale request %d: Warning = %q", i, w)
+			t.Fatalf("stored request %d: status %d", i, status)
 		}
 		if !bytes.Equal(body, warm) {
-			t.Fatalf("stale request %d: body differs from last good body", i)
+			t.Fatalf("stored request %d: body differs from the warm body", i)
 		}
 		if h.Get("ETag") != etag {
-			t.Fatalf("stale request %d: ETag %q, want %q", i, h.Get("ETag"), etag)
+			t.Fatalf("stored request %d: ETag %q, want %q", i, h.Get("ETag"), etag)
+		}
+		if w := h.Get("Warning"); w != "" {
+			t.Fatalf("stored request %d: Warning %q", i, w)
 		}
 	}
-	if got := s.cStale.Value(); got != 3 {
-		t.Fatalf("repro_serve_stale_total = %d, want 3", got)
+	if p.Hits() != before {
+		t.Fatalf("failpoint hits = %d, want %d: a stored body was rebuilt", p.Hits(), before)
 	}
 
-	// Breaker now open: the request never reaches the (still armed)
-	// failpoint, and the stale body is served from the short-circuit.
-	status, h, body := get(t, ts, path, nil)
-	if status != http.StatusOK || h.Get("Warning") == "" || !bytes.Equal(body, warm) {
-		t.Fatalf("breaker-open stale: status %d Warning %q", status, h.Get("Warning"))
+	status, h, body := get(t, ts, path+"&format=csv", nil)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("never-stored CSV: status %d body %s", status, body)
 	}
-	if got := s.cBreakerOpen.Value(); got == 0 {
-		t.Fatal("repro_serve_breaker_open_total not incremented by the short-circuit")
+	if h.Get("ETag") != "" {
+		t.Fatalf("error response carries ETag %q", h.Get("ETag"))
+	}
+	if ew := decodeErrorWire(t, body); ew.Status != http.StatusInternalServerError || ew.Error == "" {
+		t.Fatalf("never-stored CSV envelope: %+v", ew)
+	}
+	if p.Hits() != before+1 {
+		t.Fatalf("failpoint hits = %d, want %d: one build for the unstored CSV", p.Hits(), before+1)
+	}
+}
+
+// TestColdBuildNegativeCache: under a persistent build fault, the
+// retry policy's negative cache holds a (study, endpoint) pair to one
+// build per ErrTTL however many requests ask for it; past the TTL one
+// more build runs, and once the fault clears the body is served.
+func TestColdBuildNegativeCache(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(100, 0)}
+	_, ts := newTestServer(t, Options{
+		Retry: memo.Policy{Attempts: 1, ErrTTL: time.Minute, Now: clk.now},
+	})
+	p := fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
+	defer fail.Disarm("serve/coldbuild")
+	before := p.Hits()
+
+	const path = "/v1/demand/yelp?scale=small&seed=3"
+	const k = 5
+	for i := 0; i < k; i++ {
+		if status, _, body := get(t, ts, path, nil); status != http.StatusInternalServerError {
+			t.Fatalf("request %d under fault: status %d body %s", i, status, body)
+		}
+	}
+	if got := p.Hits() - before; got != 1 {
+		t.Fatalf("%d requests under a persistent fault built %d times, want 1", k, got)
 	}
 
-	// No stale exists for the CSV variant: the open breaker sheds it
-	// with 503, Retry-After and the structured envelope.
-	status, h, body = get(t, ts, path+"&format=csv", nil)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("breaker-open no-stale: status %d body %s", status, body)
+	clk.advance(time.Minute + time.Second)
+	for i := 0; i < k; i++ {
+		if status, _, _ := get(t, ts, path, nil); status != http.StatusInternalServerError {
+			t.Fatalf("request %d past the TTL: status %d", i, status)
+		}
 	}
-	if h.Get("Retry-After") == "" {
-		t.Fatal("breaker-open 503 missing Retry-After")
-	}
-	if ew := decodeErrorWire(t, body); ew.Status != http.StatusServiceUnavailable || ew.Error == "" {
-		t.Fatalf("breaker-open 503 envelope: %+v", ew)
+	if got := p.Hits() - before; got != 2 {
+		t.Fatalf("past the TTL: %d builds in all, want 2", got)
 	}
 
-	// Recovery: fault cleared and the cooldown rewound white-box (the
-	// state machine's own cooldown arithmetic is covered by
-	// TestBreakerStateMachine) — the probe build succeeds and fresh
-	// (warning-free) serving resumes.
 	fail.Disarm("serve/coldbuild")
-	e := s.cache.get(StudyKey{Scale: "small", Seed: 1})
-	e.breaker.mu.Lock()
-	e.breaker.openedAt = time.Now().Add(-time.Minute)
-	e.breaker.mu.Unlock()
-	status, h, body = get(t, ts, path, nil)
-	if status != http.StatusOK {
-		t.Fatalf("recovery: status %d", status)
+	clk.advance(time.Minute + time.Second)
+	if status, h, _ := get(t, ts, path, nil); status != http.StatusOK || h.Get("ETag") == "" {
+		t.Fatalf("after disarm: status %d ETag %q, want 200 with an ETag", status, h.Get("ETag"))
 	}
-	if w := h.Get("Warning"); w != "" {
-		t.Fatalf("recovered response still stale: Warning %q", w)
-	}
-	if !bytes.Equal(body, warm) {
-		t.Fatal("recovered body differs from the original (determinism broken)")
-	}
-
-	// /metrics exposes the degradation counters.
-	status, _, metrics := get(t, ts, "/metrics", nil)
-	if status != http.StatusOK {
-		t.Fatalf("/metrics: status %d", status)
-	}
-	for _, series := range []string{"repro_serve_stale_total", "repro_serve_breaker_open_total", "repro_fail_injected_total"} {
-		if !bytes.Contains(metrics, []byte(series)) {
-			t.Errorf("/metrics missing %s", series)
-		}
+	if got := p.Hits() - before; got != 2 {
+		t.Fatalf("after disarm: %d failpoint hits in all, want 2", got)
 	}
 }
 

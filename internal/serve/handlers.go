@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -28,8 +29,8 @@ const (
 // Failpoints at the serving layer's two trust boundaries: fpHandler
 // fires inside every instrumented endpoint (an armed panic exercises
 // Recover end to end), fpColdBuild fires inside the body builder —
-// the exact fault the retry policy, circuit breaker and stale store
-// exist to absorb.
+// the exact fault the retry policy and its negative cache absorb, and
+// one a body already in the store never reaches.
 var (
 	fpHandler   = fail.Register("serve/handler")
 	fpColdBuild = fail.Register("serve/coldbuild")
@@ -105,8 +106,8 @@ func writeBuildError(w http.ResponseWriter, err error) {
 
 // parseFormat validates ?format against the endpoint's supported wire
 // formats (the first is the default).
-func parseFormat(r *http.Request, supported ...string) (string, error) {
-	f := r.URL.Query().Get("format")
+func parseFormat(q url.Values, supported ...string) (string, error) {
+	f := q.Get("format")
 	if f == "" {
 		return supported[0], nil
 	}
@@ -116,27 +117,6 @@ func parseFormat(r *http.Request, supported ...string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("unsupported format %q (supported: %v)", f, supported)
-}
-
-// retryAfterSeconds renders a wait as a Retry-After header value:
-// whole seconds, rounded up, at least 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
-
-// writeStale serves a retained last-good body in place of a failed
-// rebuild. It carries the normal success headers — the body is
-// deterministic, so the config-derived ETag is still the truth and a
-// later revalidation correctly 304s — plus the RFC 7234 staleness
-// warning that tells caches and clients the origin could not rebuild.
-func (s *Server) writeStale(w http.ResponseWriter, b *body, configHash string) {
-	s.cStale.Inc()
-	w.Header().Set("Warning", `110 - "response is stale"`)
-	writeBody(w, b, configHash)
 }
 
 // writeBody writes a built body with its success headers. An error
@@ -150,23 +130,20 @@ func writeBody(w http.ResponseWriter, b *body, configHash string) {
 	_, _ = w.Write(b.data)
 }
 
-// serveCached is the shared path of every study-backed endpoint: parse
-// the study key, answer If-None-Match revalidations 304 straight from
-// the deterministic ETag (no study or body is touched), write a
-// committed body from the per-(study, endpoint, format) cache on the
+// serveStudy is the shared path of every study-backed endpoint, given
+// the request's parsed query: parse the study key, answer If-None-Match
+// revalidations 304 straight from the deterministic ETag (no study or
+// body is touched), write a body from the ETag-keyed store on the
 // request goroutine, and otherwise build it, at most once however many
-// requests race.
+// requests race, and store it.
 //
-// The failure path degrades in order of preference: a failed build is
-// retried per s.opts.Retry; a build that still fails is answered with
-// the stale store's last good body (Warning: 110) when one exists;
-// repeated failures open the study's circuit breaker, which
-// short-circuits cold builds to the stale body or a 503 with
-// Retry-After until a cooldown admits a probe.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, format string,
+// A failed build is retried per s.opts.Retry; one that still fails is
+// answered with the error envelope and negatively cached for the
+// policy's ErrTTL, so a persistent fault costs one build per TTL.
+func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, q url.Values, endpoint, format string,
 	build func(ctx context.Context, e *studyEntry) ([]byte, string, error)) {
 
-	key, err := parseStudyKey(r.URL.Query())
+	key, err := parseStudyKey(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -182,44 +159,26 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 		writeBuildError(w, err)
 		return
 	}
-	e := s.cache.get(key)
-	bk := bodyKey{endpoint: endpoint, format: format}
-	sk := staleKey{study: key, body: bk}
-
-	// A committed body serves regardless of breaker state — degradation
-	// never takes away what is already built. Only a cold build consults
-	// the circuit.
-	if b, ok := e.bodies.Cached(bk); ok {
+	if b, ok := s.store.get(etag); ok {
 		writeBody(w, b, configHash)
 		return
 	}
-	if ok, wait := e.breaker.allow(); !ok {
-		s.cBreakerOpen.Inc()
-		if st, found := s.stale.get(sk); found {
-			s.writeStale(w, st, configHash)
-			return
-		}
-		w.Header().Set("Retry-After", retryAfterSeconds(wait))
-		writeError(w, http.StatusServiceUnavailable,
-			"study %s unavailable: cold builds suspended after repeated failures", key)
-		return
-	}
+	e := s.cache.get(key)
+	bk := bodyKey{endpoint: endpoint, format: format}
 	// The build runs on a context detached from this request, budgeted
 	// by the server's own timeout: coalesced waiters share one build
 	// through the memo layer, so one client's disconnect must not
 	// cancel — and thereby fail — the result every other waiter
 	// receives. The request still honors its own deadline via the
 	// select below; if it fires first the build keeps running and
-	// caches the body for the next request.
+	// stores the body for the next request.
 	type outcome struct {
 		b   *body
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		attempted := false
 		b, err := e.bodies.GetRetry(bk, func() (*body, error) {
-			attempted = true
 			if ferr := fpColdBuild.Fail(); ferr != nil {
 				return nil, ferr
 			}
@@ -231,26 +190,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, f
 			}
 			return &body{data: data, contentType: contentType, etag: etag}, nil
 		}, s.opts.Retry)
-		// Only a real build attempt feeds the breaker and the stale
-		// store — not cache hits, coalesced waits or negative-cache
-		// answers — and it is recorded here, in the detached goroutine,
-		// so a request that abandons the select below still reports its
-		// build's fate.
-		if attempted {
-			e.breaker.record(err == nil)
-			if err == nil {
-				s.stale.put(sk, b)
-			}
+		if err == nil {
+			b = s.store.put(etag, b)
 		}
 		done <- outcome{b, err}
 	}()
 	select {
 	case out := <-done:
 		if out.err != nil {
-			if st, found := s.stale.get(sk); found {
-				s.writeStale(w, st, configHash)
-				return
-			}
 			writeBuildError(w, out.err)
 			return
 		}
@@ -299,11 +246,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment %q", id)
 		return
 	}
-	if _, err := parseFormat(r, "json"); err != nil {
+	q := r.URL.Query()
+	if _, err := parseFormat(q, "json"); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.serveCached(w, r, "experiment/"+id, "json",
+	s.serveStudy(w, r, q, "experiment/"+id, "json",
 		func(ctx context.Context, e *studyEntry) ([]byte, string, error) {
 			rep, err := e.study.RunExperiments(ctx, []string{id}, s.opts.Workers)
 			if err != nil {
@@ -325,12 +273,13 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown site %q (known: %v)", site, logs.Sites)
 		return
 	}
-	format, err := parseFormat(r, "json", "csv")
+	q := r.URL.Query()
+	format, err := parseFormat(q, "json", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.serveCached(w, r, "demand/"+string(site), format,
+	s.serveStudy(w, r, q, "demand/"+string(site), format,
 		func(ctx context.Context, e *studyEntry) ([]byte, string, error) {
 			ests, err := e.study.Demand(site)
 			if err != nil {
@@ -371,12 +320,13 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "attribute %q not studied for domain %q (studied: %v)", attr, d, entity.AttrsFor(d))
 		return
 	}
-	format, err := parseFormat(r, "json", "csv")
+	q := r.URL.Query()
+	format, err := parseFormat(q, "json", "csv")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.serveCached(w, r, "spread/"+string(d)+"/"+string(attr), format,
+	s.serveStudy(w, r, q, "spread/"+string(d)+"/"+string(attr), format,
 		func(ctx context.Context, e *studyEntry) ([]byte, string, error) {
 			res, err := e.study.Spread(d, attr)
 			if err != nil {

@@ -12,9 +12,10 @@
 //     requests for one configuration coalesce through the engine's
 //     per-key singleflight memoization (internal/memo), so K concurrent
 //     requests trigger exactly one artifact build.
-//   - Marshaled response bodies are cached per (study, endpoint,
-//     format), again with singleflight, so the steady-state hot path is
-//     a byte-slice write.
+//   - Marshaled response bodies are built once per (study, endpoint,
+//     format), again with singleflight, and kept in a byte-bounded
+//     store keyed by ETag, so the steady-state hot path is one store
+//     lookup and a byte-slice write.
 //   - ETags derive from the study's stable config hash plus the
 //     endpoint — not from the body — so an If-None-Match revalidation
 //     is answered 304 before any study or body is touched.
@@ -25,18 +26,17 @@
 //
 // # Graceful degradation
 //
-// Determinism also powers the failure path. Cold builds run under a
-// retry policy (Options.Retry) and, per study, behind a circuit
-// breaker: after BreakerThreshold consecutive failed builds the study's
-// circuit opens and cold builds are refused for BreakerCooldown, then a
-// single probe build tests recovery. Every freshly built body is also
-// copied into a server-level stale store that survives LRU eviction and
-// is bounded in bytes (least recently stored bodies go first); when a
-// rebuild fails (or the circuit is open) the last good body is
-// served with `Warning: 110 - "response is stale"` instead of an error
-// — sound, because the body is a pure function of the config, so the
-// stale bytes equal what the failed rebuild would have produced.
-// Requests shed without a stale fallback carry Retry-After.
+// Determinism also shapes the failure path. Every committed body goes
+// into a server-level body store keyed by its ETag, bounded in bytes
+// (least recently stored bodies go first), and a request is answered
+// from that store before any build is tried. A body whose study was
+// evicted from the LRU is therefore served again without a rebuild,
+// and a build fault never takes away a body already built. A cold
+// build runs under a retry policy (Options.Retry): a transient fault
+// is retried with backoff, and a build that still fails is answered
+// with the 500/504 error envelope and negatively cached for the
+// policy's ErrTTL, so a persistently failing (study, endpoint) pair is
+// rebuilt at most once per TTL however many requests ask for it.
 package serve
 
 import (
@@ -78,12 +78,6 @@ type Options struct {
 	// per request. A zero policy (Attempts <= 0) takes the production
 	// default: 2 attempts, 25ms base backoff capped at 1s, 1s error TTL.
 	Retry memo.Policy
-	// BreakerThreshold consecutive failed cold builds open a study's
-	// circuit (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit refuses cold builds
-	// before admitting a single probe (default 5s).
-	BreakerCooldown time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -107,12 +101,6 @@ func (o Options) withDefaults() Options {
 			ErrTTL:    time.Second,
 		}
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
 	return o
 }
 
@@ -122,15 +110,10 @@ type Server struct {
 	opts    Options
 	log     *slog.Logger
 	cache   *studyCache
-	stale   staleStore
+	store   bodyStore
 	metrics *metrics
 	start   time.Time
 	httpSrv *http.Server
-
-	// Degradation counters: stale bodies served in place of a failed
-	// rebuild, and requests short-circuited by an open breaker.
-	cStale       *obs.Counter
-	cBreakerOpen *obs.Counter
 
 	// Scrape-time serve-level gauges on the server's own registry
 	// (demand/seg/core metrics live on obs.Default; /metrics renders
@@ -152,13 +135,9 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		log:     opts.Logger,
-		cache:   newStudyCache(opts.Studies, opts.Workers, opts.BreakerThreshold, opts.BreakerCooldown),
+		cache:   newStudyCache(opts.Studies, opts.Workers),
 		metrics: newMetrics(reg),
 		start:   time.Now(),
-		cStale: reg.Counter("repro_serve_stale_total",
-			"Stale bodies served in place of a failed or circuit-broken rebuild"),
-		cBreakerOpen: reg.Counter("repro_serve_breaker_open_total",
-			"Requests refused a cold build by an open per-study circuit breaker"),
 		gCachedStudies: reg.Gauge("repro_serve_cached_studies",
 			"Study configurations currently warm in the LRU"),
 		gEvictions: reg.Gauge("repro_serve_study_evictions",

@@ -59,6 +59,13 @@ func get(t *testing.T, ts *httptest.Server, path string, header map[string]strin
 	return resp.StatusCode, resp.Header, body
 }
 
+// serveCached drives serveStudy with r's own query, as a handler does,
+// for tests that exercise the shared study-backed path directly.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, format string,
+	build func(ctx context.Context, e *studyEntry) ([]byte, string, error)) {
+	s.serveStudy(w, r, r.URL.Query(), endpoint, format, build)
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	status, _, body := get(t, ts, "/healthz", nil)
