@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bootstrap"
 	"repro/internal/core"
-	"repro/internal/corroborate"
 	"repro/internal/coverage"
 	"repro/internal/demand"
 	"repro/internal/entity"
@@ -583,57 +581,6 @@ func BenchmarkWARCRoundTrip(b *testing.B) {
 		}
 		if _, _, err := core.ExtractWARC(bytes.NewReader(buf.Bytes()), web.DB, nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- Extension benchmarks ---
-
-// BenchmarkBootstrapExpand measures one full set-expansion run (§5's
-// algorithm family) from a single seed over a mid-scale index.
-func BenchmarkBootstrapExpand(b *testing.B) {
-	idx := benchIndex(b, entity.Retail, entity.AttrPhone)
-	x, err := bootstrap.NewExpander(idx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := x.Expand([]int{42}, bootstrap.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ReachedEntities() == 0 {
-			b.Fatal("expansion reached nothing")
-		}
-	}
-}
-
-// BenchmarkCorroborateResolve measures noisy-extraction simulation plus
-// a k=5 corroborated resolution over a mid-scale phone index.
-func BenchmarkCorroborateResolve(b *testing.B) {
-	web, err := synth.Generate(synth.Config{
-		Domain: entity.Banks, Entities: 2000, DirectoryHosts: 3000, Seed: 17,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx := web.DirectIndexes()[entity.AttrPhone]
-	truth := func(id int) string { return string(web.DB.Entities[id].Phone) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obs, err := corroborate.Simulate(idx, truth, corroborate.Config{
-			Noise: 0.2, Mode: corroborate.Confusion, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		resolved, err := obs.Resolve(5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(resolved) == 0 {
-			b.Fatal("nothing resolved")
 		}
 	}
 }

@@ -402,9 +402,9 @@ func (s *Study) RunExperiments(ctx context.Context, ids []string, workers int) (
 
 	// Phase 2: run the experiment analyses, fanned out like the builds.
 	// Once artifacts exist these are cheap: Table 2's exact diameters and
-	// Figure 9's curves, once most of a cold study, take ~40–55 ms
-	// together at small scale since iFUB's fringe sweeps went
-	// bit-parallel.
+	// Figure 9's curves, once most of a cold study, take ~27–30 ms
+	// together at small scale on 2 vCPUs since a double sweep seeds
+	// iFUB's lower bound.
 	runPool(ctx, workers, len(exps), func(i int) {
 		t0 := time.Now() //repro:nondeterm-ok experiment timing telemetry
 		sp := obs.StartSpan("experiment/" + exps[i].ID)

@@ -1,9 +1,22 @@
 // Package graph implements the §5 connectivity analysis of the
 // entity–website bipartite graph: connected components and their sizes
-// (via union-find), exact graph diameter (via iFUB, whose fringe
-// sweeps run as 64-source bit-parallel BFS — see diameter.go), and the
-// robustness of the largest component when the top-k sites are removed
-// (Figure 9, built in one reverse union-find pass).
+// (via union-find), exact graph diameter (via iFUB seeded by a double
+// sweep — see diameter.go), and the robustness of the largest component
+// when the top-k sites are removed (Figure 9, built in one reverse
+// union-find pass).
+//
+// The paper reads these numbers as bounds on bootstrapping discovery
+// (set expansion in the style of Flint or KnowItAll: from seed
+// entities, adopt every site that lists one, then every entity those
+// sites list, to a fixed point). Each bound follows from what Table 2
+// already reports, so none needs an expansion simulator:
+//
+//   - an expansion from a seed set is a BFS from it, and reaches
+//     exactly the seeds' components;
+//   - one round is two BFS levels, so the fixed point comes within
+//     ⌈d/2⌉ rounds of a seed in a component of diameter d;
+//   - s seeds drawn uniformly from the connected entities all miss the
+//     largest component with probability (1 − FracLargest)^s.
 package graph
 
 import (

@@ -3,17 +3,17 @@ package graph
 // Diameter computation. The paper computes exact diameters by running a
 // BFS from every node (§5.2). We implement iFUB (iterative Fringe Upper
 // Bound, Crescenzi et al., TCS 2013), which computes the EXACT diameter
-// from one BFS at a high-degree start node plus one BFS per node of the
-// deepest fringes until its stop rule fires. The fringes are not always
-// small: at small scale (seeds 1–3, ~6,700-node phone graphs) most
-// graphs stop within a few fringe nodes, but those whose start node has
-// eccentricity 4 need 405–526 single-source sweeps each, 516–1,015 per
-// study over Table 2's 17 graphs. The fringe sweeps therefore run
-// bit-parallel (multi-source BFS, Then et al., PVLDB 2014): up to 64
-// fringe nodes share one traversal, each owning one bit lane of three
-// uint64 words per node (seen, frontier, next), so one pass over the
-// adjacency advances all 64 searches by a level. That cuts the same
-// studies to 7–9 sweeps on those graphs and 25–34 per study.
+// from one BFS at a high-degree start node, one more from the farthest
+// node it reached (the double sweep of Magnien, Latapy and Habib, ACM
+// JEA 2009, which seeds the lower bound), and one BFS per node of the
+// deepest fringes until its stop rule fires. Without the double sweep,
+// graphs whose start node has eccentricity 4 and whose diameter is 8
+// swept most of their fringe before a rare eccentricity-8 node turned
+// up: 516–1,015 fringe nodes per study at small scale (seeds 1–3) and
+// 22,063 at default scale (seed 1). With it, Table 2's 17 graphs take
+// 25–44 fringe BFSs per study at small scale (seeds 1–3), 59–89 at
+// default scale (seeds 1, 3, 42) and 50 at large scale (seed 1), at
+// most 25 on any one graph.
 // DiameterBrute, a BFS from every node, is the test oracle.
 
 // bfs runs a breadth-first traversal from src, writing distances into
@@ -45,15 +45,22 @@ func bfs(adj [][]int32, src int, dist []int32, queue []int32) (ecc int, visited 
 // DiameterLargest returns the exact diameter of the largest connected
 // component (0 for an empty or single-node component). The Components
 // argument must come from AllComponents on the same graph.
+func (g *Bipartite) DiameterLargest(c Components) int {
+	d, _ := g.ifub(c)
+	return d
+}
+
+// ifub computes DiameterLargest and counts the fringe BFSs it ran.
 //
 // iFUB starts at the component's highest-degree node (lowest id on
-// ties), levels the component by BFS from it, and sweeps the levels
-// from the deepest inward, 64 fringe nodes per bit-parallel sweep.
-// The lower bound lb only ever takes real eccentricities, and any two
-// nodes at levels <= i are within 2i of each other through the start
-// node, so once 2i <= lb no unswept node can raise it: lb is then the
-// exact diameter whatever the batch composition.
-func (g *Bipartite) DiameterLargest(c Components) int {
+// ties) and levels the component by BFS from it. The double sweep runs
+// one more BFS from the last node that BFS reached, a deepest one, and
+// its eccentricity is the first lower bound lb. The levels are then
+// swept from the deepest inward, one BFS per fringe node. lb only ever
+// takes real eccentricities, and any two nodes at levels <= i are
+// within 2i of each other through the start node, so once 2i <= lb no
+// unswept node can raise it: lb is then the exact diameter.
+func (g *Bipartite) ifub(c Components) (diam, fringeBFS int) {
 	start := -1
 	for v := range g.adj {
 		if len(g.adj[v]) > 0 && c.InLargest(v) && (start < 0 || len(g.adj[v]) > len(g.adj[start])) {
@@ -61,79 +68,42 @@ func (g *Bipartite) DiameterLargest(c Components) int {
 		}
 	}
 	if start < 0 {
-		return 0
+		return 0, 0
 	}
 	n := len(g.adj)
+	level := make([]int32, n)
 	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+	for i := range level {
+		level[i], dist[i] = -1, -1
 	}
-	lb, comp := bfs(g.adj, start, dist, make([]int32, 0, n))
-	seen := make([]uint64, n)
-	frontier := make([]uint64, n)
-	next := make([]uint64, n)
+	depth, comp := bfs(g.adj, start, level, make([]int32, 0, n))
+	// dist and queue are the scratch of the double sweep and of every
+	// fringe BFS; each resets dist over the nodes it visited.
+	queue := make([]int32, 0, len(comp))
+	ecc := func(src int32) int {
+		e, visited := bfs(g.adj, int(src), dist, queue)
+		for _, v := range visited {
+			dist[v] = -1
+		}
+		return e
+	}
+	lb := ecc(comp[len(comp)-1])
 	// comp is in BFS order, so level i is the run comp[lo:hi] with
-	// dist == i; walk the runs from the end.
-	hi := len(comp)
-	for i := lb; i > 0 && 2*i > lb; i-- {
+	// level == i; walk the runs from the end, skipping comp's last node,
+	// which the double sweep already swept.
+	hi := len(comp) - 1
+	for i := depth; i > 0 && 2*i > lb; i-- {
 		lo := hi
-		for lo > 0 && int(dist[comp[lo-1]]) == i {
+		for lo > 0 && int(level[comp[lo-1]]) == i {
 			lo--
 		}
-		for b := lo; b < hi && 2*i > lb; b += 64 {
-			if ecc := g.sweep(comp, comp[b:min(b+64, hi)], seen, frontier, next); ecc > lb {
-				lb = ecc
-			}
+		for j := lo; j < hi && 2*i > lb; j++ {
+			lb = max(lb, ecc(comp[j]))
+			fringeBFS++
 		}
 		hi = lo
 	}
-	return lb
-}
-
-// sweep runs one multi-source BFS over the component comp from up to 64
-// sources, source j owning bit lane j, and returns the largest
-// eccentricity among them: the last level at which any lane newly
-// reaches a node. seen, frontier and next are per-node lane words of
-// len(g.adj); sweep clears them over comp before use.
-//
-//repro:noalloc
-func (g *Bipartite) sweep(comp, sources []int32, seen, frontier, next []uint64) int {
-	for _, v := range comp {
-		seen[v], frontier[v], next[v] = 0, 0, 0
-	}
-	for j, s := range sources {
-		seen[s] |= 1 << j
-		frontier[s] |= 1 << j
-	}
-	full := ^uint64(0) >> (64 - len(sources))
-	ecc := 0
-	for level := 1; ; level++ {
-		for _, v := range comp {
-			if f := frontier[v]; f != 0 {
-				for _, u := range g.adj[v] {
-					next[u] |= f
-				}
-			}
-		}
-		var grew uint64
-		done := true
-		for _, v := range comp {
-			nv := next[v] &^ seen[v]
-			next[v] = 0
-			frontier[v] = nv
-			seen[v] |= nv
-			grew |= nv
-			done = done && seen[v] == full
-		}
-		if grew != 0 {
-			ecc = level
-		}
-		// done: every lane has covered the component; grew == 0 also
-		// ends a comp that misses part of a source's component.
-		if done || grew == 0 {
-			return ecc
-		}
-	}
+	return lb, fringeBFS
 }
 
 // DiameterBrute computes the diameter of the largest component by
@@ -160,18 +130,4 @@ func (g *Bipartite) DiameterBrute(c Components) int {
 		}
 	}
 	return max
-}
-
-// Eccentricity returns the BFS eccentricity of node v within its
-// component, or -1 if v has no edges.
-func (g *Bipartite) Eccentricity(v int) int {
-	if v < 0 || v >= len(g.adj) || len(g.adj[v]) == 0 {
-		return -1
-	}
-	dist := make([]int32, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	ecc, _ := bfs(g.adj, v, dist, nil)
-	return ecc
 }

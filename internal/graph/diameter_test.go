@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -98,6 +99,21 @@ func TestIFUBMatchesBruteDenser(t *testing.T) {
 	}
 }
 
+// Eccentricity returns the BFS eccentricity of node v within its
+// component, or -1 if v has no edges: the single-node oracle the
+// diameter tests compare against.
+func (g *Bipartite) Eccentricity(v int) int {
+	if v < 0 || v >= len(g.adj) || len(g.adj[v]) == 0 {
+		return -1
+	}
+	dist := make([]int32, len(g.adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	ecc, _ := bfs(g.adj, v, dist, nil)
+	return ecc
+}
+
 func TestEccentricity(t *testing.T) {
 	idx := mkIndex(t, map[string][]int{
 		"s0": {0, 1}, "s1": {1, 2},
@@ -132,56 +148,69 @@ func TestDiameterEvenForBipartiteEntityPairs(t *testing.T) {
 	}
 }
 
-// TestSweepEveryLane: each of the 64 lanes carries its own search. On a
-// 23-node path, lane j starts at an end (eccentricity 22) while every
-// other lane starts at the middle, so a lane mixed into another or
-// dropped returns less than 22.
-func TestSweepEveryLane(t *testing.T) {
-	postings := map[string][]int{}
-	for i := 0; i < 11; i++ {
-		postings[hostN(i)] = []int{i, i + 1}
+// TestDoubleSweepFindsRareDiameter: a graph whose start node has
+// eccentricity 4 and whose diameter 8 is reached only from the last two
+// of its deepest fringe nodes. Hub site H lists arm roots a1 and b1 and
+// m pendant entities, so it has the top degree. The arms run
+// H–a1–A2–a3–Z and H–b1–B2–b3–W, and Z and W are 8 apart. Bridge sites
+// U1..Um each list a3' (on A2) and b3' (on B2): they sit at level 4 too,
+// 4 from both Z and W, so their eccentricity is 5. Level 3 is visited as
+// a3', a3, b3', b3, so level 4 is U1..Um, Z, W. Without the double sweep
+// iFUB would sweep m+1 fringe nodes before reaching Z; with it, the BFS
+// from W sets lb = 8 = 2·4 and no fringe BFS runs.
+func TestDoubleSweepFindsRareDiameter(t *testing.T) {
+	const m = 100
+	a1, b1, a3x, a3, b3x, b3 := 0, 1, m+2, m+3, m+4, m+5
+	b := index.NewBuilder(entity.Banks, entity.AttrPhone, m+6)
+	for e := 0; e < m+2; e++ {
+		b.Add("h", e) // a1, b1 and the pendants 2..m+1
 	}
-	g, _ := FromIndex(mkIndex(t, postings, 12))
-	comp := make([]int32, g.NumNodes())
-	for v := range comp {
-		comp[v] = int32(v)
+	for _, e := range []int{a1, a3x, a3} {
+		b.Add("a2", e)
 	}
-	n := g.NumNodes()
-	seen, frontier, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-	sources := make([]int32, 64)
-	for j := range sources {
-		for i := range sources {
-			sources[i] = 6 // middle entity
-		}
-		sources[j] = 0 // end entity
-		if got := g.sweep(comp, sources, seen, frontier, next); got != 22 {
-			t.Errorf("end node on lane %d: sweep = %d, want 22", j, got)
-		}
+	for _, e := range []int{b1, b3x, b3} {
+		b.Add("b2", e)
 	}
-}
-
-// TestSweepZeroAlloc pins the bit-parallel kernel: one 64-lane sweep
-// allocates nothing and returns the largest eccentricity of its sources.
-func TestSweepZeroAlloc(t *testing.T) {
-	g := hubGraph(1)
+	b.Add("z", a3)
+	b.Add("w", b3)
+	for k := 0; k < m; k++ {
+		b.Add(hostN(k), a3x)
+		b.Add(hostN(k), b3x)
+	}
+	g, err := FromIndex(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := g.AllComponents()
-	var comp []int32
+	start := g.siteOrder[0]
 	for v := 0; v < g.NumNodes(); v++ {
-		if g.Degree(v) > 0 && c.InLargest(v) {
-			comp = append(comp, int32(v))
+		if v != start && g.Degree(v) >= g.Degree(start) {
+			t.Fatalf("node %d ties or beats the hub as start", v)
 		}
 	}
-	sources := comp[len(comp)-64:]
-	want := 0
-	for _, s := range sources {
-		want = max(want, g.Eccentricity(int(s)))
+	level := make([]int32, g.NumNodes())
+	for i := range level {
+		level[i] = -1
 	}
-	n := g.NumNodes()
-	seen, frontier, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-	if got := g.sweep(comp, sources, seen, frontier, next); got != want {
-		t.Fatalf("sweep = %d, want max source eccentricity %d", got, want)
+	depth, comp := bfs(g.adj, start, level, nil)
+	var deepest, widest []int32
+	for _, v := range comp {
+		if int(level[v]) == depth {
+			deepest = append(deepest, v)
+			if g.Eccentricity(int(v)) == 8 {
+				widest = append(widest, v)
+			}
+		}
 	}
-	if allocs := testing.AllocsPerRun(50, func() { g.sweep(comp, sources, seen, frontier, next) }); allocs != 0 {
-		t.Fatalf("sweep allocates %v/op, want 0", allocs)
+	if depth != 4 || len(deepest) != m+2 || !slices.Equal(widest, deepest[m:]) {
+		t.Fatalf("start eccentricity %d, %d level-%d nodes, those of eccentricity 8 %v; want 4, %d, the last two %v",
+			depth, len(deepest), depth, widest, m+2, deepest[m:])
+	}
+	diam, fringe := g.ifub(c)
+	if brute := g.DiameterBrute(c); diam != 8 || brute != 8 {
+		t.Errorf("iFUB %d, brute %d, want 8", diam, brute)
+	}
+	if fringe != 0 {
+		t.Errorf("%d fringe BFSs, want 0: the double sweep already reaches the diameter", fringe)
 	}
 }
