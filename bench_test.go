@@ -1,7 +1,8 @@
 // Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper (regenerating the analysis behind it), plus the
-// ablation benchmarks DESIGN.md calls out for the design choices made
-// in this reproduction. Run with:
+// figure of the paper (regenerating the analysis behind it), plus
+// ablation benchmarks for two design choices made in this
+// reproduction, the lazy greedy set cover and the iFUB exact diameter,
+// which ROADMAP.md's Architecture section describes. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -497,7 +498,7 @@ func BenchmarkGenerateOnly(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (ROADMAP.md Architecture: coverage and graph layers) ---
 
 // BenchmarkAblationSetCoverLazy vs ...Naive: the lazy-greedy heap
 // against the textbook rescanning greedy.

@@ -101,31 +101,58 @@ func (a *Alias) Sample(rng *RNG) int {
 	return int(c.alias)
 }
 
-// SampleDistinct draws k distinct indices by rejection. When k reaches
-// the support size it returns every index. Intended for k well below n
-// (the synthetic-web generator switches to a Bernoulli scan above
-// n/10); worst-case cost grows as k approaches n.
-func (a *Alias) SampleDistinct(rng *RNG, k int) []int {
+// Marks is caller-owned dedup scratch for SampleDistinct: one
+// generation stamp per alias column, so a draw tests and sets one
+// word instead of hashing into a map, and starting the next call
+// clears nothing. A Marks serves one goroutine; the Alias it is used
+// with stays immutable and shared. The zero value is ready to use and
+// sizes itself to the first table it meets.
+type Marks struct {
+	stamp []uint32
+	gen   uint32
+}
+
+// next starts a new generation over n columns and returns its stamp.
+func (m *Marks) next(n int) uint32 {
+	if len(m.stamp) < n {
+		m.stamp = make([]uint32, n)
+	}
+	m.gen++
+	if m.gen == 0 { // uint32 wrap: clear stale stamps, then restart at 1
+		clear(m.stamp)
+		m.gen = 1
+	}
+	return m.gen
+}
+
+// SampleDistinct appends k distinct indices, drawn by rejection, to
+// dst[:0] and returns it. When k reaches the support size it returns
+// every index in order; when k <= 0 it returns dst[:0]. seen marks the
+// indices already drawn, so the draws, their order and the RNG
+// position afterwards are those of a map-based rejection loop.
+// Intended for k well below n (the synthetic-web generator switches to
+// a Bernoulli scan above n/10); worst-case cost grows as k approaches
+// n.
+func (a *Alias) SampleDistinct(rng *RNG, k int, seen *Marks, dst []int) []int {
 	n := len(a.cells)
+	dst = dst[:0]
 	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
 	}
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]int, 0, k)
-	seen := make(map[int]struct{}, k)
-	for len(out) < k {
+	gen := seen.next(n)
+	for len(dst) < k {
 		i := a.Sample(rng)
-		if _, dup := seen[i]; dup {
+		if seen.stamp[i] == gen {
 			continue
 		}
-		seen[i] = struct{}{}
-		out = append(out, i)
+		seen.stamp[i] = gen
+		dst = append(dst, i)
 	}
-	return out
+	return dst
 }

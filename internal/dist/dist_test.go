@@ -190,7 +190,8 @@ func TestSampleDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := NewRNG(8)
-	got := a.SampleDistinct(rng, 10)
+	var marks Marks
+	got := a.SampleDistinct(rng, 10, &marks, nil)
 	if len(got) != 10 {
 		t.Fatalf("got %d indices", len(got))
 	}
@@ -201,10 +202,10 @@ func TestSampleDistinct(t *testing.T) {
 		}
 		seen[i] = true
 	}
-	if all := a.SampleDistinct(rng, 200); len(all) != 100 {
+	if all := a.SampleDistinct(rng, 200, &marks, nil); len(all) != 100 {
 		t.Errorf("k >= n should return all indices, got %d", len(all))
 	}
-	if none := a.SampleDistinct(rng, 0); none != nil {
+	if none := a.SampleDistinct(rng, 0, &marks, nil); none != nil {
 		t.Errorf("k = 0 should return nil, got %v", none)
 	}
 }

@@ -292,11 +292,7 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 				}
 				return buf.Bytes(), ctCSV, nil
 			}
-			data, err := json.MarshalIndent(report.NewDemandWire(site, ests), "", "  ")
-			if err != nil {
-				return nil, "", err
-			}
-			return data, ctJSON, nil
+			return report.DemandJSON(site, ests), ctJSON, nil
 		})
 }
 

@@ -24,6 +24,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/dist"
@@ -188,12 +189,17 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 		panic("synth: internal alias construction failed: " + err.Error())
 	}
 
+	// One members buffer and one set of dedup marks serve every site:
+	// each site's members are copied into its listings before the next
+	// site draws.
+	var members []int
+	var seen dist.Marks
+	w.Sites = make([]Site, 0, cfg.DirectoryHosts)
 	bernoulliThreshold := n / 10
 	for r := 1; r <= cfg.DirectoryHosts; r++ {
 		size := siteSize(cfg, r)
-		var members []int
 		if size >= bernoulliThreshold {
-			members = make([]int, 0, size+size/8)
+			members = members[:0]
 			scale := float64(size) / wsum
 			for i := 0; i < n; i++ {
 				p := weights[i] * scale
@@ -202,10 +208,10 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 				}
 			}
 		} else {
-			members = alias.SampleDistinct(coverRNG, size)
+			members = alias.SampleDistinct(coverRNG, size, &seen, members)
 		}
 		if len(members) == 0 {
-			members = []int{alias.Sample(coverRNG)}
+			members = append(members, alias.Sample(coverRNG))
 		}
 		class := Directory
 		hpAvail := cfg.DirHomepageAvail
@@ -234,20 +240,28 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 
 // generateSelfSites adds one single-entity site per entity that has a
 // homepage: the business's own website, hosting its phone and linking
-// itself.
+// itself. All self-site listings share one column; each site holds a
+// one-element view of it with no spare capacity.
 func (w *Web) generateSelfSites() {
-	for _, e := range w.DB.Entities {
+	self := 0
+	for i := range w.DB.Entities {
+		if w.DB.Entities[i].Homepage != "" {
+			self++
+		}
+	}
+	col := make([]Listing, 0, self)
+	w.Sites = slices.Grow(w.Sites, self)
+	for i := range w.DB.Entities {
+		e := &w.DB.Entities[i]
 		if e.Homepage == "" {
 			continue
 		}
+		j := len(col)
+		col = append(col, Listing{Entity: e.ID, HasKey: true, HasHomepage: true})
 		w.Sites = append(w.Sites, Site{
-			Host:  warc.HostOf(e.Homepage),
-			Class: SelfSite,
-			Listings: []Listing{{
-				Entity:      e.ID,
-				HasKey:      true,
-				HasHomepage: true,
-			}},
+			Host:     warc.HostOf(e.Homepage),
+			Class:    SelfSite,
+			Listings: col[j : j+1 : j+1],
 		})
 	}
 }
