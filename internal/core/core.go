@@ -81,17 +81,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// HashVersion leads the canonical encoding that Config.Hash digests.
+// Bump it whenever the bytes a configuration produces change: every
+// hash, and so every served ETag, then changes with them, and no cache
+// keeps serving an old body under a tag that now names a new one.
+const HashVersion = "v1"
+
 // Hash returns a stable hex fingerprint of the result-determining part
 // of the configuration. Two Configs with equal hashes produce
 // byte-identical experiment results: every artifact builder derives its
 // RNG streams from (Seed, key) salts, so Workers — which only changes
 // scheduling — is deliberately excluded. The serving layer derives HTTP
 // ETags from this hash, which is what makes aggressive response caching
-// sound. The leading "v1|" versions the canonical encoding itself.
+// sound. The leading HashVersion versions the canonical encoding itself.
 func (c Config) Hash() string {
 	r := c.withDefaults()
 	b := make([]byte, 0, 128)
-	b = strconv.AppendUint(append(b, "v1|seed="...), r.Seed, 10)
+	b = strconv.AppendUint(append(append(b, HashVersion...), "|seed="...), r.Seed, 10)
 	b = strconv.AppendInt(append(b, "|entities="...), int64(r.Entities), 10)
 	b = strconv.AppendInt(append(b, "|dirhosts="...), int64(r.DirectoryHosts), 10)
 	b = strconv.AppendInt(append(b, "|catalog="...), int64(r.CatalogN), 10)
