@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fail"
 )
 
 func TestGetCaches(t *testing.T) {
@@ -22,8 +24,8 @@ func TestGetCaches(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("builder ran %d times, want 1", calls)
 	}
-	if m.Len() != 1 {
-		t.Errorf("len = %d", m.Len())
+	if len(m.m) != 1 {
+		t.Errorf("len = %d", len(m.m))
 	}
 }
 
@@ -98,7 +100,7 @@ func TestErrorNotCached(t *testing.T) {
 	if _, err := m.Get("k", build); !errors.Is(err, boom) {
 		t.Fatalf("first get err = %v", err)
 	}
-	if m.Len() != 0 {
+	if len(m.m) != 0 {
 		t.Errorf("failed build left a cache entry")
 	}
 	v, err := m.Get("k", build)
@@ -144,15 +146,67 @@ func TestPanicClearsAndWakesWaiters(t *testing.T) {
 	}
 }
 
-func TestCached(t *testing.T) {
+// TestForget: a forgotten key builds again on the next Get, even while
+// the forgotten build is in flight, whose caller still gets its own
+// result; a builder that forgets its own key leaves nothing behind.
+func TestForget(t *testing.T) {
 	var m Map[string, int]
-	if _, ok := m.Cached("k"); ok {
-		t.Error("empty map reports cached value")
+	m.Get("k", func() (int, error) { return 1, nil })
+	m.Forget("k")
+	if v, _ := m.Get("k", func() (int, error) { return 2, nil }); v != 2 {
+		t.Fatalf("Get after Forget = %d, want a fresh build (2)", v)
 	}
-	m.Get("k", func() (int, error) { return 3, nil })
-	v, ok := m.Cached("k")
-	if !ok || v != 3 {
-		t.Errorf("cached = %v, %v", v, ok)
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	first := make(chan int, 1)
+	go func() {
+		v, _ := m.Get("inflight", func() (int, error) {
+			close(started)
+			<-release
+			return 3, nil
+		})
+		first <- v
+	}()
+	<-started
+	m.Forget("inflight")
+	if v, _ := m.Get("inflight", func() (int, error) { return 5, nil }); v != 5 {
+		t.Fatalf("Get after forgetting an in-flight build = %d, want a fresh build (5)", v)
+	}
+	close(release)
+	if v := <-first; v != 3 {
+		t.Fatalf("the forgotten build's caller got %d, want its own result (3)", v)
+	}
+	if v, _ := m.Get("inflight", func() (int, error) { return -1, nil }); v != 5 {
+		t.Fatalf("Get = %d, want the fresh build's cached 5", v)
+	}
+
+	v, err := m.Get("self", func() (int, error) {
+		defer m.Forget("self")
+		return 4, nil
+	})
+	if err != nil || v != 4 || len(m.m) != 2 {
+		t.Fatalf("self-forgetting build = %v, %v with %d entries, want 4 and only k and inflight kept", v, err, len(m.m))
+	}
+}
+
+// TestBuildFailpoint: the memo/build site injects a failure into any
+// builder without a bespoke flaky build func: the builder does not run,
+// the key is cleared, and the next Get builds.
+func TestBuildFailpoint(t *testing.T) {
+	fail.Arm("memo/build", fail.Action{Kind: fail.Error, Times: 1})
+	defer fail.Disarm("memo/build")
+	var m Map[string, int]
+	builds := 0
+	build := func() (int, error) { builds++; return 3, nil }
+	if _, err := m.Get("k", build); err == nil {
+		t.Fatal("Get across an injected build fault succeeded")
+	}
+	if builds != 0 {
+		t.Fatalf("real builder ran %d times under the injected fault, want 0", builds)
+	}
+	if v, err := m.Get("k", build); err != nil || v != 3 || builds != 1 {
+		t.Fatalf("Get after the fault = %v, %v with %d builds, want 3 from one build", v, err, builds)
 	}
 }
 

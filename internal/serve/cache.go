@@ -6,9 +6,9 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/core"
-	"repro/internal/memo"
 	"repro/internal/synth"
 )
 
@@ -67,13 +67,6 @@ func parseStudyKey(q url.Values) (StudyKey, error) {
 	return k, nil
 }
 
-// bodyKey identifies one cached response body within a study: the
-// endpoint (e.g. "experiment/fig3") and wire format ("json" or "csv").
-type bodyKey struct {
-	endpoint string
-	format   string
-}
-
 // body is one immutable, fully marshaled response.
 type body struct {
 	data        []byte
@@ -81,15 +74,13 @@ type body struct {
 	etag        string
 }
 
-// studyEntry pairs a cached Study with its response-body memo, which
-// coalesces duplicate concurrent builds (memo singleflight). Both are
-// dropped together when the LRU evicts the entry; the bodies they built
-// live on in the server-level body store.
+// studyEntry is one cached Study with the key and config it was made
+// from. The bodies built from it live on in the server-level body
+// store after the LRU evicts it.
 type studyEntry struct {
-	key    StudyKey
-	cfg    core.Config
-	study  *core.Study
-	bodies memo.Map[bodyKey, *body]
+	key   StudyKey
+	cfg   core.Config
+	study *core.Study
 }
 
 // bodyBudget bounds the bytes of body data the body store retains.
@@ -100,19 +91,38 @@ type studyEntry struct {
 // configurations, several times what the default 4-study LRU holds.
 const bodyBudget = 8 << 20
 
-// bodyStore is where every committed body is read from, keyed by its
-// ETag. It outlives the study LRU: a body whose study was evicted is
-// served from here with no rebuild, and because every body is a pure
-// function of (config, endpoint, format), the stored bytes are what a
-// rebuild would produce. The first body stored under an ETag stays, so
-// one ETag serves one body for as long as it is kept. Retained bytes
-// stay within bodyBudget: the least recently stored body is evicted
-// first, and a body larger than the budget is not retained.
+// errTTL is how long the body store answers an ETag with the error of
+// its failed build before a request may build it again: the bound that
+// holds a persistent fault to one build per ETag per errTTL however
+// many requests ask.
+const errTTL = time.Second
+
+// bodyStore records the outcome of every cold build, keyed by its
+// ETag, and is where every request is answered from. It outlives the
+// study LRU: a body whose study was evicted is served from here with
+// no rebuild, and because every body is a pure function of (config,
+// endpoint, format), the stored bytes are what a rebuild would
+// produce. The first body stored under an ETag stays, so one ETag
+// serves one body for as long as it is kept. Retained bytes stay
+// within bodyBudget: the least recently stored body is evicted first,
+// and a body larger than the budget is not retained.
+//
+// A failed build is recorded as its error, served for errTTL. Expired
+// records are dropped whenever a new one is recorded, so a ?seed= scan
+// under a fault keeps no more records than one errTTL of failures.
 type bodyStore struct {
-	mu    sync.Mutex
-	m     map[string]*body
-	order []string // store order, least recent first
-	bytes int
+	mu     sync.Mutex
+	m      map[string]*body
+	order  []string // store order, least recent first
+	bytes  int
+	failed map[string]failure
+}
+
+// failure is a recorded build error, served until the clock reaches
+// until.
+type failure struct {
+	err   error
+	until time.Time
 }
 
 // put stores b under etag unless a body is already stored there, and
@@ -140,11 +150,38 @@ func (st *bodyStore) put(etag string, b *body) *body {
 	return b
 }
 
-func (st *bodyStore) get(etag string) (*body, bool) {
+// putFailure records err as the outcome of etag's build at time now,
+// and drops every record that has expired by then.
+func (st *bodyStore) putFailure(etag string, err error, now time.Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	b, ok := st.m[etag]
-	return b, ok
+	if st.failed == nil {
+		st.failed = make(map[string]failure)
+	}
+	for k, f := range st.failed {
+		if !now.Before(f.until) {
+			delete(st.failed, k)
+		}
+	}
+	st.failed[etag] = failure{err: err, until: now.Add(errTTL)}
+}
+
+// get returns the outcome recorded for etag: its body, or the error of
+// a build that failed less than errTTL ago. Both are nil when there is
+// neither, and the caller builds. now is read only when a failure is
+// recorded for etag, and outside the lock.
+func (st *bodyStore) get(etag string, now func() time.Time) (*body, error) {
+	st.mu.Lock()
+	if b, ok := st.m[etag]; ok {
+		st.mu.Unlock()
+		return b, nil
+	}
+	f, ok := st.failed[etag]
+	st.mu.Unlock()
+	if ok && now().Before(f.until) {
+		return nil, f.err
+	}
+	return nil, nil
 }
 
 // studyCache is a bounded LRU of study entries. Creating an entry is

@@ -82,11 +82,9 @@ func TestStudyCacheLRU(t *testing.T) {
 // stored bodies first, and never retains a body larger than the budget.
 func TestStaleStoreSeedScanBounded(t *testing.T) {
 	var st bodyStore
-	endpoints := []bodyKey{
-		{"experiment/fig3", "json"}, {"demand/yelp", "json"}, {"spread/banks/phone", "json"},
-	}
-	key := func(seed uint64, b bodyKey) string {
-		return ETagFor(configFor(StudyKey{Scale: "small", Seed: seed}, 0), b.endpoint, b.format)
+	endpoints := []string{"experiment/fig3", "demand/yelp", "spread/banks/phone"}
+	key := func(seed uint64, endpoint string) string {
+		return ETagFor(configFor(StudyKey{Scale: "small", Seed: seed}, 0), endpoint, "json")
 	}
 	const seeds = 200
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -97,13 +95,13 @@ func TestStaleStoreSeedScanBounded(t *testing.T) {
 	retained, oldest := 0, uint64(0)
 	for seed := uint64(1); seed <= seeds; seed++ {
 		for _, b := range endpoints {
-			if got, ok := st.get(key(seed, b)); ok {
+			if got, _ := st.get(key(seed, b), nil); got != nil {
 				retained += len(got.data)
 				if oldest == 0 {
 					oldest = seed
 				}
 			} else if oldest != 0 {
-				t.Fatalf("seed %d %s evicted after seed %d was kept: not least recently stored first", seed, b.endpoint, oldest)
+				t.Fatalf("seed %d %s evicted after seed %d was kept: not least recently stored first", seed, b, oldest)
 			}
 		}
 	}
@@ -116,16 +114,16 @@ func TestStaleStoreSeedScanBounded(t *testing.T) {
 
 	big := key(seeds+1, endpoints[0])
 	st.put(big, &body{data: make([]byte, bodyBudget+1)})
-	if _, ok := st.get(big); ok {
+	if got, _ := st.get(big, nil); got != nil {
 		t.Error("a body larger than the budget was retained")
 	}
-	if _, ok := st.get(key(seeds, endpoints[2])); !ok {
+	if got, _ := st.get(key(seeds, endpoints[2]), nil); got == nil {
 		t.Error("an oversized body evicted what the store held")
 	}
 
 	// The first body stored under an ETag is the one served.
 	first := key(seeds, endpoints[2])
-	kept, _ := st.get(first)
+	kept, _ := st.get(first, nil)
 	if got := st.put(first, &body{data: []byte("rebuilt")}); got != kept {
 		t.Error("put replaced the body stored under an ETag")
 	}

@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/fail"
-	"repro/internal/memo"
 )
 
-// fakeClock is a manually advanced clock for negative-cache TTLs.
+// fakeClock is a manually advanced clock for failure-record expiry.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -49,8 +51,7 @@ func decodeErrorWire(t *testing.T, body []byte) ErrorWire {
 // its failed build gets the 500 envelope, without an ETag.
 func TestStoredBodyServedWithoutRebuild(t *testing.T) {
 	_, ts := newTestServer(t, Options{
-		Studies: 1,                        // capacity 1: requesting a second study evicts the first
-		Retry:   memo.Policy{Attempts: 1}, // no retries, no negative cache
+		Studies: 1, // capacity 1: requesting a second study evicts the first
 	})
 
 	const path = "/v1/demand/yelp?scale=small&seed=1"
@@ -60,7 +61,7 @@ func TestStoredBodyServedWithoutRebuild(t *testing.T) {
 	}
 	etag := h.Get("ETag")
 
-	// Evict study seed=1 (and its body memo) from the capacity-1 LRU.
+	// Evict study seed=1 from the capacity-1 LRU.
 	if status, _, _ := get(t, ts, "/v1/demand/yelp?scale=small&seed=2", nil); status != http.StatusOK {
 		t.Fatalf("evictor study: status %d", status)
 	}
@@ -103,15 +104,24 @@ func TestStoredBodyServedWithoutRebuild(t *testing.T) {
 	}
 }
 
+// newClockedServer is newTestServer with the failure clock replaced by
+// clk, set before the server takes its first request.
+func newClockedServer(t *testing.T, clk *fakeClock) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(Options{Logger: discardLogger()})
+	s.now = clk.now
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
 // TestColdBuildNegativeCache: under a persistent build fault, the
-// retry policy's negative cache holds a (study, endpoint) pair to one
-// build per ErrTTL however many requests ask for it; past the TTL one
-// more build runs, and once the fault clears the body is served.
+// store's failure record holds an ETag to one build per errTTL however
+// many requests ask for it; past errTTL one more build runs, and once
+// the fault clears the body is served.
 func TestColdBuildNegativeCache(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(100, 0)}
-	_, ts := newTestServer(t, Options{
-		Retry: memo.Policy{Attempts: 1, ErrTTL: time.Minute, Now: clk.now},
-	})
+	_, ts := newClockedServer(t, clk)
 	p := fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
 	defer fail.Disarm("serve/coldbuild")
 	before := p.Hits()
@@ -127,7 +137,7 @@ func TestColdBuildNegativeCache(t *testing.T) {
 		t.Fatalf("%d requests under a persistent fault built %d times, want 1", k, got)
 	}
 
-	clk.advance(time.Minute + time.Second)
+	clk.advance(errTTL)
 	for i := 0; i < k; i++ {
 		if status, _, _ := get(t, ts, path, nil); status != http.StatusInternalServerError {
 			t.Fatalf("request %d past the TTL: status %d", i, status)
@@ -138,7 +148,7 @@ func TestColdBuildNegativeCache(t *testing.T) {
 	}
 
 	fail.Disarm("serve/coldbuild")
-	clk.advance(time.Minute + time.Second)
+	clk.advance(errTTL)
 	if status, h, _ := get(t, ts, path, nil); status != http.StatusOK || h.Get("ETag") == "" {
 		t.Fatalf("after disarm: status %d ETag %q, want 200 with an ETag", status, h.Get("ETag"))
 	}
@@ -147,27 +157,130 @@ func TestColdBuildNegativeCache(t *testing.T) {
 	}
 }
 
-// TestColdBuildRetryHeals: a transient (Times:1) injected build fault
-// is absorbed entirely by the retry policy — the client sees a fresh
-// 200, no staleness, no error.
-func TestColdBuildRetryHeals(t *testing.T) {
+// TestColdBuildFaultHealsAfterErrTTL: a transient (Times:1) injected
+// build fault is not retried. The client gets the 500 envelope, and so
+// does every request for that ETag within errTTL, without a build (one
+// would succeed, the fault being spent); past errTTL a fresh build
+// serves the body.
+func TestColdBuildFaultHealsAfterErrTTL(t *testing.T) {
 	fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error, Times: 1})
 	defer fail.Disarm("serve/coldbuild")
 	p := fail.Lookup("serve/coldbuild")
 	before := p.Hits()
 
-	_, ts := newTestServer(t, Options{
-		Retry: memo.Policy{Attempts: 2, BaseDelay: time.Millisecond, Seed: 1},
-	})
-	status, h, _ := get(t, ts, "/v1/demand/yelp?scale=small&seed=1", nil)
-	if status != http.StatusOK {
-		t.Fatalf("status %d, want 200 (retry should heal the injected fault)", status)
+	clk := &fakeClock{t: time.Unix(100, 0)}
+	_, ts := newClockedServer(t, clk)
+	const path = "/v1/demand/yelp?scale=small&seed=1"
+	for i := 0; i < 2; i++ {
+		status, _, body := get(t, ts, path, nil)
+		if status != http.StatusInternalServerError {
+			t.Fatalf("request %d within errTTL of the fault: status %d, want 500", i, status)
+		}
+		if ew := decodeErrorWire(t, body); ew.Status != http.StatusInternalServerError {
+			t.Fatalf("request %d: envelope %+v", i, ew)
+		}
 	}
-	if w := h.Get("Warning"); w != "" {
-		t.Fatalf("healed response marked stale: Warning %q", w)
+	clk.advance(errTTL - time.Nanosecond)
+	if status, _, _ := get(t, ts, path, nil); status != http.StatusInternalServerError {
+		t.Fatalf("request just inside errTTL: status %d, want 500", status)
+	}
+	clk.advance(time.Nanosecond)
+	status, h, _ := get(t, ts, path, nil)
+	if status != http.StatusOK || h.Get("ETag") == "" {
+		t.Fatalf("past errTTL: status %d ETag %q, want 200 with an ETag", status, h.Get("ETag"))
 	}
 	if p.Hits() != before+1 {
 		t.Fatalf("failpoint hits = %d, want %d (exactly one injected failure)", p.Hits(), before+1)
+	}
+}
+
+// failureRecords is how many failure records s's body store holds.
+func failureRecords(s *Server) int {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return len(s.store.failed)
+}
+
+// TestFailureRecordsBounded: a ?seed= scan under a persistent build
+// fault records one failure per ETag, and each record expires errTTL
+// after it was made: with the clock moving past errTTL every 10
+// requests, the store never holds more than 10 records.
+func TestFailureRecordsBounded(t *testing.T) {
+	fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
+	defer fail.Disarm("serve/coldbuild")
+	clk := &fakeClock{t: time.Unix(100, 0)}
+	s := New(Options{Logger: discardLogger()})
+	s.now = clk.now
+	build := func(ctx context.Context, e *studyEntry) ([]byte, string, error) {
+		return nil, "", errors.New("build ran past the armed failpoint")
+	}
+	peak := 0
+	for seed := 1; seed <= 200; seed++ {
+		rec := httptest.NewRecorder()
+		s.serveCached(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/x?seed=%d", seed), nil),
+			"test/endpoint", "json", build)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("seed %d under fault: status %d", seed, rec.Code)
+		}
+		peak = max(peak, failureRecords(s))
+		if seed%10 == 0 {
+			clk.advance(errTTL)
+		}
+	}
+	if peak > 10 {
+		t.Errorf("store held %d failure records at its peak, want at most 10", peak)
+	}
+	if peak < 10 {
+		t.Errorf("store held at most %d failure records, want 10: a failure was not recorded", peak)
+	}
+}
+
+// TestFlightKeepsNothing: the builder's two exits. After a fresh build
+// the flight keeps nothing, so once the stored body is removed the next
+// request builds again. A flight that finds the outcome already stored,
+// body or failure, returns it without building.
+func TestFlightKeepsNothing(t *testing.T) {
+	s := New(Options{Logger: discardLogger()})
+	var builds atomic.Int64
+	build := func(ctx context.Context, e *studyEntry) ([]byte, string, error) {
+		builds.Add(1)
+		return []byte("payload"), "text/plain", nil
+	}
+	serve := func() (int, string) {
+		rec := httptest.NewRecorder()
+		s.serveCached(rec, httptest.NewRequest(http.MethodGet, "/x?seed=42", nil), "test/endpoint", "json", build)
+		return rec.Code, rec.Body.String()
+	}
+	etag := etagOf(configFor(StudyKey{Scale: "small", Seed: 42}, 0).Hash(), "test/endpoint", "json")
+
+	for i := 0; i < 2; i++ {
+		if code, body := serve(); code != http.StatusOK || body != "payload" {
+			t.Fatalf("request %d: %d %q", i, code, body)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("two requests built %d times, want 1 (the second from the store)", n)
+	}
+	s.store.mu.Lock()
+	delete(s.store.m, etag)
+	s.store.mu.Unlock()
+	if code, _ := serve(); code != http.StatusOK || builds.Load() != 2 {
+		t.Fatalf("after the stored body was removed: status %d, %d builds, want a second build", code, builds.Load())
+	}
+
+	key := StudyKey{Scale: "small", Seed: 42}
+	stored := &body{data: []byte("stored"), etag: `"stored"`}
+	s.store.put(stored.etag, stored)
+	if b, err := s.flight(stored.etag, key, build); b != stored || err != nil {
+		t.Fatalf("flight over a stored body = %v, %v, want the stored body", b, err)
+	}
+	boom := errors.New("recorded failure")
+	s.store.putFailure(`"failed"`, boom, s.now())
+	if b, err := s.flight(`"failed"`, key, build); b != nil || !errors.Is(err, boom) {
+		t.Fatalf("flight over a recorded failure = %v, %v, want %v", b, err, boom)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Errorf("flights over stored outcomes built: %d builds in all, want 2", n)
 	}
 }
 

@@ -29,8 +29,8 @@ const (
 // Failpoints at the serving layer's two trust boundaries: fpHandler
 // fires inside every instrumented endpoint (an armed panic exercises
 // Recover end to end), fpColdBuild fires inside the body builder —
-// the exact fault the retry policy and its negative cache absorb, and
-// one a body already in the store never reaches.
+// the exact fault the store's failure records bound to one build per
+// errTTL, and one a body already in the store never reaches.
 var (
 	fpHandler   = fail.Register("serve/handler")
 	fpColdBuild = fail.Register("serve/coldbuild")
@@ -46,6 +46,19 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/spread/{domain}/{attr}", s.instrument("spread", s.handleSpread))
 	mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
 	mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	// Unrouted requests get the error envelope too, not ServeMux's
+	// plain-text 404 and 405. Every route is GET-only, so a path that
+	// routes as a GET is a 405 for any other method.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		asGet := r.Clone(r.Context())
+		asGet.Method = http.MethodGet
+		if _, pattern := mux.Handler(asGet); pattern != "/" {
+			w.Header().Set("Allow", "GET, HEAD")
+			writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
+			return
+		}
+		writeError(w, http.StatusNotFound, "no route for %s", r.URL.Path)
+	})
 	// Timeout wraps Limit so a request's budget covers its time queued
 	// for a slot: when the pool is saturated, waiters are shed 503 at
 	// their deadline instead of piling up unboundedly.
@@ -130,19 +143,21 @@ func writeBody(w http.ResponseWriter, b *body, configHash string) {
 	_, _ = w.Write(b.data)
 }
 
+// buildFunc marshals one endpoint's body from a study: its bytes and
+// content type.
+type buildFunc func(ctx context.Context, e *studyEntry) ([]byte, string, error)
+
 // serveStudy is the shared path of every study-backed endpoint, given
 // the request's parsed query: parse the study key, answer If-None-Match
 // revalidations 304 straight from the deterministic ETag (no study or
-// body is touched), write a body from the ETag-keyed store on the
-// request goroutine, and otherwise build it, at most once however many
-// requests race, and store it.
+// body is touched), answer from the ETag-keyed store on the request
+// goroutine, and otherwise build the body, at most once however many
+// requests race, and record the outcome in the store.
 //
-// A failed build is retried per s.opts.Retry; one that still fails is
-// answered with the error envelope and negatively cached for the
-// policy's ErrTTL, so a persistent fault costs one build per TTL.
-func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, q url.Values, endpoint, format string,
-	build func(ctx context.Context, e *studyEntry) ([]byte, string, error)) {
-
+// A failed build is not retried: it is answered with the error
+// envelope, and the store answers its ETag with the same error for
+// errTTL, so a persistent fault costs one build per errTTL.
+func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, q url.Values, endpoint, format string, build buildFunc) {
 	key, err := parseStudyKey(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -159,52 +174,70 @@ func (s *Server) serveStudy(w http.ResponseWriter, r *http.Request, q url.Values
 		writeBuildError(w, err)
 		return
 	}
-	if b, ok := s.store.get(etag); ok {
-		writeBody(w, b, configHash)
+	b, err := s.store.get(etag, s.now)
+	if b == nil && err == nil {
+		// The build runs on a context detached from this request,
+		// budgeted by the server's own timeout: coalesced waiters share
+		// one flight, so one client's disconnect must not cancel — and
+		// thereby fail — the result every other waiter receives. The
+		// request still honors its own deadline via the select below;
+		// if it fires first the build keeps running and stores its
+		// outcome for the next request.
+		type outcome struct {
+			b   *body
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			b, err := s.flight(etag, key, build)
+			done <- outcome{b, err}
+		}()
+		select {
+		case out := <-done:
+			b, err = out.b, out.err
+		case <-r.Context().Done():
+			err = r.Context().Err()
+		}
+	}
+	if err != nil {
+		writeBuildError(w, err)
 		return
 	}
-	e := s.cache.get(key)
-	bk := bodyKey{endpoint: endpoint, format: format}
-	// The build runs on a context detached from this request, budgeted
-	// by the server's own timeout: coalesced waiters share one build
-	// through the memo layer, so one client's disconnect must not
-	// cancel — and thereby fail — the result every other waiter
-	// receives. The request still honors its own deadline via the
-	// select below; if it fires first the build keeps running and
-	// stores the body for the next request.
-	type outcome struct {
-		b   *body
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		b, err := e.bodies.GetRetry(bk, func() (*body, error) {
-			if ferr := fpColdBuild.Fail(); ferr != nil {
-				return nil, ferr
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
-			defer cancel()
-			data, contentType, err := build(ctx, e)
-			if err != nil {
-				return nil, err
-			}
-			return &body{data: data, contentType: contentType, etag: etag}, nil
-		}, s.opts.Retry)
-		if err == nil {
-			b = s.store.put(etag, b)
+	writeBody(w, b, configHash)
+}
+
+// flight returns the outcome of etag's cold build: one build however
+// many callers ask while it is in flight, recorded in the store. The
+// flight keeps nothing once it lands, so a caller that missed the
+// store before the flight landed finds the outcome when the next
+// flight checks the store again before building.
+func (s *Server) flight(etag string, key StudyKey, build buildFunc) (*body, error) {
+	return s.flights.Get(etag, func() (*body, error) {
+		defer s.flights.Forget(etag)
+		if b, err := s.store.get(etag, s.now); b != nil || err != nil {
+			return b, err
 		}
-		done <- outcome{b, err}
-	}()
-	select {
-	case out := <-done:
-		if out.err != nil {
-			writeBuildError(w, out.err)
-			return
+		b, err := s.coldBuild(etag, key, build)
+		if err != nil {
+			s.store.putFailure(etag, err, s.now())
+			return nil, err
 		}
-		writeBody(w, out.b, configHash)
-	case <-r.Context().Done():
-		writeBuildError(w, r.Context().Err())
+		return s.store.put(etag, b), nil
+	})
+}
+
+// coldBuild runs one build of the body served under etag.
+func (s *Server) coldBuild(etag string, key StudyKey, build buildFunc) (*body, error) {
+	if err := fpColdBuild.Fail(); err != nil {
+		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.Timeout)
+	defer cancel()
+	data, contentType, err := build(ctx, s.cache.get(key))
+	if err != nil {
+		return nil, err
+	}
+	return &body{data: data, contentType: contentType, etag: etag}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

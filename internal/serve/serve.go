@@ -12,10 +12,10 @@
 //     requests for one configuration coalesce through the engine's
 //     per-key singleflight memoization (internal/memo), so K concurrent
 //     requests trigger exactly one artifact build.
-//   - Marshaled response bodies are built once per (study, endpoint,
-//     format), again with singleflight, and kept in a byte-bounded
-//     store keyed by ETag, so the steady-state hot path is one store
-//     lookup and a byte-slice write.
+//   - Marshaled response bodies are built once per ETag: concurrent
+//     cold requests for one ETag share one build in flight, and its
+//     body goes into a byte-bounded store keyed by ETag, so the
+//     steady-state hot path is one store lookup and a byte-slice write.
 //   - ETags derive from the study's stable config hash plus the
 //     endpoint — not from the body — so an If-None-Match revalidation
 //     is answered 304 before any study or body is touched.
@@ -31,12 +31,23 @@
 // (least recently stored bodies go first), and a request is answered
 // from that store before any build is tried. A body whose study was
 // evicted from the LRU is therefore served again without a rebuild,
-// and a build fault never takes away a body already built. A cold
-// build runs under a retry policy (Options.Retry): a transient fault
-// is retried with backoff, and a build that still fails is answered
-// with the 500/504 error envelope and negatively cached for the
-// policy's ErrTTL, so a persistently failing (study, endpoint) pair is
-// rebuilt at most once per TTL however many requests ask for it.
+// and a build fault never takes away a body already built. A failed
+// cold build is not retried, and no option asks for retries: every
+// build is a pure in-memory function of its inputs, so a second attempt
+// would only heal an injected fault. The failure is answered with the
+// 500/504 error envelope, and the store serves it for errTTL (1 s), so
+// a persistently failing ETag is rebuilt at most once per errTTL
+// however many requests ask for it.
+//
+// # Statuses
+//
+// A GET is answered 200 with a body, 304 when If-None-Match matches
+// its ETag, 301 to the cleaned path, 400 for a query that does not
+// parse, 404 for an unknown route, experiment, site, domain or
+// attribute, 500 for a failed build or a panic, 503 when shed or
+// abandoned, and 504 when its build outlives the request's budget.
+// Other methods get 405. Every 4xx and 5xx body is the ErrorWire
+// envelope.
 package serve
 
 import (
@@ -73,11 +84,6 @@ type Options struct {
 	// Logger receives structured access and error logs
 	// (nil: slog.Default()).
 	Logger *slog.Logger
-	// Retry governs cold body builds: attempts, backoff and the
-	// negative-cache TTL that stops a known-bad build from being retried
-	// per request. A zero policy (Attempts <= 0) takes the production
-	// default: 2 attempts, 25ms base backoff capped at 1s, 1s error TTL.
-	Retry memo.Policy
 }
 
 func (o Options) withDefaults() Options {
@@ -93,14 +99,6 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
-	if o.Retry.Attempts <= 0 {
-		o.Retry = memo.Policy{
-			Attempts:  2,
-			BaseDelay: 25 * time.Millisecond,
-			MaxDelay:  time.Second,
-			ErrTTL:    time.Second,
-		}
-	}
 	return o
 }
 
@@ -111,6 +109,7 @@ type Server struct {
 	log     *slog.Logger
 	cache   *studyCache
 	store   bodyStore
+	flights memo.Map[string, *body] // cold builds in flight, by ETag
 	metrics *metrics
 	start   time.Time
 	httpSrv *http.Server
@@ -126,6 +125,8 @@ type Server struct {
 	// handler before the endpoint logic — a hook to hold requests
 	// in-flight for shutdown-drain tests.
 	testDelay func(endpoint string)
+	// now is the clock failure records expire by; tests replace it.
+	now func() time.Time
 }
 
 // New returns a Server over opts.
@@ -138,6 +139,7 @@ func New(opts Options) *Server {
 		cache:   newStudyCache(opts.Studies, opts.Workers),
 		metrics: newMetrics(reg),
 		start:   time.Now(),
+		now:     time.Now,
 		gCachedStudies: reg.Gauge("repro_serve_cached_studies",
 			"Study configurations currently warm in the LRU"),
 		gEvictions: reg.Gauge("repro_serve_study_evictions",

@@ -61,8 +61,7 @@ func get(t *testing.T, ts *httptest.Server, path string, header map[string]strin
 
 // serveCached drives serveStudy with r's own query, as a handler does,
 // for tests that exercise the shared study-backed path directly.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, format string,
-	build func(ctx context.Context, e *studyEntry) ([]byte, string, error)) {
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, format string, build buildFunc) {
 	s.serveStudy(w, r, r.URL.Query(), endpoint, format, build)
 }
 
@@ -440,22 +439,36 @@ func TestErrorResponses(t *testing.T) {
 		{"/v1/demand/yelp?format=xml", http.StatusBadRequest},
 		{"/v1/spread/books/isbn?format=xml", http.StatusBadRequest},
 		{"/nope", http.StatusNotFound},
+		{"/v1/experiments/", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		status, _, body := get(t, ts, tc.path, nil)
 		if status != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.path, status, tc.want, body)
 		}
+		if ew := decodeErrorWire(t, body); ew.Status != tc.want {
+			t.Errorf("%s: envelope %+v, want status %d", tc.path, ew, tc.want)
+		}
 	}
 
-	// Non-GET methods are rejected by the router.
-	resp, err := ts.Client().Post(ts.URL+"/v1/experiments", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST: status %d, want 405", resp.StatusCode)
+	// Non-GET methods are rejected by the router, with the envelope; a
+	// path no route serves stays a 404 whatever the method.
+	for path, want := range map[string]int{"/v1/experiments": http.StatusMethodNotAllowed, "/nope": http.StatusNotFound} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+		if ew := decodeErrorWire(t, body); ew.Status != want {
+			t.Errorf("POST %s: envelope %+v", path, ew)
+		}
+		if want == http.StatusMethodNotAllowed && resp.Header.Get("Allow") != "GET, HEAD" {
+			t.Errorf("POST %s: Allow %q, want \"GET, HEAD\"", path, resp.Header.Get("Allow"))
+		}
 	}
 }
 

@@ -102,7 +102,6 @@ type StudyStats struct {
 	Extraction bool            `json:"extraction"`
 	ConfigHash string          `json:"config_hash"`
 	Builds     core.BuildStats `json:"builds"`
-	Bodies     int             `json:"cached_bodies"`
 }
 
 // StatsWire is the GET /v1/stats JSON document: cache occupancy,
@@ -133,7 +132,6 @@ func (s *Server) Stats() StatsWire {
 			Extraction: e.key.Extraction,
 			ConfigHash: e.cfg.Hash(),
 			Builds:     e.study.BuildStats(),
-			Bodies:     e.bodies.Len(),
 		})
 	}
 	return wire
