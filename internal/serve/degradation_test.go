@@ -106,13 +106,13 @@ func TestStoredBodyServedWithoutRebuild(t *testing.T) {
 
 // newClockedServer is newTestServer with the failure clock replaced by
 // clk, set before the server takes its first request.
-func newClockedServer(t *testing.T, clk *fakeClock) (*Server, *httptest.Server) {
+func newClockedServer(t *testing.T, clk *fakeClock) *httptest.Server {
 	t.Helper()
 	s := New(Options{Logger: discardLogger()})
 	s.now = clk.now
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts
+	return ts
 }
 
 // TestColdBuildNegativeCache: under a persistent build fault, the
@@ -121,7 +121,7 @@ func newClockedServer(t *testing.T, clk *fakeClock) (*Server, *httptest.Server) 
 // the fault clears the body is served.
 func TestColdBuildNegativeCache(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(100, 0)}
-	_, ts := newClockedServer(t, clk)
+	ts := newClockedServer(t, clk)
 	p := fail.Arm("serve/coldbuild", fail.Action{Kind: fail.Error})
 	defer fail.Disarm("serve/coldbuild")
 	before := p.Hits()
@@ -169,7 +169,7 @@ func TestColdBuildFaultHealsAfterErrTTL(t *testing.T) {
 	before := p.Hits()
 
 	clk := &fakeClock{t: time.Unix(100, 0)}
-	_, ts := newClockedServer(t, clk)
+	ts := newClockedServer(t, clk)
 	const path = "/v1/demand/yelp?scale=small&seed=1"
 	for i := 0; i < 2; i++ {
 		status, _, body := get(t, ts, path, nil)

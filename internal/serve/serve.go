@@ -46,8 +46,8 @@
 // parse, 404 for an unknown route, experiment, site, domain or
 // attribute, 500 for a failed build or a panic, 503 when shed or
 // abandoned, and 504 when its build outlives the request's budget.
-// Other methods get 405. Every 4xx and 5xx body is the ErrorWire
-// envelope.
+// Other methods get 405. Every 4xx and 5xx that Handler writes carries
+// the ErrorWire envelope.
 package serve
 
 import (
