@@ -5,10 +5,10 @@
 // recognizes canonical simulator URLs with one interned-map hit and
 // falls back to the general §4.1 URL patterns for everything else — or
 // written as a columnar ClickRef segment store (-format seg,
-// internal/seg: per-column varint/RLE blocks with per-segment zone
-// maps), which replays straight into the shard routers with no URL
-// ever formatted or parsed and a working set of one segment, whatever
-// the log size.
+// internal/seg: fixed-width packed entity, cookie and day columns and
+// a run-length source column, with per-segment zone maps), which
+// replays straight into the shard routers with no URL ever formatted
+// or parsed and a working set of one segment, whatever the log size.
 //
 // Generate a year of search+browse traffic for one site (clicks are
 // synthesized by -gen parallel workers over leapfrog RNG substreams and

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,18 +258,6 @@ func (nb *NaiveBayes) LogOdds(text string) (float64, error) {
 	return sc.LogOdds(), nil
 }
 
-// ScoreBytes scores raw text bytes without building strings or token
-// slices: one table probe per token, ASCII lower-casing on the fly.
-func (nb *NaiveBayes) ScoreBytes(text []byte) (float64, error) {
-	t, err := nb.llrtab()
-	if err != nil {
-		return 0, err
-	}
-	sc := Scorer{t: t}
-	sc.Write(text)
-	return sc.LogOdds(), nil
-}
-
 // Classify reports whether text is a review. It returns an error if the
 // model is untrained.
 func (nb *NaiveBayes) Classify(text string) (bool, error) {
@@ -372,96 +359,3 @@ func (s *Scorer) LogOdds() float64 {
 
 // Vocabulary returns the number of distinct tokens seen in training.
 func (nb *NaiveBayes) Vocabulary() int { return len(nb.vocab) }
-
-// TopFeatures returns the k tokens with the largest absolute
-// log-likelihood ratio between the classes, most review-indicative
-// first. Useful for model inspection and tests.
-func (nb *NaiveBayes) TopFeatures(k int) []string {
-	type feat struct {
-		tok string
-		lr  float64
-	}
-	feats := make([]feat, 0, len(nb.vocab))
-	for tok := range nb.vocab {
-		feats = append(feats, feat{tok, nb.ratio(tok)})
-	}
-	sort.Slice(feats, func(i, j int) bool {
-		if feats[i].lr != feats[j].lr {
-			return feats[i].lr > feats[j].lr
-		}
-		return feats[i].tok < feats[j].tok
-	})
-	if k > len(feats) {
-		k = len(feats)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = feats[i].tok
-	}
-	return out
-}
-
-// Metrics summarizes binary classification quality.
-type Metrics struct {
-	TP, FP, TN, FN int
-}
-
-// Accuracy returns (TP+TN)/total, or 0 for an empty evaluation.
-func (m Metrics) Accuracy() float64 {
-	total := m.TP + m.FP + m.TN + m.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(m.TP+m.TN) / float64(total)
-}
-
-// Precision returns TP/(TP+FP), or 0 when nothing was predicted positive.
-func (m Metrics) Precision() float64 {
-	if m.TP+m.FP == 0 {
-		return 0
-	}
-	return float64(m.TP) / float64(m.TP+m.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when there are no positives.
-func (m Metrics) Recall() float64 {
-	if m.TP+m.FN == 0 {
-		return 0
-	}
-	return float64(m.TP) / float64(m.TP+m.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (m Metrics) F1() float64 {
-	p, r := m.Precision(), m.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Evaluate classifies each labeled document and tallies the confusion
-// matrix. It returns an error if the model is untrained.
-func (nb *NaiveBayes) Evaluate(texts []string, labels []bool) (Metrics, error) {
-	if len(texts) != len(labels) {
-		return Metrics{}, fmt.Errorf("classify: %d texts vs %d labels", len(texts), len(labels))
-	}
-	var m Metrics
-	for i, text := range texts {
-		pred, err := nb.Classify(text)
-		if err != nil {
-			return Metrics{}, err
-		}
-		switch {
-		case pred && labels[i]:
-			m.TP++
-		case pred && !labels[i]:
-			m.FP++
-		case !pred && labels[i]:
-			m.FN++
-		default:
-			m.TN++
-		}
-	}
-	return m, nil
-}

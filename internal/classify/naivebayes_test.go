@@ -119,56 +119,32 @@ func TestSyntheticCorpusAccuracy(t *testing.T) {
 		texts = append(texts, textgen.Boilerplate(rng, 4+rng.Intn(4)))
 		labels = append(labels, false)
 	}
-	m, err := nb.Evaluate(texts, labels)
-	if err != nil {
-		t.Fatal(err)
+	var tp, fp, tn, fn int
+	for i, text := range texts {
+		pred, err := nb.Classify(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case pred && labels[i]:
+			tp++
+		case pred:
+			fp++
+		case labels[i]:
+			fn++
+		default:
+			tn++
+		}
 	}
-	if acc := m.Accuracy(); acc < 0.95 {
-		t.Errorf("accuracy = %v, want >= 0.95 (confusion %+v)", acc, m)
+	if acc := float64(tp+tn) / float64(len(texts)); acc < 0.95 {
+		t.Errorf("accuracy = %v, want >= 0.95 (tp=%d fp=%d tn=%d fn=%d)", acc, tp, fp, tn, fn)
 	}
-	if m.Precision() < 0.9 || m.Recall() < 0.9 {
-		t.Errorf("precision/recall = %v/%v", m.Precision(), m.Recall())
+	precision, recall := 0.0, 0.0
+	if tp > 0 {
+		precision, recall = float64(tp)/float64(tp+fp), float64(tp)/float64(tp+fn)
 	}
-}
-
-func TestEvaluateLengthMismatch(t *testing.T) {
-	nb := NewNaiveBayes(1)
-	nb.Train("a b", true)
-	nb.Train("c d", false)
-	if _, err := nb.Evaluate([]string{"x"}, []bool{true, false}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
-func TestMetricsDegenerate(t *testing.T) {
-	var m Metrics
-	if m.Accuracy() != 0 || m.Precision() != 0 || m.Recall() != 0 || m.F1() != 0 {
-		t.Error("empty metrics should be all zero")
-	}
-	m = Metrics{TP: 10}
-	if m.Accuracy() != 1 || m.Precision() != 1 || m.Recall() != 1 || m.F1() != 1 {
-		t.Errorf("perfect metrics: %+v", m)
-	}
-}
-
-func TestTopFeatures(t *testing.T) {
-	nb := NewNaiveBayes(1)
-	nb.Train("delicious delicious delicious food", true)
-	nb.Train("parking parking parking hours", false)
-	top := nb.TopFeatures(2)
-	if len(top) != 2 {
-		t.Fatalf("TopFeatures = %v", top)
-	}
-	if top[0] != "delicious" {
-		t.Errorf("most review-indicative = %q, want delicious", top[0])
-	}
-	all := nb.TopFeatures(100)
-	if len(all) != nb.Vocabulary() {
-		t.Errorf("k > vocab should clamp: %d vs %d", len(all), nb.Vocabulary())
-	}
-	// Least review-like token comes last.
-	if last := all[len(all)-1]; last != "parking" {
-		t.Errorf("least review-indicative = %q, want parking", last)
+	if precision < 0.9 || recall < 0.9 {
+		t.Errorf("precision/recall = %v/%v", precision, recall)
 	}
 }
 

@@ -20,35 +20,13 @@ func trainedModel() *NaiveBayes {
 	return nb
 }
 
-// TestScoreBytesMatchesLogOdds pins the linchpin of the streaming
-// extractor's review equivalence: the byte scorer and the string path
-// must produce bit-identical scores on the same text.
-func TestScoreBytesMatchesLogOdds(t *testing.T) {
-	nb := trainedModel()
-	rng := dist.NewRNG(21)
-	for i := 0; i < 50; i++ {
-		text := textgen.Review(rng, "Blue Table", 3+rng.Intn(6))
-		want, err := nb.LogOdds(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := nb.ScoreBytes([]byte(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("ScoreBytes = %v, LogOdds = %v on %q", got, want, text)
-		}
-	}
-}
-
 // TestScorerChunkedWritesMatch asserts tokens spanning Write boundaries
 // score identically to a single write — the session feeds text runs of
 // arbitrary lengths.
 func TestScorerChunkedWritesMatch(t *testing.T) {
 	nb := trainedModel()
 	text := []byte("The FOOD was absolutely delicious and the service was friendly 5 stars")
-	want, err := nb.ScoreBytes(append([]byte(nil), text...))
+	want, err := nb.LogOdds(string(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +88,12 @@ func TestTokenizeVsByteScorerAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := nb.ScoreBytes([]byte(c))
+		sc, err := nb.NewScorer()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		sc.Write([]byte(c))
+		if got := sc.LogOdds(); got != want {
 			t.Fatalf("byte/string divergence on %q: %v vs %v", c, got, want)
 		}
 	}
@@ -178,9 +157,6 @@ func TestNewScorerUntrained(t *testing.T) {
 	nb := NewNaiveBayes(1)
 	if _, err := nb.NewScorer(); err == nil {
 		t.Error("untrained NewScorer should fail")
-	}
-	if _, err := nb.ScoreBytes([]byte("x")); err == nil {
-		t.Error("untrained ScoreBytes should fail")
 	}
 }
 

@@ -3,6 +3,7 @@ package demand
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/logs"
 )
@@ -401,5 +402,53 @@ func TestTopShareDegenerate(t *testing.T) {
 	}
 	if TopShare([]float64{1, 1}, 5) != 1 {
 		t.Error("frac > 1 should clamp")
+	}
+}
+
+func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+func TestTopShare(t *testing.T) {
+	// 10 elements: one holds 91 of 100 total mass.
+	xs := []float64{91, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	if s := TopShare(xs, 0.1); !almostEq(s, 0.91, 1e-12) {
+		t.Errorf("top-10%% share = %v, want 0.91", s)
+	}
+	if s := TopShare(xs, 1); !almostEq(s, 1, 1e-12) {
+		t.Errorf("full share = %v, want 1", s)
+	}
+	if s := TopShare(xs, 2); !almostEq(s, 1, 1e-12) {
+		t.Errorf("frac>1 clamps to 1, got %v", s)
+	}
+	if TopShare(nil, 0.5) != 0 || TopShare(xs, 0) != 0 {
+		t.Error("degenerate TopShare should be 0")
+	}
+}
+
+func TestTopShareMonotoneInFrac(t *testing.T) {
+	f := func(raw []uint8) bool {
+		if len(raw) < 2 {
+			return true
+		}
+		xs := make([]float64, len(raw))
+		var sum float64
+		for i, v := range raw {
+			xs[i] = float64(v)
+			sum += xs[i]
+		}
+		if sum == 0 {
+			return true
+		}
+		prev := 0.0
+		for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
+			s := TopShare(xs, frac)
+			if s+1e-9 < prev {
+				return false
+			}
+			prev = s
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

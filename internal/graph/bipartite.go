@@ -92,12 +92,6 @@ func FromIndex(idx *index.Index) (*Bipartite, error) {
 // Host returns the host name of site rank r (0 = largest site).
 func (g *Bipartite) Host(r int) string { return g.hosts[r] }
 
-// NumNodes returns the total node count (entities + sites).
-func (g *Bipartite) NumNodes() int { return len(g.adj) }
-
-// Degree returns the degree of node v.
-func (g *Bipartite) Degree(v int) int { return len(g.adj[v]) }
-
 // AvgSitesPerEntity returns the mean entity degree over entities with
 // at least one edge (Table 2 column 1).
 func (g *Bipartite) AvgSitesPerEntity() float64 {

@@ -170,11 +170,11 @@ func TestHostAndDegree(t *testing.T) {
 	if g.Host(0) != "big" || g.Host(1) != "sm" {
 		t.Errorf("hosts = %q, %q", g.Host(0), g.Host(1))
 	}
-	if g.NumNodes() != 4 {
-		t.Errorf("NumNodes = %d", g.NumNodes())
+	if len(g.adj) != 4 {
+		t.Errorf("len(adj) = %d", len(g.adj))
 	}
-	if g.Degree(0) != 2 { // entity 0 on both sites
-		t.Errorf("Degree(0) = %d", g.Degree(0))
+	if len(g.adj[0]) != 2 { // entity 0 on both sites
+		t.Errorf("degree(0) = %d", len(g.adj[0]))
 	}
 }
 

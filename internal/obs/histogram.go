@@ -18,10 +18,9 @@ const histBuckets = 48
 
 // Histogram is a fixed-footprint log2 histogram. Observe is one
 // bits.Len64, three atomic adds, and a CAS loop for the max — no
-// allocation, no lock, no sample retention. Quantiles are estimated
-// from the bucket counts by linear interpolation within the winning
-// bucket, so error is bounded by the bucket width (a factor of two);
-// Sum, Count, Mean, and Max are exact.
+// allocation, no lock, no sample retention. The exposition places each
+// observation within a factor of two (its bucket's width); Sum, Count,
+// Mean, and Max are exact.
 type Histogram struct {
 	meta   *metric
 	scale  float64 // multiplies raw units at exposition (e.g. 1e-9 ns→s)
@@ -92,54 +91,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) in raw units from the
-// bucket counts: it walks the cumulative distribution to the winning
-// bucket and interpolates linearly inside it. Returns 0 with no
-// observations. Values in the overflow bucket report the last finite
-// boundary — a deliberate underestimate rather than an invented tail.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the target observation (1-based, ceil): the smallest k
-	// such that cum(k) >= q*total.
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for b := 0; b <= histBuckets; b++ {
-		c := h.counts[b].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			if b == 0 {
-				return 0
-			}
-			if b == histBuckets {
-				return float64(bucketUpper(histBuckets - 1))
-			}
-			lo := float64(uint64(1) << uint(b-1)) // 2^(b-1), bucket's lower bound
-			hi := float64(bucketUpper(b))
-			// Fraction of this bucket's observations below the target.
-			frac := float64(rank-cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	// Concurrent writers can make count lag the bucket totals; fall
-	// back to the max we saw.
-	return float64(h.max.Load())
 }
 
 // writePrometheus renders the histogram as cumulative le-buckets plus

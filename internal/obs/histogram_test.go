@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +17,60 @@ func newHist(t *testing.T) *Histogram {
 	return NewRegistry().Histogram("h", "test histogram", 1)
 }
 
+// leBucket is one cumulative bucket of a histogram's exposition.
+type leBucket struct {
+	le  string
+	cum uint64
+}
+
+// exposedBuckets renders h as GET /metrics does (scale 1, so le bounds
+// are raw units) and returns its cumulative le buckets, +Inf last.
+func exposedBuckets(t *testing.T, h *Histogram) []leBucket {
+	t.Helper()
+	var b strings.Builder
+	if err := h.writePrometheus(&b, "h", nil); err != nil {
+		t.Fatal(err)
+	}
+	var out []leBucket
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `h_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, count, _ := strings.Cut(rest, `"} `)
+		cum, err := strconv.ParseUint(count, 10, 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		out = append(out, leBucket{le, cum})
+	}
+	return out
+}
+
+// quantileBucket returns the index of the bucket holding the
+// q-quantile observation (rank ceil(q*count), at least 1): the bucket a
+// scraper's quantile estimate interpolates within.
+func quantileBucket(buckets []leBucket, q float64) int {
+	rank := uint64(math.Ceil(q * float64(buckets[len(buckets)-1].cum)))
+	if rank == 0 {
+		rank = 1
+	}
+	for i, b := range buckets {
+		if b.cum >= rank {
+			return i
+		}
+	}
+	return len(buckets) - 1
+}
+
+// leOf is the exposition's le bound for a raw value's bucket.
+func leOf(v uint64) string {
+	if b := bucketOf(v); b < histBuckets {
+		return formatFloat(float64(bucketUpper(b)))
+	}
+	return "+Inf"
+}
+
 func TestHistogramZeroObservations(t *testing.T) {
 	h := newHist(t)
 	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
@@ -21,11 +78,6 @@ func TestHistogramZeroObservations(t *testing.T) {
 	}
 	if got := h.Mean(); got != 0 {
 		t.Fatalf("Mean on empty = %v, want 0", got)
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Fatalf("Quantile(%v) on empty = %v, want 0", q, got)
-		}
 	}
 	// Exposition of an empty histogram is still valid: +Inf bucket,
 	// zero sum and count.
@@ -44,8 +96,8 @@ func TestHistogramZeroObservations(t *testing.T) {
 }
 
 func TestHistogramSingleBucket(t *testing.T) {
-	// All observations land in one bucket: every quantile must come
-	// from that bucket's range, and exact stats must be exact.
+	// All observations land in one bucket: the exposition holds them
+	// all under its bound, and exact stats must be exact.
 	h := newHist(t)
 	for i := 0; i < 100; i++ {
 		h.Observe(5) // bucket for bits.Len64(5)=3 → [4,7]
@@ -56,11 +108,8 @@ func TestHistogramSingleBucket(t *testing.T) {
 	if got := h.Mean(); got != 5 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < 4 || got > 7 {
-			t.Fatalf("Quantile(%v) = %v, outside bucket range [4,7]", q, got)
-		}
+	if got, want := exposedBuckets(t, h), []leBucket{{"7", 100}, {"+Inf", 100}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
 	}
 }
 
@@ -68,8 +117,8 @@ func TestHistogramValueZero(t *testing.T) {
 	h := newHist(t)
 	h.Observe(0)
 	h.Observe(0)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("Quantile(0.5) of zeros = %v, want 0", got)
+	if got, want := exposedBuckets(t, h), []leBucket{{"0", 2}, {"+Inf", 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets of zeros = %v, want %v", got, want)
 	}
 	if h.Count() != 2 || h.Sum() != 0 {
 		t.Fatalf("count=%d sum=%d, want 2/0", h.Count(), h.Sum())
@@ -78,17 +127,16 @@ func TestHistogramValueZero(t *testing.T) {
 
 func TestHistogramBeyondLastBoundary(t *testing.T) {
 	// Values past the last finite bucket land in the overflow bucket:
-	// exact stats stay exact, quantiles clamp to the last finite
-	// boundary, and exposition rolls the overflow into +Inf only.
+	// exact stats stay exact, and exposition rolls the overflow into
+	// +Inf only.
 	h := newHist(t)
 	huge := uint64(1) << 60 // way past 2^48-1
 	h.Observe(huge)
 	if h.Count() != 1 || h.Sum() != huge || h.Max() != huge {
 		t.Fatalf("count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
 	}
-	lastFinite := float64(bucketUpper(histBuckets - 1))
-	if got := h.Quantile(0.5); got != lastFinite {
-		t.Fatalf("Quantile(0.5) of overflow = %v, want clamp to %v", got, lastFinite)
+	if got, want := exposedBuckets(t, h), []leBucket{{"+Inf", 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets of overflow = %v, want %v", got, want)
 	}
 
 	reg := NewRegistry()
@@ -109,9 +157,10 @@ func TestHistogramBeyondLastBoundary(t *testing.T) {
 }
 
 func TestHistogramQuantileMonotonicity(t *testing.T) {
-	// Property test: for random observation sets, Quantile must be
-	// non-decreasing in q, bounded by [0, Max], and q=1 must land in
-	// (or at the clamp of) the max's bucket.
+	// Property test: for random observation sets, the exposition's
+	// cumulative counts never decrease and end at Count under +Inf, so a
+	// quantile read from them is non-decreasing in q, and q=1 lands in
+	// the max's bucket (+Inf when the max overflowed).
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		h := NewRegistry().Histogram("h", "prop", 1)
@@ -132,33 +181,33 @@ func TestHistogramQuantileMonotonicity(t *testing.T) {
 			}
 			h.Observe(v)
 		}
-		qs := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
-		prev := -1.0
-		for _, q := range qs {
-			got := h.Quantile(q)
-			if got < prev {
-				t.Fatalf("trial %d: Quantile not monotone: q=%v got %v < prev %v", trial, q, got, prev)
+		buckets := exposedBuckets(t, h)
+		for i := 1; i < len(buckets); i++ {
+			if buckets[i].cum < buckets[i-1].cum {
+				t.Fatalf("trial %d: cumulative count falls at le=%s: %v", trial, buckets[i].le, buckets)
 			}
-			if got < 0 {
-				t.Fatalf("trial %d: Quantile(%v) = %v < 0", trial, q, got)
+		}
+		if last := buckets[len(buckets)-1]; last.le != "+Inf" || last.cum != h.Count() {
+			t.Fatalf("trial %d: last bucket %v, want +Inf with count %d", trial, last, h.Count())
+		}
+		prev := 0
+		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
+			i := quantileBucket(buckets, q)
+			if i < prev {
+				t.Fatalf("trial %d: q=%v falls in bucket le=%s, below le=%s", trial, q, buckets[i].le, buckets[prev].le)
 			}
-			// Estimates never exceed the max's bucket upper bound
-			// (or the overflow clamp).
-			bound := float64(bucketUpper(bucketOf(max)))
-			if bucketOf(max) == histBuckets {
-				bound = float64(bucketUpper(histBuckets - 1))
-			}
-			if got > bound {
-				t.Fatalf("trial %d: Quantile(%v) = %v exceeds bucket bound %v (max=%d)", trial, q, got, bound, max)
-			}
-			prev = got
+			prev = i
+		}
+		if got, want := buckets[prev].le, leOf(max); got != want {
+			t.Fatalf("trial %d: q=1 in bucket le=%s, want the max's le=%s (max=%d)", trial, got, want, max)
 		}
 	}
 }
 
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	// Log2 buckets bound relative error by 2x: the estimate for any
-	// quantile must land within the true value's bucket.
+	// A scraper reads quantiles from the exposition's le buckets. Log2
+	// buckets bound its relative error by 2x: the bucket holding the
+	// q-quantile observation must be the true value's bucket.
 	rng := rand.New(rand.NewSource(7))
 	h := newHist(t)
 	vals := make([]uint64, 10000)
@@ -167,20 +216,11 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		h.Observe(vals[i])
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	buckets := exposedBuckets(t, h)
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		idx := int(q*float64(len(vals))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		truth := vals[idx]
-		got := h.Quantile(q)
-		b := bucketOf(truth)
-		lo, hi := 0.0, float64(bucketUpper(b))
-		if b > 0 {
-			lo = float64(uint64(1) << uint(b-1))
-		}
-		if got < lo || got > hi {
-			t.Errorf("Quantile(%v) = %v outside truth bucket [%v,%v] (truth %d)", q, got, lo, hi, truth)
+		truth := vals[int(math.Ceil(q*float64(len(vals))))-1]
+		if got, want := buckets[quantileBucket(buckets, q)].le, leOf(truth); got != want {
+			t.Errorf("q=%v falls in bucket le=%s, truth %d is in le=%s", q, got, truth, want)
 		}
 	}
 }
@@ -228,17 +268,6 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 	if h.Sum() < 1500+1000 {
 		t.Fatalf("ObserveSince recorded too little: sum=%d", h.Sum())
-	}
-}
-
-func TestHistogramQuantileClamps(t *testing.T) {
-	h := newHist(t)
-	h.Observe(100)
-	if got := h.Quantile(-0.5); got != h.Quantile(0) {
-		t.Fatalf("q<0 should clamp: %v vs %v", got, h.Quantile(0))
-	}
-	if got := h.Quantile(1.5); got != h.Quantile(1) {
-		t.Fatalf("q>1 should clamp: %v vs %v", got, h.Quantile(1))
 	}
 }
 

@@ -16,8 +16,8 @@
 //     per-cell values double as the shard-imbalance signal.
 //   - Histogram keeps fixed log2 buckets (one atomic add per
 //     observation, no sample retention): memory is constant whatever
-//     the observation count, and quantiles are estimated from the
-//     bucket counts by interpolation.
+//     the observation count, and the exposition's cumulative le
+//     buckets are what a scraper reads quantiles from.
 //   - Spans (trace.go) are disabled-by-default nops resolved by a
 //     single atomic pointer load; enabling tracing records into a
 //     bounded ring buffer dumpable as Chrome trace-event JSON.

@@ -164,9 +164,6 @@ func EnableTracing(capacity int) {
 // DisableTracing stops recording and releases the ring.
 func DisableTracing() { curRing.Store(nil) }
 
-// TracingEnabled reports whether spans are being recorded.
-func TracingEnabled() bool { return curRing.Load() != nil }
-
 // WriteTrace dumps the ring as a Chrome trace-event JSON array
 // (complete "X" events with microsecond timestamps), loadable in
 // chrome://tracing or Perfetto. Records being overwritten mid-dump

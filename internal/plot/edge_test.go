@@ -81,13 +81,3 @@ func TestWriteTSVEmpty(t *testing.T) {
 		t.Errorf("TSV = %q, want %q", got, want)
 	}
 }
-
-func TestNewSeriesValid(t *testing.T) {
-	s, err := NewSeries("ok", []float64{1, 2}, []float64{3, 4})
-	if err != nil || s.Name != "ok" || len(s.X) != 2 {
-		t.Errorf("NewSeries: %+v, %v", s, err)
-	}
-	if _, err := NewSeries("empty", nil, nil); err != nil {
-		t.Errorf("empty series should be constructible: %v", err)
-	}
-}

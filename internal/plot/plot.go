@@ -18,14 +18,6 @@ type Series struct {
 	Y    []float64
 }
 
-// NewSeries builds a Series, returning an error on length mismatch.
-func NewSeries(name string, x, y []float64) (Series, error) {
-	if len(x) != len(y) {
-		return Series{}, fmt.Errorf("plot: series %q has %d x vs %d y", name, len(x), len(y))
-	}
-	return Series{Name: name, X: x, Y: y}, nil
-}
-
 // WriteTSV writes the series as gnuplot-style blocks: a comment header
 // with the series name, x<TAB>y lines, and a blank line between series.
 func WriteTSV(w io.Writer, series ...Series) error {

@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-func TestNewSeriesValidation(t *testing.T) {
-	if _, err := NewSeries("x", []float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	s, err := NewSeries("ok", []float64{1, 2}, []float64{3, 4})
-	if err != nil || s.Name != "ok" {
-		t.Errorf("NewSeries: %v %v", s, err)
-	}
-}
-
 func TestWriteTSV(t *testing.T) {
 	var buf bytes.Buffer
 	a := Series{Name: "alpha", X: []float64{1, 10}, Y: []float64{0.5, 0.9}}

@@ -102,14 +102,6 @@ type ReplayStats struct {
 	Matched uint64 `json:"matched"`
 }
 
-// ReplayOpts selects replay failure semantics. The zero value is
-// strict: any corrupt segment aborts the replay with an error. Salvage
-// quarantines corrupt segments — skip, count in Quarantined, keep
-// going — delivering every intact segment of a damaged file.
-type ReplayOpts struct {
-	Salvage bool
-}
-
 // Reader replays a segment file. It reads the directory eagerly (a few
 // dozen bytes per segment) and payloads lazily, segment at a time,
 // through reused buffers: replay RSS is bounded by the largest single
@@ -122,7 +114,7 @@ type Reader struct {
 	buf      []byte            // reused payload buffer
 	refs     []demand.ClickRef // reused decode batch
 	hdr      []byte            // reused header-verify scratch
-	salvage  bool              // opened via OpenSalvage: Replay defaults to salvage semantics
+	salvage  bool              // opened via OpenSalvage or NewReaderSalvage: Replay quarantines
 	quarOpen int               // directory entries quarantined at open (salvage only)
 }
 
@@ -276,16 +268,13 @@ func (r *Reader) Rows() uint64 {
 // retain it. fold is never called with an empty batch. Replay feeds a
 // single goroutine; pair it with ShardedAggregator.FeedRefs to fan the
 // fold across shard workers.
+//
+// The open fixed the failure semantics. A strict reader (OpenFile,
+// NewReader) aborts on the first corrupt segment. A salvage reader
+// (OpenSalvage, NewReaderSalvage) quarantines corrupt segments —
+// skipped and counted in Quarantined, never delivered — and completes
+// the replay over everything that validates.
 func (r *Reader) Replay(p Predicate, fold func(batch []demand.ClickRef)) (ReplayStats, error) {
-	return r.ReplayWith(p, ReplayOpts{Salvage: r.salvage}, fold)
-}
-
-// ReplayWith is Replay with explicit failure semantics: strict (the
-// zero ReplayOpts) aborts on the first corrupt segment; Salvage
-// quarantines corrupt segments — skipped and counted, never delivered
-// — and completes the replay over everything that validates. A reader
-// from OpenSalvage defaults to salvage semantics in Replay.
-func (r *Reader) ReplayWith(p Predicate, o ReplayOpts, fold func(batch []demand.ClickRef)) (ReplayStats, error) {
 	stats := ReplayStats{Segments: len(r.dir), Quarantined: r.quarOpen}
 	for i, d := range r.dir {
 		if !p.overlaps(d) {
@@ -299,7 +288,7 @@ func (r *Reader) ReplayWith(p Predicate, o ReplayOpts, fold func(batch []demand.
 		obsSegDecodeSec.ObserveSince(t0)
 		sp.End()
 		if err != nil {
-			if o.Salvage {
+			if r.salvage {
 				stats.Quarantined++
 				obsSegQuarantined.Inc() //repro:obs-ok one increment per quarantined segment
 				continue

@@ -168,10 +168,10 @@ func TestSalvageQuarantinesFlippedBytes(t *testing.T) {
 	}
 }
 
-// TestReplayWithSalvageOnStrictReader: the same strict reader can run
-// both semantics — strict Replay fails on a flipped payload byte,
-// ReplayWith salvage quarantines exactly that segment and delivers the
-// rest.
+// TestReplayWithSalvageOnStrictReader: the open fixes the semantics
+// over the same bytes — a strict reader's Replay fails on a flipped
+// payload byte, a salvage reader's quarantines exactly that segment
+// and delivers the rest.
 func TestReplayWithSalvageOnStrictReader(t *testing.T) {
 	refs := randomRefs(29, 512)
 	file := writeRefs(t, refs, 128) // 4 segments
@@ -190,8 +190,12 @@ func TestReplayWithSalvageOnStrictReader(t *testing.T) {
 	if _, err := r.Replay(All(), func([]demand.ClickRef) {}); err == nil {
 		t.Fatal("strict replay of a flipped payload succeeded")
 	}
+	sal, err := NewReaderSalvage(bytes.NewReader(mut), int64(len(mut)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []demand.ClickRef
-	stats, err := r.ReplayWith(All(), ReplayOpts{Salvage: true}, func(b []demand.ClickRef) {
+	stats, err := sal.Replay(All(), func(b []demand.ClickRef) {
 		got = append(got, b...)
 	})
 	if err != nil {
@@ -290,7 +294,7 @@ func TestOpenSalvageFile(t *testing.T) {
 }
 
 // TestReadFailpoint: an injected read error aborts a strict replay and
-// is quarantined by a salvage replay.
+// is quarantined by a salvage reader's replay of the same bytes.
 func TestReadFailpoint(t *testing.T) {
 	refs := randomRefs(37, 512)
 	file := writeRefs(t, refs, 128) // 4 segments
@@ -304,9 +308,13 @@ func TestReadFailpoint(t *testing.T) {
 		t.Fatalf("strict replay under injected read fault = %v", err)
 	}
 
+	sal, err := NewReaderSalvage(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fail.Arm("seg/read", fail.Action{Kind: fail.Error, Times: 1})
 	var rows int
-	stats, err := r.ReplayWith(All(), ReplayOpts{Salvage: true}, func(b []demand.ClickRef) {
+	stats, err := sal.Replay(All(), func(b []demand.ClickRef) {
 		rows += len(b)
 	})
 	if err != nil {

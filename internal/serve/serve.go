@@ -164,15 +164,6 @@ func (s *Server) Start(ln net.Listener) error {
 	return err
 }
 
-// ListenAndServe listens on addr and calls Start.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Start(ln)
-}
-
 // Shutdown stops accepting new connections and blocks until in-flight
 // requests drain or ctx expires (returning ctx's error in that case).
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -617,21 +617,3 @@ func TestAbandonedRequestDoesNotPoisonCoalescedBuild(t *testing.T) {
 		t.Errorf("build ran %d times, want 1", n)
 	}
 }
-
-func TestListenAndServe(t *testing.T) {
-	s := New(Options{Logger: discardLogger()})
-	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe("127.0.0.1:0") }()
-	// The listener address isn't exposed; this exercises the path and
-	// the clean-shutdown return value.
-	time.Sleep(20 * time.Millisecond)
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	if err := s.ListenAndServe("256.0.0.1:0"); err == nil {
-		t.Error("bad address should fail")
-	}
-}

@@ -49,75 +49,3 @@ func Log2BinCenter(b int) float64 {
 	hi := float64(int(1)<<b - 1)
 	return math.Sqrt(lo * hi)
 }
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram returns a histogram with nbins equal-width bins over
-// [lo, hi). It returns an error if nbins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs nbins >= 1, got %d", nbins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram needs hi > lo, got [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}, nil
-}
-
-// Add records one observation. Values outside [Lo, Hi) are tracked as
-// underflow/overflow rather than dropped silently.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) { // guard float edge
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Outliers returns the counts of observations below Lo and at/above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// CDF returns the empirical cumulative distribution of the in-range
-// observations: out[i] = fraction of observations in bins 0..i.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	total := h.Total()
-	if total == 0 {
-		return out
-	}
-	cum := 0
-	for i, c := range h.Counts {
-		cum += c
-		out[i] = float64(cum) / float64(total)
-	}
-	return out
-}

@@ -73,87 +73,3 @@ func TestLog2BinCenter(t *testing.T) {
 		t.Errorf("bin 3 center %v outside [4,7]", c)
 	}
 }
-
-func TestNewHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("nbins=0 should fail")
-	}
-	if _, err := NewHistogram(1, 1, 5); err == nil {
-		t.Error("hi<=lo should fail")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(100)
-	if h.Total() != 10 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d,%d", under, over)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count = %d", i, c)
-		}
-	}
-	if c := h.BinCenter(0); !almostEq(c, 0.5, 1e-12) {
-		t.Errorf("BinCenter(0) = %v", c)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h, _ := NewHistogram(0, 4, 4)
-	for _, x := range []float64{0.5, 1.5, 1.6, 3.9} {
-		h.Add(x)
-	}
-	cdf := h.CDF()
-	want := []float64{0.25, 0.75, 0.75, 1}
-	for i := range want {
-		if !almostEq(cdf[i], want[i], 1e-12) {
-			t.Errorf("cdf[%d] = %v, want %v", i, cdf[i], want[i])
-		}
-	}
-}
-
-func TestHistogramCDFEmpty(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 3)
-	for _, v := range h.CDF() {
-		if v != 0 {
-			t.Error("empty CDF should be all zero")
-		}
-	}
-}
-
-func TestHistogramCDFMonotoneQuick(t *testing.T) {
-	f := func(raw []uint8) bool {
-		h, err := NewHistogram(0, 256, 16)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		cdf := h.CDF()
-		prev := 0.0
-		for _, v := range cdf {
-			if v+1e-12 < prev {
-				return false
-			}
-			prev = v
-		}
-		return len(raw) == 0 || cdf[len(cdf)-1] > 0.999
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

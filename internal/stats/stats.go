@@ -1,10 +1,10 @@
-// Package stats provides the descriptive statistics, quantiles, binning
-// and concentration measures used when summarizing demand and coverage
-// data into the paper's tables and figures.
+// Package stats provides the sample measures behind the paper's
+// figures: moments and z-scores (Figure 7's normalized demand), the
+// logarithmic review-count bins of Figure 8, the Gini concentration of
+// demand and the Zipf rank exponent of Figure 6's log-log curves.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -45,43 +45,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns an error for an
-// empty sample or a q outside [0, 1]. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile q=%v outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // ZScores returns (x - mean) / stddev for each x. If the standard
 // deviation is zero, all scores are zero. This is the normalization the
 // paper applies to demand in Figure 7 ("normalized within each dataset to
@@ -117,35 +80,4 @@ func Gini(xs []float64) float64 {
 		return 0
 	}
 	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// TopShare returns the fraction of total mass held by the largest
-// `frac` proportion of elements (e.g. TopShare(xs, 0.2) = share of the
-// top 20%). It is the quantity behind "top 20% of titles account for 90%
-// of demand" in Figure 6.
-func TopShare(xs []float64, frac float64) float64 {
-	n := len(xs)
-	if n == 0 || frac <= 0 {
-		return 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	k := int(math.Ceil(frac * float64(n)))
-	if k > n {
-		k = n
-	}
-	var top, total float64
-	for i, x := range sorted {
-		if i < k {
-			top += x
-		}
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return top / total
 }

@@ -34,50 +34,6 @@ func TestSummarizeKnown(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	if !almostEq(Mean([]float64{1, 2, 3}), 2, 1e-12) {
-		t.Error("mean of 1,2,3 should be 2")
-	}
-}
-
-func TestQuantileValidation(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty sample should error")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("q<0 should error")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Error("q>1 should error")
-	}
-}
-
-func TestQuantileKnown(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	q0, _ := Quantile(xs, 0)
-	q1, _ := Quantile(xs, 1)
-	med, _ := Quantile(xs, 0.5)
-	if q0 != 1 || q1 != 9 {
-		t.Errorf("min/max quantiles: %v, %v", q0, q1)
-	}
-	if !almostEq(med, 3.5, 1e-12) {
-		t.Errorf("median = %v, want 3.5", med)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
 func TestZScores(t *testing.T) {
 	z := ZScores([]float64{1, 2, 3, 4, 5})
 	s := Summarize(z)
@@ -129,52 +85,6 @@ func TestGiniBounds(t *testing.T) {
 		}
 		g := Gini(xs)
 		return g >= -1e-9 && g <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTopShare(t *testing.T) {
-	// 10 elements: one holds 91 of 100 total mass.
-	xs := []float64{91, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	if s := TopShare(xs, 0.1); !almostEq(s, 0.91, 1e-12) {
-		t.Errorf("top-10%% share = %v, want 0.91", s)
-	}
-	if s := TopShare(xs, 1); !almostEq(s, 1, 1e-12) {
-		t.Errorf("full share = %v, want 1", s)
-	}
-	if s := TopShare(xs, 2); !almostEq(s, 1, 1e-12) {
-		t.Errorf("frac>1 clamps to 1, got %v", s)
-	}
-	if TopShare(nil, 0.5) != 0 || TopShare(xs, 0) != 0 {
-		t.Error("degenerate TopShare should be 0")
-	}
-}
-
-func TestTopShareMonotoneInFrac(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var sum float64
-		for i, v := range raw {
-			xs[i] = float64(v)
-			sum += xs[i]
-		}
-		if sum == 0 {
-			return true
-		}
-		prev := 0.0
-		for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
-			s := TopShare(xs, frac)
-			if s+1e-9 < prev {
-				return false
-			}
-			prev = s
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

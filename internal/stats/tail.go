@@ -6,46 +6,10 @@ import (
 	"sort"
 )
 
-// HillEstimator returns the Hill estimate of the power-law tail index
-// alpha of the sample xs, using the k largest observations: for demand
-// distributed with P(X > x) ∝ x^-alpha, the estimator is
-//
-//	alpha = k / Σ_{i=1..k} ln(x_(i) / x_(k+1))
-//
-// where x_(1) >= x_(2) >= ... are the order statistics. It is the
-// standard way to quantify how heavy the demand tail of Figure 6 is.
-// It returns an error if fewer than k+1 positive observations exist or
-// k < 2.
-func HillEstimator(xs []float64, k int) (float64, error) {
-	if k < 2 {
-		return 0, fmt.Errorf("stats: Hill estimator needs k >= 2, got %d", k)
-	}
-	pos := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if x > 0 {
-			pos = append(pos, x)
-		}
-	}
-	if len(pos) < k+1 {
-		return 0, fmt.Errorf("stats: Hill estimator needs > %d positive observations, got %d", k, len(pos))
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(pos)))
-	ref := pos[k] // x_(k+1)
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		sum += math.Log(pos[i] / ref)
-	}
-	if sum <= 0 {
-		return 0, fmt.Errorf("stats: degenerate tail (top-%d values equal)", k)
-	}
-	return float64(k) / sum, nil
-}
-
 // ZipfExponentFromRanks estimates the rank-frequency Zipf exponent s of
 // a demand vector by least-squares on log(freq) vs log(rank) over the
-// top `ranks` entries (freq ∝ rank^-s). It complements HillEstimator:
-// Hill measures the distribution tail, this measures the head decay the
-// Figure 6(b/d) log-log plots display.
+// top `ranks` entries (freq ∝ rank^-s): the head decay the Figure
+// 6(b/d) log-log plots display.
 func ZipfExponentFromRanks(xs []float64, ranks int) (float64, error) {
 	if ranks < 2 {
 		return 0, fmt.Errorf("stats: need ranks >= 2, got %d", ranks)

@@ -3,46 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"repro/internal/dist"
 )
-
-func TestHillEstimatorValidation(t *testing.T) {
-	if _, err := HillEstimator([]float64{1, 2, 3}, 1); err == nil {
-		t.Error("k<2 should fail")
-	}
-	if _, err := HillEstimator([]float64{1, 2}, 2); err == nil {
-		t.Error("too few observations should fail")
-	}
-	if _, err := HillEstimator([]float64{5, 5, 5, 5, 5}, 3); err == nil {
-		t.Error("constant tail should fail")
-	}
-	if _, err := HillEstimator([]float64{0, -1, 0, 0}, 2); err == nil {
-		t.Error("no positive observations should fail")
-	}
-}
-
-func TestHillEstimatorRecoversPareto(t *testing.T) {
-	// Samples from a Pareto with tail index alpha must estimate ~alpha.
-	for _, alpha := range []float64{1.0, 1.5, 2.5} {
-		rng := dist.NewRNG(uint64(alpha * 100))
-		xs := make([]float64, 30000)
-		for i := range xs {
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
-			xs[i] = math.Pow(u, -1/alpha) // inverse CDF of Pareto(1, alpha)
-		}
-		got, err := HillEstimator(xs, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-alpha)/alpha > 0.1 {
-			t.Errorf("alpha=%v: Hill estimate %v", alpha, got)
-		}
-	}
-}
 
 func TestZipfExponentFromRanks(t *testing.T) {
 	// Exact Zipf frequencies must regress to the exact exponent.

@@ -26,15 +26,6 @@ type CDX struct {
 // Add appends one entry.
 func (c *CDX) Add(e CDXEntry) { c.Entries = append(c.Entries, e) }
 
-// ByHost groups entry indices by host.
-func (c *CDX) ByHost() map[string][]int {
-	out := make(map[string][]int)
-	for i, e := range c.Entries {
-		out[e.Host] = append(out[e.Host], i)
-	}
-	return out
-}
-
 // Hosts returns the distinct hosts in the index, sorted.
 func (c *CDX) Hosts() []string {
 	seen := make(map[string]struct{})

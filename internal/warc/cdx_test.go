@@ -43,20 +43,6 @@ func TestCDXRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCDXByHost(t *testing.T) {
-	c := &CDX{}
-	c.Add(CDXEntry{URI: "http://a.com/1", Host: "a.com"})
-	c.Add(CDXEntry{URI: "http://b.com/1", Host: "b.com"})
-	c.Add(CDXEntry{URI: "http://a.com/2", Host: "a.com"})
-	by := c.ByHost()
-	if !reflect.DeepEqual(by["a.com"], []int{0, 2}) {
-		t.Errorf("a.com entries = %v", by["a.com"])
-	}
-	if !reflect.DeepEqual(by["b.com"], []int{1}) {
-		t.Errorf("b.com entries = %v", by["b.com"])
-	}
-}
-
 func TestCDXHostsSorted(t *testing.T) {
 	c := &CDX{}
 	for _, h := range []string{"z.com", "a.com", "m.com", "a.com"} {
