@@ -139,10 +139,8 @@ func TestSyntheticCorpusAccuracy(t *testing.T) {
 	if acc := float64(tp+tn) / float64(len(texts)); acc < 0.95 {
 		t.Errorf("accuracy = %v, want >= 0.95 (tp=%d fp=%d tn=%d fn=%d)", acc, tp, fp, tn, fn)
 	}
-	precision, recall := 0.0, 0.0
-	if tp > 0 {
-		precision, recall = float64(tp)/float64(tp+fp), float64(tp)/float64(tp+fn)
-	}
+	// Half the texts are reviews, so tp > 0 whenever accuracy passes.
+	precision, recall := float64(tp)/float64(tp+fp), float64(tp)/float64(tp+fn)
 	if precision < 0.9 || recall < 0.9 {
 		t.Errorf("precision/recall = %v/%v", precision, recall)
 	}

@@ -269,7 +269,7 @@ func (r *Reader) Rows() uint64 {
 // single goroutine; pair it with ShardedAggregator.FeedRefs to fan the
 // fold across shard workers.
 //
-// The open fixed the failure semantics. A strict reader (OpenFile,
+// The open fixes the failure semantics. A strict reader (OpenFile,
 // NewReader) aborts on the first corrupt segment. A salvage reader
 // (OpenSalvage, NewReaderSalvage) quarantines corrupt segments —
 // skipped and counted in Quarantined, never delivered — and completes
