@@ -573,14 +573,14 @@ func BenchmarkWARCRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		cdx, err := core.WriteWARC(web, &buf, true)
+		cdx, err := web.WriteWARC(&buf, true)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(cdx.Entries) == 0 {
 			b.Fatal("no records")
 		}
-		if _, _, err := core.ExtractWARC(bytes.NewReader(buf.Bytes()), web.DB, nil); err != nil {
+		if _, _, err := synth.ExtractWARC(bytes.NewReader(buf.Bytes()), web.DB, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

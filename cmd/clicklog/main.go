@@ -29,7 +29,7 @@
 //
 // Aggregate a log back into per-entity demand across -shards concurrent
 // shard workers and print the demand distribution summary (the input
-// format is sniffed from the file magic; -format overrides):
+// format is sniffed from the file magic):
 //
 //	clicklog agg -site yelp -n 5000 -seed 1 -shards 8 -in clicks.tsv
 //	clicklog agg -site yelp -n 5000 -seed 1 -in clicks.seg -src browse -days 0:90
@@ -253,7 +253,6 @@ type aggOptions struct {
 	seed     uint64
 	shards   int
 	in       string
-	format   string // auto | tsv | seg
 	cookies  int    // cookie-population hint, 0 = none
 	strict   bool   // abort on first malformed TSV line
 	salvage  bool   // segment input: recover the CRC-valid prefix of a damaged file
@@ -324,7 +323,7 @@ func predicateFor(o aggOptions) (p seg.Predicate, hasPred bool, err error) {
 	return p, hasPred, nil
 }
 
-// sniffFormat resolves format "auto" by the file's leading magic.
+// sniffFormat names a log file's format by its leading magic.
 func sniffFormat(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -340,12 +339,9 @@ func sniffFormat(path string) (string, error) {
 
 // aggregate replays o.in into a fresh sharded aggregator.
 func aggregate(o aggOptions) (*aggResult, error) {
-	format := o.format
-	if format == "" || format == "auto" {
-		var err error
-		if format, err = sniffFormat(o.in); err != nil {
-			return nil, err
-		}
+	format, err := sniffFormat(o.in)
+	if err != nil {
+		return nil, err
 	}
 	pred, hasPred, err := predicateFor(o)
 	if err != nil {
@@ -361,8 +357,7 @@ func aggregate(o aggOptions) (*aggResult, error) {
 	}
 	res := &aggResult{sa: sa, format: format}
 
-	switch format {
-	case "seg":
+	if format == "seg" {
 		open := seg.OpenFile
 		if o.salvage {
 			open = seg.OpenSalvage
@@ -382,46 +377,43 @@ func aggregate(o aggOptions) (*aggResult, error) {
 		res.parsed = st.Rows
 		res.resolved = st.Matched
 		return res, nil
-	case "tsv":
-		if hasPred {
-			return nil, fmt.Errorf("pushdown flags (-src, -days, -entities) need a segment input; %s is tsv", o.in)
+	}
+	if hasPred {
+		return nil, fmt.Errorf("pushdown flags (-src, -days, -entities) need a segment input; %s is tsv", o.in)
+	}
+	if o.salvage {
+		return nil, fmt.Errorf("-salvage needs a segment input; %s is tsv", o.in)
+	}
+	f, err := os.Open(o.in)
+	if err != nil {
+		return nil, fmt.Errorf("open %s: %w", o.in, err)
+	}
+	defer f.Close()
+	emit, done := sa.Feed()
+	r := logs.NewReader(f)
+	for {
+		c, err := r.Next()
+		if err == io.EOF {
+			break
 		}
-		if o.salvage {
-			return nil, fmt.Errorf("-salvage needs a segment input; %s is tsv", o.in)
-		}
-		f, err := os.Open(o.in)
-		if err != nil {
-			return nil, fmt.Errorf("open %s: %w", o.in, err)
-		}
-		defer f.Close()
-		emit, done := sa.Feed()
-		r := logs.NewReader(f)
-		for {
-			c, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if errors.Is(err, logs.ErrMalformed) {
-				if o.strict {
-					done()
-					return nil, err
-				}
-				res.malformed++
-				continue
-			}
-			if err != nil {
+		if errors.Is(err, logs.ErrMalformed) {
+			if o.strict {
 				done()
 				return nil, err
 			}
-			res.parsed++
-			emit(c)
+			res.malformed++
+			continue
 		}
-		done()
-		res.resolved, res.dropped = sa.FeedStats()
-		return res, nil
-	default:
-		return nil, fmt.Errorf("unknown -format %q (auto, tsv, seg)", o.format)
+		if err != nil {
+			done()
+			return nil, err
+		}
+		res.parsed++
+		emit(c)
 	}
+	done()
+	res.resolved, res.dropped = sa.FeedStats()
+	return res, nil
 }
 
 // aggSummary is runAgg's machine-readable replay accounting: the
@@ -491,7 +483,6 @@ func runAgg(args []string) error {
 	fs.Uint64Var(&o.seed, "seed", 1, "seed (must match gen)")
 	fs.IntVar(&o.shards, "shards", 0, "aggregation shard workers (0: all cores)")
 	fs.StringVar(&o.in, "in", "clicks.tsv", "input log path")
-	fs.StringVar(&o.format, "format", "auto", "input format: auto (sniff magic), tsv, seg")
 	fs.IntVar(&o.cookies, "cookies", 0, "known cookie population hint (0: none) — enables bitmap distinct counting")
 	fs.BoolVar(&o.strict, "strict", false, "abort on the first malformed line instead of skipping it")
 	fs.BoolVar(&o.salvage, "salvage", false, "segment input: recover the CRC-valid prefix of a damaged log instead of failing")

@@ -20,9 +20,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/synth"
 )
 
@@ -59,10 +57,7 @@ func run() error {
 	}
 	var nb *classify.NaiveBayes
 	if d == entity.Restaurants {
-		tr := extract.NewTrainer(1)
-		web.TrainingCorpus(400, *seed^0xc1a551f7, tr.Add)
-		nb, err = tr.Classifier()
-		if err != nil {
+		if nb, err = web.ReviewClassifier(*seed); err != nil {
 			return err
 		}
 	}
@@ -72,14 +67,15 @@ func run() error {
 		return fmt.Errorf("open %s: %w", *warcPath, err)
 	}
 	defer f.Close()
-	idxs, pages, err := core.ExtractWARC(f, web.DB, nb)
+	idxs, pages, err := synth.ExtractWARC(f, web.DB, nb)
 	if err != nil {
 		return err
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("create %s: %w", *outDir, err)
 	}
-	for attr, idx := range idxs {
+	for _, attr := range entity.AttrsFor(d) {
+		idx := idxs[attr]
 		path := filepath.Join(*outDir, fmt.Sprintf("%s_%s.idx", d, attr))
 		out, err := os.Create(path)
 		if err != nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/synth"
 )
@@ -57,7 +56,7 @@ func run() error {
 		return fmt.Errorf("create %s: %w", *out, err)
 	}
 	defer f.Close()
-	cdx, err := core.WriteWARC(web, f, *gz)
+	cdx, err := web.WriteWARC(f, *gz)
 	if err != nil {
 		return err
 	}

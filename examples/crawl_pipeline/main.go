@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/synth"
 )
 
@@ -33,25 +31,23 @@ func main() {
 
 	// 1. Crawl → WARC (in memory here; cmd/genweb writes files).
 	var archive bytes.Buffer
-	cdx, err := core.WriteWARC(web, &archive, true)
+	cdx, err := web.WriteWARC(&archive, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("WARC archive: %d pages, %.1f MB gzipped, %d hosts\n",
 		len(cdx.Entries), float64(archive.Len())/(1<<20), len(cdx.Hosts()))
 
-	// 2. Train the review classifier on labeled pages (§3.2), streamed
-	// page by page through the trainer.
-	tr := extract.NewTrainer(1)
-	web.TrainingCorpus(300, 99, tr.Add)
-	nb, err := tr.Classifier()
+	// 2. Train the review classifier on labeled pages (§3.2) by the
+	// study's recipe.
+	nb, err := web.ReviewClassifier(web.Config.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("review classifier: %d-token vocabulary\n", nb.Vocabulary())
 
 	// 3. Extract the archive back into entity–host indexes.
-	idxs, pagesProcessed, err := core.ExtractWARC(&archive, web.DB, nb)
+	idxs, pagesProcessed, err := synth.ExtractWARC(&archive, web.DB, nb)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/synth"
 )
 
@@ -40,7 +39,8 @@ func domainSalt(d entity.Domain) uint64 {
 }
 
 // ReviewClassifier returns the trained review classifier, training it on
-// first use from the restaurants web's labeled page generator.
+// first use by the restaurants web's recipe (synth.Web.ReviewClassifier)
+// under the study seed.
 func (s *Study) ReviewClassifier() (*classify.NaiveBayes, error) {
 	return s.reviewNB.Get(func() (*classify.NaiveBayes, error) {
 		s.builds.classifiers.Add(1)
@@ -49,14 +49,6 @@ func (s *Study) ReviewClassifier() (*classify.NaiveBayes, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Stream the labeled corpus through the trainer page by page —
-		// no [][]byte corpus is ever materialized.
-		tr := extract.NewTrainer(1)
-		w.TrainingCorpus(400, s.cfg.Seed^0xc1a551f7, tr.Add)
-		nb, err := tr.Classifier()
-		if err != nil {
-			return nil, fmt.Errorf("core: train review classifier: %w", err)
-		}
-		return nb, nil
+		return w.ReviewClassifier(s.cfg.Seed)
 	})
 }

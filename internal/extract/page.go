@@ -53,18 +53,3 @@ func New(db *entity.DB, reviewClf *classify.NaiveBayes) (*Extractor, error) {
 	}
 	return &Extractor{db: db, reviewClf: reviewClf, reviewAttr: hasReview}, nil
 }
-
-// TrainReviewClassifier builds a review classifier from labeled example
-// pages (HTML in, label = page is a review page). It is the materialized
-// convenience form of Trainer, which streams pages without retaining
-// them.
-func TrainReviewClassifier(pages [][]byte, labels []bool) (*classify.NaiveBayes, error) {
-	if len(pages) != len(labels) {
-		return nil, fmt.Errorf("extract: %d pages vs %d labels", len(pages), len(labels))
-	}
-	tr := NewTrainer(1)
-	for i, p := range pages {
-		tr.Add(p, labels[i])
-	}
-	return tr.Classifier()
-}

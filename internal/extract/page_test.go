@@ -153,28 +153,3 @@ func TestPageNoReviewAttrForNonRestaurants(t *testing.T) {
 		}
 	}
 }
-
-func TestTrainReviewClassifier(t *testing.T) {
-	rng := dist.NewRNG(10)
-	var pages [][]byte
-	var labels []bool
-	for i := 0; i < 50; i++ {
-		pages = append(pages, []byte("<html><body>"+textgen.Review(rng, "X", 5)+"</body></html>"))
-		labels = append(labels, true)
-		pages = append(pages, []byte("<html><body>"+textgen.Boilerplate(rng, 5)+"</body></html>"))
-		labels = append(labels, false)
-	}
-	nb, err := TrainReviewClassifier(pages, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nb.Trained() {
-		t.Error("classifier untrained after TrainReviewClassifier")
-	}
-	if _, err := TrainReviewClassifier(pages[:1], labels); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := TrainReviewClassifier(pages[:1], labels[:1]); err == nil {
-		t.Error("single-class training should fail")
-	}
-}

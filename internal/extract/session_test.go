@@ -262,32 +262,6 @@ func TestSessionRestaurantsAllocs(t *testing.T) {
 	}
 }
 
-// TestTrainerMatchesTrainReviewClassifier: the streaming trainer and the
-// materialized path must produce models with identical decisions.
-func TestTrainerMatchesTrainReviewClassifier(t *testing.T) {
-	w := renderedWeb(t, entity.Restaurants, 61)
-	pages, labels := w.TrainingPages(120, 9)
-	viaPages, err := extract.TrainReviewClassifier(pages, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := extract.NewTrainer(1)
-	w.TrainingCorpus(120, 9, tr.Add)
-	viaStream, err := tr.Classifier()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaPages.Vocabulary() != viaStream.Vocabulary() {
-		t.Fatalf("vocab %d vs %d", viaPages.Vocabulary(), viaStream.Vocabulary())
-	}
-	probe := "the food was delicious and the service was wonderful"
-	a, _ := viaPages.LogOdds(probe)
-	b, _ := viaStream.LogOdds(probe)
-	if a != b {
-		t.Fatalf("trainer models diverge: %v vs %v", a, b)
-	}
-}
-
 func TestTrainerSingleClassFails(t *testing.T) {
 	tr := extract.NewTrainer(1)
 	tr.Add([]byte("<p>only positive</p>"), true)

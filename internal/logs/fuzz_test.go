@@ -1,21 +1,21 @@
 package logs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// FuzzParseEntityURL fuzzes the canonical fast path against the
-// general regex parser over arbitrary byte strings — the property the
-// table-driven TestParseCanonicalAgreesWithRegex spot-checks, pushed
-// to every input shape the fuzzer can invent. Two invariants:
+// FuzzParseEntityURL fuzzes §4.1's URL parser over arbitrary strings,
+// the shape of a URL field in a click log file, against its written
+// invariants. ParseEntityURL never panics, and whenever it claims a
+// parse:
 //
-//  1. Whenever the fast path claims a parse, the regex parser must
-//     produce the identical (site, key) — the fast path may only ever
-//     defer, never disagree.
-//  2. ParseEntityURL (fast path + fallback) is observably equivalent
-//     to the regex parser alone on every input.
+//  1. the site is a known one and the URL's host names it;
+//  2. the key is non-empty and appears verbatim in the URL;
+//  3. the site's canonical URL for the key (EntityURL) parses back to
+//     the same (site, key), so a parsed click re-resolves unchanged.
 //
-// Together these pin the fast path as a pure optimization: §4.1's URL
-// patterns have exactly one observable semantics. CI runs this in the
-// fuzz smoke alongside FuzzStreamVsParse.
+// CI runs this in the fuzz smoke alongside FuzzLogsReader.
 func FuzzParseEntityURL(f *testing.F) {
 	seeds := []string{
 		"",
@@ -44,19 +44,26 @@ func FuzzParseEntityURL(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, url string) {
-		wantSite, wantKey, wantOK := parseEntityURLRegex(url)
-
-		if site, key, ok := parseCanonical(url); ok {
-			if !wantOK || site != wantSite || key != wantKey {
-				t.Errorf("parseCanonical(%q) = (%q, %q, true), regex says (%q, %q, %v)",
-					url, site, key, wantSite, wantKey, wantOK)
+		site, key, ok := ParseEntityURL(url)
+		if !ok {
+			if site != "" || key != "" {
+				t.Fatalf("ParseEntityURL(%q) = (%q, %q, false): a failed parse must return zero values", url, site, key)
 			}
+			return
 		}
-
-		gotSite, gotKey, gotOK := ParseEntityURL(url)
-		if gotSite != wantSite || gotKey != wantKey || gotOK != wantOK {
-			t.Errorf("ParseEntityURL(%q) = (%q, %q, %v), regex says (%q, %q, %v)",
-				url, gotSite, gotKey, gotOK, wantSite, wantKey, wantOK)
+		if !site.Valid() || !strings.Contains(hostOf(url), string(site)) {
+			t.Fatalf("ParseEntityURL(%q): site %q is not the URL's host %q", url, site, hostOf(url))
+		}
+		if key == "" || !strings.Contains(url, key) {
+			t.Fatalf("ParseEntityURL(%q): key %q is empty or not in the URL", url, key)
+		}
+		canon, err := EntityURL(site, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2, k2, ok2 := ParseEntityURL(canon); !ok2 || s2 != site || k2 != key {
+			t.Fatalf("ParseEntityURL(%q) = (%q, %q); its canonical URL %q parses to (%q, %q, %v)",
+				url, site, key, canon, s2, k2, ok2)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package logs models the study's demand data (§4.1): click logs from
 // search (Yahoo! Search clicks) and browse (Yahoo! Toolbar) traffic,
-// keyed by anonymized cookies, and the URL-pattern parsers that map a
-// clicked URL to a structured entity on Amazon, Yelp or IMDb.
+// keyed by anonymized cookies, and the parser of §4.1's URL patterns
+// (ParseEntityURL) that maps a clicked URL to a structured entity on
+// Amazon, Yelp or IMDb.
 package logs
 
 import (
@@ -67,96 +68,11 @@ var (
 	imdbTitleRe = regexp.MustCompile(`/title/(tt[0-9]{7,8})(?:[/?#]|$)`)
 )
 
-// Canonical entity-URL prefixes, exactly as EntityURL renders them. The
-// demand pipeline parses millions of simulator-produced URLs per run;
-// matching these prefixes directly skips the general regex machinery
-// (nearly half the aggregation CPU in profiles) on the hot path.
-const (
-	amazonCanonicalPrefix = "http://www.amazon.example.com/gp/product/"
-	yelpCanonicalPrefix   = "http://www.yelp.example.com/biz/"
-	imdbCanonicalPrefix   = "http://www.imdb.example.com/title/"
-)
-
-// cutKey splits rest at the first URL separator (/, ? or #).
-func cutKey(rest string) string {
-	for i := 0; i < len(rest); i++ {
-		if c := rest[i]; c == '/' || c == '?' || c == '#' {
-			return rest[:i]
-		}
-	}
-	return rest
-}
-
-func isAmazonKey(s string) bool {
-	if len(s) != 10 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < 'A' || c > 'Z') && (c < '0' || c > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-func isYelpSlug(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' {
-			return false
-		}
-	}
-	return true
-}
-
-func isIMDbKey(s string) bool {
-	if len(s) < 9 || len(s) > 10 || s[0] != 't' || s[1] != 't' {
-		return false
-	}
-	for i := 2; i < len(s); i++ {
-		if c := s[i]; c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// parseCanonical is the fast path for canonical simulator URLs. A false
-// return means only "not recognized here" — the caller falls through to
-// the general regex parser, so the two paths always agree.
-func parseCanonical(url string) (Site, string, bool) {
-	switch {
-	case strings.HasPrefix(url, amazonCanonicalPrefix):
-		if key := cutKey(url[len(amazonCanonicalPrefix):]); isAmazonKey(key) {
-			return Amazon, key, true
-		}
-	case strings.HasPrefix(url, yelpCanonicalPrefix):
-		if key := cutKey(url[len(yelpCanonicalPrefix):]); isYelpSlug(key) {
-			return Yelp, key, true
-		}
-	case strings.HasPrefix(url, imdbCanonicalPrefix):
-		if key := cutKey(url[len(imdbCanonicalPrefix):]); isIMDbKey(key) {
-			return IMDb, key, true
-		}
-	}
-	return "", "", false
-}
-
-// ParseEntityURL maps a URL to (site, entity key). ok is false when the
-// URL is not an entity page on any of the three sites.
+// ParseEntityURL maps a URL to (site, entity key) by §4.1's URL
+// patterns, whatever the host spelling or trailing path, query and
+// fragment. ok is false when the URL is not an entity page on any of
+// the three sites.
 func ParseEntityURL(url string) (Site, string, bool) {
-	if site, key, ok := parseCanonical(url); ok {
-		return site, key, ok
-	}
-	return parseEntityURLRegex(url)
-}
-
-// parseEntityURLRegex is the general pattern-based parser (§4.1's URL
-// patterns), handling every host spelling and path shape the canonical
-// fast path does not.
-func parseEntityURLRegex(url string) (Site, string, bool) {
 	host := hostOf(url)
 	switch {
 	case strings.Contains(host, "amazon"):

@@ -42,71 +42,6 @@ func TestParseEntityURL(t *testing.T) {
 	}
 }
 
-// TestParseCanonicalAgreesWithRegex: for canonical-prefix URLs —
-// well-formed, truncated, over-long, wrong-case, trailing-garbage —
-// the fast path either agrees with the regex parser exactly or defers
-// to it, so ParseEntityURL has one observable behavior.
-func TestParseCanonicalAgreesWithRegex(t *testing.T) {
-	urls := []string{
-		"http://www.amazon.example.com/gp/product/B00A1B2C3D",
-		"http://www.amazon.example.com/gp/product/B00A1B2C3D/ref=x",
-		"http://www.amazon.example.com/gp/product/B00A1B2C3D?tag=y#frag",
-		"http://www.amazon.example.com/gp/product/b00a1b2c3d",
-		"http://www.amazon.example.com/gp/product/SHORT",
-		"http://www.amazon.example.com/gp/product/TOOLONGKEY1",
-		"http://www.amazon.example.com/gp/product/",
-		"http://www.amazon.example.com/gp/product/lowercase00/dp/B00A1B2C3D",
-		"http://www.yelp.example.com/biz/golden-kitchen-3",
-		"http://www.yelp.example.com/biz/golden-kitchen-3?osq=food",
-		"http://www.yelp.example.com/biz/golden-kitchen-3/menu",
-		"http://www.yelp.example.com/biz/UPPER-case",
-		"http://www.yelp.example.com/biz/",
-		"http://www.yelp.example.com/biz/-",
-		"http://www.imdb.example.com/title/tt0111161/",
-		"http://www.imdb.example.com/title/tt01111612",
-		"http://www.imdb.example.com/title/tt0111161#top",
-		"http://www.imdb.example.com/title/tt011116123",
-		"http://www.imdb.example.com/title/tt01111",
-		"http://www.imdb.example.com/title/tt0111161x",
-		"http://www.imdb.example.com/title/",
-	}
-	for _, u := range urls {
-		wantSite, wantKey, wantOK := parseEntityURLRegex(u)
-		gotSite, gotKey, gotOK := ParseEntityURL(u)
-		if gotSite != wantSite || gotKey != wantKey || gotOK != wantOK {
-			t.Errorf("ParseEntityURL(%q) = (%q, %q, %v), regex path says (%q, %q, %v)",
-				u, gotSite, gotKey, gotOK, wantSite, wantKey, wantOK)
-		}
-		if site, key, ok := parseCanonical(u); ok {
-			if site != wantSite || key != wantKey || !wantOK {
-				t.Errorf("parseCanonical(%q) = (%q, %q) disagrees with regex (%q, %q, %v)",
-					u, site, key, wantSite, wantKey, wantOK)
-			}
-		}
-	}
-}
-
-// BenchmarkParseEntityURL contrasts the canonical fast path with the
-// regex fallback — the demand aggregation hot path this PR optimizes.
-func BenchmarkParseEntityURL(b *testing.B) {
-	canonical := "http://www.yelp.example.com/biz/golden-kitchen-springfield-3"
-	foreign := "http://yelp.com/biz/cafe-x?osq=food"
-	b.Run("canonical", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := ParseEntityURL(canonical); !ok {
-				b.Fatal("no parse")
-			}
-		}
-	})
-	b.Run("regex-fallback", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := ParseEntityURL(foreign); !ok {
-				b.Fatal("no parse")
-			}
-		}
-	})
-}
-
 func TestEntityURLRoundTrip(t *testing.T) {
 	cases := []struct {
 		site Site

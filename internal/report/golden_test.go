@@ -31,8 +31,14 @@ func (r studyRow) key() string {
 	return fmt.Sprintf("%s %d %t", r.scale, r.seed, r.extraction)
 }
 
-// slow rows skip under -short: an extracting study costs about five
-// times a direct one, and the default scale about as much again.
+// raceEnabled is set when the test binary is built with -race
+// (race_test.go).
+var raceEnabled bool
+
+// slow rows skip under -short and under -race: an extracting study
+// costs about five times a direct one, and the default scale about as
+// much again. The race detector multiplies that again, and the non-race
+// run already pins every row.
 func (r studyRow) slow() bool {
 	return r.scale != "small" || (r.extraction && r.seed != 3)
 }
@@ -81,18 +87,18 @@ func studyDigest(t *testing.T, r studyRow) string {
 // from the config hash, which starts with that version, so an output
 // that changes while the version stays put would be revalidated 304 by
 // every client that holds the old body. Run with -update (without
-// -short) to rewrite the file after a version bump.
+// -short or -race) to rewrite the file after a version bump.
 func TestStudyOutputsGolden(t *testing.T) {
-	if *update && testing.Short() {
-		t.Fatal("-update needs the whole matrix: run without -short")
+	if *update && (testing.Short() || raceEnabled) {
+		t.Fatal("-update needs the whole matrix: run without -short and -race")
 	}
 	got := make(map[string]string, len(goldenRows))
 	known := make(map[string]bool, len(goldenRows))
 	for _, r := range goldenRows {
 		known[r.key()] = true
 		t.Run(strings.ReplaceAll(r.key(), " ", "_"), func(t *testing.T) {
-			if r.slow() && testing.Short() {
-				t.Skip("slow row; runs without -short")
+			if r.slow() && (testing.Short() || raceEnabled) {
+				t.Skip("slow row; runs without -short and -race")
 			}
 			got[r.key()] = studyDigest(t, r)
 		})
@@ -138,7 +144,7 @@ func TestStudyOutputsGolden(t *testing.T) {
 			case version != core.HashVersion:
 				t.Fatalf("%s was recorded under Config.Hash version %q, the code is at %q: rerun with -update",
 					goldenPath, version, core.HashVersion)
-			case !ok: // a slow row, skipped under -short
+			case !ok: // a slow row, skipped under -short or -race
 			case fields[3] != want:
 				t.Errorf("%s: output digest %s, pinned %s, while core.HashVersion is still %q: "+
 					"bump core.HashVersion so no cache serves the old output under its ETag, then rerun with -update",

@@ -72,11 +72,11 @@ func (w *Web) DirectIndexes() map[entity.Attr]*index.Index {
 // that have one (an entity with no website can never be homepage-
 // covered; the paper's Fig 2 curves likewise saturate at the achievable
 // maximum). The review universe is resolved after the index is built.
-func (w *Web) attrUniverse(a entity.Attr) int {
+func attrUniverse(db *entity.DB, a entity.Attr) int {
 	if a == entity.AttrHomepage {
-		return len(w.DB.WithHomepage())
+		return len(db.WithHomepage())
 	}
-	return w.Config.Entities
+	return db.N()
 }
 
 // siteBuilders returns a Builder per attribute, with row r = site r and
@@ -98,9 +98,27 @@ func (w *Web) siteBuilders(counts map[entity.Attr][]int) (map[entity.Attr]*index
 	attrs := entity.AttrsFor(w.Config.Domain)
 	builders := make(map[entity.Attr]*index.Builder, len(attrs))
 	for _, a := range attrs {
-		builders[a] = index.NewBuilderRows(w.Config.Domain, a, w.attrUniverse(a), hosts, byHost, counts[a])
+		builders[a] = index.NewBuilderRows(w.Config.Domain, a, attrUniverse(w.DB, a), hosts, byHost, counts[a])
 	}
 	return builders, nil
+}
+
+// addPage folds one page's mentions into row of every builder: each
+// mention posts its entity to its attribute's index, and a page with
+// any review mention counts once toward the row's review pages.
+func addPage(builders map[entity.Attr]*index.Builder, row int, mentions []extract.Mention) {
+	pageReview := false
+	for _, m := range mentions {
+		if b, ok := builders[m.Attr]; ok {
+			b.AddTo(row, m.EntityID)
+		}
+		if m.Attr == entity.AttrReview {
+			pageReview = true
+		}
+	}
+	if pageReview {
+		builders[entity.AttrReview].AddPagesTo(row, 1)
+	}
 }
 
 // buildIndexes builds every attribute's index and sets the review
@@ -121,6 +139,19 @@ func buildIndexes(builders map[entity.Attr]*index.Builder) (map[entity.Attr]*ind
 		}
 	}
 	return out, nil
+}
+
+// ReviewClassifier trains the §3.2 review classifier: 400 review and
+// 400 non-review pages of the web's TrainingCorpus, streamed page by
+// page through the trainer under seed (a master seed, salted here).
+func (w *Web) ReviewClassifier(seed uint64) (*classify.NaiveBayes, error) {
+	tr := extract.NewTrainer(1)
+	w.TrainingCorpus(400, seed^0xc1a551f7, tr.Add)
+	nb, err := tr.Classifier()
+	if err != nil {
+		return nil, fmt.Errorf("synth: train review classifier: %w", err)
+	}
+	return nb, nil
 }
 
 // ExtractIndexes runs the full extraction pipeline over the rendered
@@ -163,20 +194,7 @@ func (w *Web) ExtractIndexes(reviewClf *classify.NaiveBayes, workers int) (map[e
 		go func(sess *extract.Session) {
 			defer wg.Done()
 			var cur int
-			emit := func(_ string, html []byte) {
-				pageReview := false
-				for _, m := range sess.Page(html) {
-					if b, ok := builders[m.Attr]; ok {
-						b.AddTo(cur, m.EntityID)
-					}
-					if m.Attr == entity.AttrReview {
-						pageReview = true
-					}
-				}
-				if pageReview {
-					builders[entity.AttrReview].AddPagesTo(cur, 1)
-				}
-			}
+			emit := func(_ string, html []byte) { addPage(builders, cur, sess.Page(html)) }
 			for cur = range siteCh {
 				w.RenderPages(&w.Sites[cur], emit)
 			}

@@ -7,14 +7,12 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/entity"
-	"repro/internal/extract"
 	"repro/internal/index"
 )
 
 func trainedReviewClassifier(t *testing.T, w *Web) *classify.NaiveBayes {
 	t.Helper()
-	pages, labels := w.TrainingPages(150, 7)
-	nb, err := extract.TrainReviewClassifier(pages, labels)
+	nb, err := w.ReviewClassifier(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +233,17 @@ func TestRenderDeterministic(t *testing.T) {
 	}
 }
 
-func TestTrainingPages(t *testing.T) {
+func TestTrainingCorpus(t *testing.T) {
 	w := smallWeb(t, entity.Restaurants)
-	pages, labels := w.TrainingPages(20, 3)
-	if len(pages) != 40 || len(labels) != 40 {
-		t.Fatalf("got %d pages, %d labels", len(pages), len(labels))
-	}
-	pos := 0
-	for _, l := range labels {
-		if l {
+	pages, pos := 0, 0
+	w.TrainingCorpus(20, 3, func(_ []byte, isReview bool) {
+		pages++
+		if isReview {
 			pos++
 		}
+	})
+	if pages != 40 {
+		t.Fatalf("got %d pages, want 40", pages)
 	}
 	if pos != 20 {
 		t.Errorf("positives = %d, want 20", pos)

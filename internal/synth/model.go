@@ -17,8 +17,14 @@
 // The model fixes every page-level decision (which listing shows which
 // attribute, how many review pages a site has for an entity) at
 // generation time. The HTML renderer and the direct index builder both
-// consume those decisions, so extracting the rendered WARC reproduces
+// consume those decisions, so extracting the rendered web reproduces
 // the direct index exactly — tests assert this equivalence.
+//
+// The package also owns the crawl round trip: WriteWARC archives the
+// rendered web, and ExtractWARC mines an archive back into indexes by
+// the same page fold, attribute universes and review universe as
+// ExtractIndexes. ReviewClassifier is the one training recipe for the
+// §3.2 review detector.
 package synth
 
 import (

@@ -299,8 +299,8 @@ func hashHost(host string) uint64 {
 // review pages (label true) and listing/boilerplate pages (label false)
 // from the same generators the web uses, as the paper trains its
 // classifier on labeled page samples. Pages render into a pooled buffer
-// that is only valid during the callback; the stream is draw-identical
-// to TrainingPages.
+// that is only valid during the callback. ReviewClassifier is the
+// study's training recipe over this corpus.
 func (w *Web) TrainingCorpus(n int, seed uint64, emit func(html []byte, isReview bool)) {
 	rng := dist.NewRNG(seed ^ 0x7ea11abe1)
 	sc := renderPool.Get().(*renderScratch)
@@ -317,13 +317,4 @@ func (w *Web) TrainingCorpus(n int, seed uint64, emit func(html []byte, isReview
 		w.writeListingPage(&sc.buf, rng, site, []Listing{l})
 		emit(sc.buf.Bytes(), false)
 	}
-}
-
-// TrainingPages is the materialized form of TrainingCorpus.
-func (w *Web) TrainingPages(n int, seed uint64) (pages [][]byte, labels []bool) {
-	w.TrainingCorpus(n, seed, func(html []byte, isReview bool) {
-		pages = append(pages, append([]byte(nil), html...))
-		labels = append(labels, isReview)
-	})
-	return pages, labels
 }

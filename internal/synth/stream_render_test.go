@@ -94,29 +94,6 @@ func TestRenderPagesAllocs(t *testing.T) {
 	}
 }
 
-// TestTrainingCorpusMatchesTrainingPages: the streaming corpus and the
-// materialized corpus are byte-identical, page for page.
-func TestTrainingCorpusMatchesTrainingPages(t *testing.T) {
-	w := smallWeb(t, entity.Restaurants)
-	pages, labels := w.TrainingPages(25, 3)
-	i := 0
-	w.TrainingCorpus(25, 3, func(html []byte, isReview bool) {
-		if i >= len(pages) {
-			t.Fatal("corpus emitted extra pages")
-		}
-		if string(html) != string(pages[i]) {
-			t.Fatalf("corpus page %d differs from TrainingPages", i)
-		}
-		if isReview != labels[i] {
-			t.Fatalf("corpus label %d = %v, want %v", i, isReview, labels[i])
-		}
-		i++
-	})
-	if i != len(pages) {
-		t.Fatalf("corpus emitted %d pages, want %d", i, len(pages))
-	}
-}
-
 // TestRenderGoldenFragments pins representative rendered bytes so the
 // piecewise writers cannot silently drift from the old fmt-based
 // templates (URL shapes, escaping, the &middot; separator).
