@@ -6,8 +6,8 @@
 //
 //	serve -addr :8080 -studies 4 -timeout 2m -max-inflight 64
 //
-// Endpoints (all GET; ?scale=small|default|large, ?seed=N,
-// ?extraction=bool select the study configuration):
+// Endpoints (all GET; ?scale=small|default|large and ?seed=N select
+// the study configuration):
 //
 //	/healthz                     liveness probe
 //	/v1/experiments              registry metadata (id, title, needs)
@@ -46,7 +46,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	studies := flag.Int("studies", 4, "study LRU capacity: how many (scale, seed, extraction) configurations stay warm")
+	studies := flag.Int("studies", 4, "study LRU capacity: how many (scale, seed) configurations stay warm")
 	maxInflight := flag.Int("max-inflight", 64, "bound on concurrently served requests")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request budget")
 	workers := flag.Int("workers", 0, "per-study artifact build workers (0: GOMAXPROCS)")

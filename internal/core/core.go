@@ -57,7 +57,8 @@ type Config struct {
 	EventsPerSource int
 	// UseExtraction runs the full render → parse → extract pipeline to
 	// build indexes; false uses the model's direct decisions (identical
-	// output, no HTML work — see synth.DirectIndexes).
+	// output, no HTML work — see synth.DirectIndexes). Like Workers it
+	// chooses how a result is built, not which result, so Hash omits it.
 	UseExtraction bool
 	// Workers bounds intra-artifact concurrency: extraction workers and
 	// the demand pipeline's generator workers and aggregation shards
@@ -85,15 +86,18 @@ func (c Config) withDefaults() Config {
 // Bump it whenever the bytes a configuration produces change: every
 // hash, and so every served ETag, then changes with them, and no cache
 // keeps serving an old body under a tag that now names a new one.
-const HashVersion = "v1"
+const HashVersion = "v2"
 
 // Hash returns a stable hex fingerprint of the result-determining part
 // of the configuration. Two Configs with equal hashes produce
-// byte-identical experiment results: every artifact builder derives its
-// RNG streams from (Seed, key) salts, so Workers — which only changes
-// scheduling — is deliberately excluded. The serving layer derives HTTP
-// ETags from this hash, which is what makes aggressive response caching
-// sound. The leading HashVersion versions the canonical encoding itself.
+// byte-identical experiment results. Execution options are deliberately
+// excluded: every artifact builder derives its RNG streams from
+// (Seed, key) salts, so Workers only changes scheduling, and
+// UseExtraction only changes whether the indexes are extracted from
+// rendered HTML or taken from the model's decisions, which are the same
+// indexes. The serving layer derives HTTP ETags from this hash, which
+// is what makes aggressive response caching sound. The leading
+// HashVersion versions the canonical encoding itself.
 func (c Config) Hash() string {
 	r := c.withDefaults()
 	b := make([]byte, 0, 128)
@@ -102,7 +106,6 @@ func (c Config) Hash() string {
 	b = strconv.AppendInt(append(b, "|dirhosts="...), int64(r.DirectoryHosts), 10)
 	b = strconv.AppendInt(append(b, "|catalog="...), int64(r.CatalogN), 10)
 	b = strconv.AppendInt(append(b, "|events="...), int64(r.EventsPerSource), 10)
-	b = strconv.AppendBool(append(b, "|extract="...), r.UseExtraction)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }

@@ -19,42 +19,38 @@ var update = flag.Bool("update", false, "rewrite testdata/study_outputs.txt from
 
 const goldenPath = "testdata/study_outputs.txt"
 
-// studyRow is one configuration TestStudyOutputsGolden pins, built as
-// `analyze -json -scale <scale> -seed <seed> [-extraction]` builds it.
+// studyRow is one result TestStudyOutputsGolden pins, as
+// `analyze -json -scale <scale> -seed <seed>` writes it. Extraction is
+// how a study builds its indexes, not which result it holds, so each row
+// is built both ways and both builds must give the one pinned digest.
 type studyRow struct {
-	scale      string
-	seed       uint64
-	extraction bool
+	scale string
+	seed  uint64
 }
 
 func (r studyRow) key() string {
-	return fmt.Sprintf("%s %d %t", r.scale, r.seed, r.extraction)
+	return fmt.Sprintf("%s %d", r.scale, r.seed)
 }
 
 // raceEnabled is set when the test binary is built with -race
 // (race_test.go).
 var raceEnabled bool
 
-// slow rows skip under -short and under -race: an extracting study
+// slow builds skip under -short and under -race: an extracting study
 // costs about five times a direct one, and the default scale about as
 // much again. The race detector multiplies that again, and the non-race
-// run already pins every row.
-func (r studyRow) slow() bool {
-	return r.scale != "small" || (r.extraction && r.seed != 3)
+// run already makes every build.
+func (r studyRow) slow(extraction bool) bool {
+	return r.scale != "small" || (extraction && r.seed != 3)
 }
 
-var goldenRows = []studyRow{
-	{"small", 3, false}, {"small", 3, true},
-	{"small", 11, false}, {"small", 11, true},
-	{"small", 42, false}, {"small", 42, true},
-	{"default", 42, false},
-}
+var goldenRows = []studyRow{{"small", 3}, {"small", 11}, {"small", 42}, {"default", 42}}
 
 // studyDigest is the SHA-256 of the JSON document `analyze -json` writes
 // for the row, with every elapsed_ms zeroed: it reports how long a
 // build took, so two runs of one configuration differ there and
 // nowhere else.
-func studyDigest(t *testing.T, r studyRow) string {
+func studyDigest(t *testing.T, r studyRow, extraction bool) string {
 	t.Helper()
 	sc, err := synth.ParseScale(r.scale)
 	if err != nil {
@@ -65,7 +61,7 @@ func studyDigest(t *testing.T, r studyRow) string {
 		Entities:       sc.Entities,
 		DirectoryHosts: sc.DirectoryHosts,
 		CatalogN:       sc.Entities,
-		UseExtraction:  r.extraction,
+		UseExtraction:  extraction,
 	})
 	rep, err := s.RunAll(context.Background(), 0)
 	if err != nil {
@@ -86,32 +82,42 @@ func studyDigest(t *testing.T, r studyRow) string {
 // the core.HashVersion they were produced under. Served ETags derive
 // from the config hash, which starts with that version, so an output
 // that changes while the version stays put would be revalidated 304 by
-// every client that holds the old body. Run with -update (without
+// every client that holds the old body. Each row's extracting build must
+// match its direct build's digest: that is the whole-study check that
+// full extraction and the model's decisions give one result, which is
+// why Config.Hash leaves UseExtraction out. Run with -update (without
 // -short or -race) to rewrite the file after a version bump.
 func TestStudyOutputsGolden(t *testing.T) {
 	if *update && (testing.Short() || raceEnabled) {
 		t.Fatal("-update needs the whole matrix: run without -short and -race")
 	}
-	got := make(map[string]string, len(goldenRows))
-	known := make(map[string]bool, len(goldenRows))
+	// got maps a row's key to its digests, direct build first; a
+	// skipped build leaves "".
+	got := make(map[string]*[2]string, len(goldenRows))
 	for _, r := range goldenRows {
-		known[r.key()] = true
-		t.Run(strings.ReplaceAll(r.key(), " ", "_"), func(t *testing.T) {
-			if r.slow() && (testing.Short() || raceEnabled) {
-				t.Skip("slow row; runs without -short and -race")
-			}
-			got[r.key()] = studyDigest(t, r)
-		})
+		got[r.key()] = new([2]string)
+		for i, extraction := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s_%d_%t", r.scale, r.seed, extraction), func(t *testing.T) {
+				if r.slow(extraction) && (testing.Short() || raceEnabled) {
+					t.Skip("slow build; runs without -short and -race")
+				}
+				got[r.key()][i] = studyDigest(t, r, extraction)
+			})
+		}
 	}
 	if t.Failed() {
 		return
 	}
 	if *update {
 		var b strings.Builder
-		b.WriteString("# scale seed extraction sha256 (analyze -json, elapsed_ms zeroed); regenerate: go test ./internal/report -run TestStudyOutputsGolden -update\n")
+		b.WriteString("# scale seed sha256 (analyze -json, elapsed_ms zeroed; extraction off and on); regenerate: go test ./internal/report -run TestStudyOutputsGolden -update\n")
 		fmt.Fprintf(&b, "version %s\n", core.HashVersion)
 		for _, r := range goldenRows {
-			fmt.Fprintf(&b, "%s %s\n", r.key(), got[r.key()])
+			d := got[r.key()]
+			if d[1] != d[0] {
+				t.Fatalf("%s: extracting build digest %s, direct %s: no one digest to pin", r.key(), d[1], d[0])
+			}
+			fmt.Fprintf(&b, "%s %s\n", r.key(), d[0])
 		}
 		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -132,23 +138,26 @@ func TestStudyOutputsGolden(t *testing.T) {
 		case strings.HasPrefix(sc.Text(), "#"):
 		case len(fields) == 2 && fields[0] == "version":
 			version = fields[1]
-		case len(fields) == 4:
-			key := strings.Join(fields[:3], " ")
-			if !known[key] {
+		case len(fields) == 3:
+			key := strings.Join(fields[:2], " ")
+			d, ok := got[key]
+			if !ok {
 				t.Errorf("%s: pinned in %s but not run by the test", key, goldenPath)
 				continue
 			}
 			pinned++
-			want, ok := got[key]
-			switch {
-			case version != core.HashVersion:
+			if version != core.HashVersion {
 				t.Fatalf("%s was recorded under Config.Hash version %q, the code is at %q: rerun with -update",
 					goldenPath, version, core.HashVersion)
-			case !ok: // a slow row, skipped under -short or -race
-			case fields[3] != want:
+			}
+			if d[0] != "" && d[0] != fields[2] {
 				t.Errorf("%s: output digest %s, pinned %s, while core.HashVersion is still %q: "+
 					"bump core.HashVersion so no cache serves the old output under its ETag, then rerun with -update",
-					key, want, fields[3], version)
+					key, d[0], fields[2], version)
+			}
+			if d[1] != "" && d[1] != fields[2] {
+				t.Errorf("%s: extracting build digest %s, pinned %s: extraction must give the direct build's output",
+					key, d[1], fields[2])
 			}
 		default:
 			t.Fatalf("%s: malformed line %q", goldenPath, sc.Text())

@@ -14,20 +14,16 @@ import (
 
 // StudyKey identifies one cached study configuration — the unit of the
 // serving layer's multi-study cache. It is parsed from the query
-// parameters ?scale, ?seed and ?extraction.
+// parameters ?scale and ?seed.
 type StudyKey struct {
-	Scale      string
-	Seed       uint64
-	Extraction bool
-}
-
-func (k StudyKey) String() string {
-	return fmt.Sprintf("%s/seed=%d/extraction=%t", k.Scale, k.Seed, k.Extraction)
+	Scale string
+	Seed  uint64
 }
 
 // configFor resolves a StudyKey to the core configuration it denotes.
 // Workers is scheduling-only and excluded from Config.Hash, so it never
-// influences response bytes or ETags.
+// influences response bytes or ETags. Studies build their indexes from
+// the model's decisions: extraction would give the same bytes slower.
 func configFor(k StudyKey, workers int) core.Config {
 	sc, _ := synth.ParseScale(k.Scale) // parseStudyKey admits only known names
 	return core.Config{
@@ -35,13 +31,12 @@ func configFor(k StudyKey, workers int) core.Config {
 		Entities:       sc.Entities,
 		DirectoryHosts: sc.DirectoryHosts,
 		CatalogN:       sc.Entities,
-		UseExtraction:  k.Extraction,
 		Workers:        workers,
 	}
 }
 
 // parseStudyKey extracts a StudyKey from query parameters, applying the
-// defaults scale=small, seed=1, extraction=false.
+// defaults scale=small, seed=1.
 func parseStudyKey(q url.Values) (StudyKey, error) {
 	k := StudyKey{Scale: "small", Seed: 1}
 	if v := q.Get("scale"); v != "" {
@@ -56,13 +51,6 @@ func parseStudyKey(q url.Values) (StudyKey, error) {
 			return StudyKey{}, fmt.Errorf("invalid seed %q: must be an unsigned integer", v)
 		}
 		k.Seed = seed
-	}
-	if v := q.Get("extraction"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return StudyKey{}, fmt.Errorf("invalid extraction %q: must be a boolean", v)
-		}
-		k.Extraction = b
 	}
 	return k, nil
 }

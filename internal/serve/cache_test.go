@@ -13,21 +13,17 @@ func TestParseStudyKeyDefaults(t *testing.T) {
 	if k != (StudyKey{Scale: "small", Seed: 1}) {
 		t.Errorf("defaults: %+v", k)
 	}
-	k, err = parseStudyKey(url.Values{"scale": {"default"}, "seed": {"42"}, "extraction": {"true"}})
+	k, err = parseStudyKey(url.Values{"scale": {"default"}, "seed": {"42"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != (StudyKey{Scale: "default", Seed: 42, Extraction: true}) {
+	if k != (StudyKey{Scale: "default", Seed: 42}) {
 		t.Errorf("parsed: %+v", k)
-	}
-	if k.String() != "default/seed=42/extraction=true" {
-		t.Errorf("String: %q", k.String())
 	}
 	for _, bad := range []url.Values{
 		{"scale": {"huge"}},
 		{"seed": {"abc"}},
 		{"seed": {"-3"}},
-		{"extraction": {"probably"}},
 	} {
 		if _, err := parseStudyKey(bad); err == nil {
 			t.Errorf("parseStudyKey(%v) should fail", bad)

@@ -7,7 +7,7 @@
 // interleaving — so responses are immutable once computed and aggressive
 // caching is sound end to end:
 //
-//   - Studies live in a bounded LRU keyed by (scale, seed, extraction).
+//   - Studies live in a bounded LRU keyed by (scale, seed).
 //     Distinct configurations are served concurrently; duplicate cold
 //     requests for one configuration coalesce through the engine's
 //     per-key singleflight memoization (internal/memo), so K concurrent
@@ -68,7 +68,7 @@ import (
 // Options configures a Server. Zero values take production-sane
 // defaults.
 type Options struct {
-	// Studies bounds the study LRU: how many (scale, seed, extraction)
+	// Studies bounds the study LRU: how many (scale, seed)
 	// configurations are kept warm (default 4).
 	Studies int
 	// MaxInFlight bounds concurrently served requests; excess requests

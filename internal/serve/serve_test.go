@@ -286,6 +286,31 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestExtractionParamIgnored: extraction is how a study is built, not
+// which result it holds, so ?extraction= is an unknown parameter like
+// any other. The request with it gets the same ETag and bytes as the
+// one without, and the server keeps one study for both.
+func TestExtractionParamIgnored(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	status, h1, body1 := get(t, ts, "/v1/experiments/fig3?seed=1", nil)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body1)
+	}
+	status, h2, body2 := get(t, ts, "/v1/experiments/fig3?seed=1&extraction=true", nil)
+	if status != http.StatusOK {
+		t.Fatalf("extraction=true: status %d: %s", status, body2)
+	}
+	if h1.Get("ETag") == "" || h2.Get("ETag") != h1.Get("ETag") {
+		t.Errorf("ETags %q and %q, want one", h1.Get("ETag"), h2.Get("ETag"))
+	}
+	if string(body2) != string(body1) {
+		t.Error("extraction=true served different bytes")
+	}
+	if n := len(s.Stats().Studies); n != 1 {
+		t.Errorf("%d cached studies, want 1", n)
+	}
+}
+
 func TestStudyLRUEviction(t *testing.T) {
 	s, ts := newTestServer(t, Options{Studies: 2})
 	for seed := 1; seed <= 3; seed++ {
@@ -434,7 +459,6 @@ func TestErrorResponses(t *testing.T) {
 		{"/v1/spread/books/phone", http.StatusNotFound}, // phone not studied for books
 		{"/v1/experiments/table1?scale=galactic", http.StatusBadRequest},
 		{"/v1/experiments/table1?seed=-1", http.StatusBadRequest},
-		{"/v1/experiments/table1?extraction=maybe", http.StatusBadRequest},
 		{"/v1/experiments/table1?format=csv", http.StatusBadRequest},
 		{"/v1/demand/yelp?format=xml", http.StatusBadRequest},
 		{"/v1/spread/books/isbn?format=xml", http.StatusBadRequest},

@@ -99,7 +99,6 @@ func (m *metrics) snapshot() []EndpointStats {
 type StudyStats struct {
 	Scale      string          `json:"scale"`
 	Seed       uint64          `json:"seed"`
-	Extraction bool            `json:"extraction"`
 	ConfigHash string          `json:"config_hash"`
 	Builds     core.BuildStats `json:"builds"`
 }
@@ -129,7 +128,6 @@ func (s *Server) Stats() StatsWire {
 		wire.Studies = append(wire.Studies, StudyStats{
 			Scale:      e.key.Scale,
 			Seed:       e.key.Seed,
-			Extraction: e.key.Extraction,
 			ConfigHash: e.cfg.Hash(),
 			Builds:     e.study.BuildStats(),
 		})

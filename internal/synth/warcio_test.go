@@ -27,8 +27,9 @@ func warcWeb(t *testing.T, d entity.Domain) *Web {
 // counts review pages through the trained classifier; the books case
 // keys on ISBNs. Gzip framing does not depend on the domain, so only
 // the books archive is also read gzipped: the restaurants one holds
-// about 20k pages, and one gzip member per page costs over a minute
-// under the race detector.
+// about 20k pages, one gzip member each, and reading it gzipped too
+// took this test from 12.1 s to 55.6 s under the race detector (2
+// vCPUs), which both CI race jobs run.
 func TestWriteWARCAndExtractRoundTrip(t *testing.T) {
 	cases := []struct {
 		d   entity.Domain

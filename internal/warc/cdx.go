@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -56,38 +55,6 @@ func (c *CDX) WriteTo(w io.Writer) (int64, error) {
 		return n, fmt.Errorf("warc: flush cdx: %w", err)
 	}
 	return n, nil
-}
-
-// ReadCDX parses an index previously produced by WriteTo.
-func ReadCDX(r io.Reader) (*CDX, error) {
-	c := &CDX{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("warc: cdx line %d has %d fields", lineNo, len(parts))
-		}
-		off, err := strconv.ParseInt(parts[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("warc: cdx line %d offset: %w", lineNo, err)
-		}
-		length, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("warc: cdx line %d length: %w", lineNo, err)
-		}
-		c.Add(CDXEntry{URI: parts[0], Host: parts[1], Offset: off, Length: length})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("warc: scan cdx: %w", err)
-	}
-	return c, nil
 }
 
 // HostOf extracts the lower-cased host from an absolute URL, dropping

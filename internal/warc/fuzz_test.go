@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -124,49 +123,6 @@ func FuzzWARCReader(f *testing.F) {
 					t.Fatalf("gzip=%t: record %d reads back as %+v, want %+v", gzipped, i, back[i], recs[i])
 				}
 			}
-		}
-	})
-}
-
-// FuzzReadCDX feeds arbitrary bytes to ReadCDX. It must not panic; a
-// read may allocate at most a fixed 1 MiB (the scanner's buffer, which
-// grows only with the longest line) plus 256 bytes per input byte; and
-// an index it reads, written by WriteTo, reads back equal.
-func FuzzReadCDX(f *testing.F) {
-	c := &CDX{}
-	c.Add(CDXEntry{URI: "http://a.com/1", Host: "a.com", Offset: 0, Length: 100})
-	c.Add(CDXEntry{URI: "http://b.com/2", Host: "b.com", Offset: 100, Length: 250})
-	var valid bytes.Buffer
-	if _, err := c.WriteTo(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte(hugeContentLength))
-	f.Add(valid.Bytes())
-	f.Add([]byte("u\r\th\t+1\t-0\r\n\n \t\n\t\t9000000000000000000\t0\n"))
-	f.Add([]byte("a\tb\t1\n"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var (
-			idx *CDX
-			err error
-		)
-		if n, limit := allocated(func() { idx, err = ReadCDX(bytes.NewReader(data)) }), 1<<20+256*uint64(len(data)); n > limit {
-			t.Fatalf("reading %d bytes allocated %d, over %d", len(data), n, limit)
-		}
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadCDX(&buf)
-		if err != nil {
-			t.Fatalf("written index fails to read: %v", err)
-		}
-		if !reflect.DeepEqual(back.Entries, idx.Entries) {
-			t.Fatalf("entries read back as %+v, want %+v", back.Entries, idx.Entries)
 		}
 	})
 }

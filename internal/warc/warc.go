@@ -43,8 +43,12 @@ func (r *Record) TargetURI() string { return r.Headers["WARC-Target-URI"] }
 
 // Writer emits WARC records to an underlying writer.
 type Writer struct {
-	w       io.Writer
-	gzip    bool
+	w io.Writer
+	// gz compresses each record into zbuf as one gzip member; nil
+	// writes plain records. One compressor, Reset per member, serves
+	// every record: a new one costs about 1 MB to allocate and clear.
+	gz      *gzip.Writer
+	zbuf    bytes.Buffer
 	date    string // fixed WARC-Date for deterministic output
 	nextSeq int
 	offset  int64
@@ -55,7 +59,11 @@ type Writer struct {
 // on every record (the reproduction pins it for determinism); it must be
 // a W3C timestamp like "2012-03-29T00:00:00Z".
 func NewWriter(w io.Writer, gzipped bool, date string) *Writer {
-	return &Writer{w: w, gzip: gzipped, date: date}
+	wr := &Writer{w: w, date: date}
+	if gzipped {
+		wr.gz = gzip.NewWriter(&wr.zbuf)
+	}
+	return wr
 }
 
 // Offset returns the byte offset at which the next record will start.
@@ -104,16 +112,16 @@ func (w *Writer) WriteRecord(rec *Record) (offset, length int64, err error) {
 
 	start := w.offset
 	var n int
-	if w.gzip {
-		var gzBuf bytes.Buffer
-		gz := gzip.NewWriter(&gzBuf)
-		if _, err := gz.Write(buf.Bytes()); err != nil {
+	if w.gz != nil {
+		w.zbuf.Reset()
+		w.gz.Reset(&w.zbuf)
+		if _, err := w.gz.Write(buf.Bytes()); err != nil {
 			return 0, 0, fmt.Errorf("warc: gzip record: %w", err)
 		}
-		if err := gz.Close(); err != nil {
+		if err := w.gz.Close(); err != nil {
 			return 0, 0, fmt.Errorf("warc: gzip close: %w", err)
 		}
-		n, err = w.w.Write(gzBuf.Bytes())
+		n, err = w.w.Write(w.zbuf.Bytes())
 	} else {
 		n, err = w.w.Write(buf.Bytes())
 	}

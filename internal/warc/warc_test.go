@@ -2,6 +2,7 @@ package warc
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"strings"
 	"testing"
@@ -303,5 +304,56 @@ func TestGzipMemberBounded(t *testing.T) {
 	}
 	if err := read(record(bodyLen+1, true)); err == nil {
 		t.Fatal("member one byte past the limit read without error")
+	}
+}
+
+// TestGzipMembersMatchFreshWriters: the gzipped Writer reuses one
+// compressor across records, so its bytes must equal each plain record
+// compressed on its own by a fresh gzip.Writer, the oracle. The records
+// differ in size and compressibility, so the reused compressor meets
+// every state a previous member can leave behind.
+func TestGzipMembersMatchFreshWriters(t *testing.T) {
+	x := uint64(0x9e3779b97f4a7c15)
+	noise := make([]byte, 70<<10)
+	for i := range noise {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		noise[i] = byte(x)
+	}
+	bodies := [][]byte{
+		nil,
+		[]byte("<html>(415) 555-1234</html>"),
+		noise,
+		bytes.Repeat([]byte("<p>Blue Bottle Coffee, 66 Mint St</p>"), 8<<10),
+		noise[:333],
+	}
+	var plain, gzipped bytes.Buffer
+	pw, gw := NewWriter(&plain, false, testDate), NewWriter(&gzipped, true, testDate)
+	var want bytes.Buffer
+	for i, body := range bodies {
+		uri := "http://r" + strings.Repeat("x", i) + ".example.com/"
+		poff, pn, err := pw.WriteResponse(uri, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goff, gn, err := gw.WriteResponse(uri, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := want.Len()
+		zw := gzip.NewWriter(&want)
+		if _, err := zw.Write(plain.Bytes()[poff : poff+pn]); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if goff != int64(start) || gn != int64(want.Len()-start) {
+			t.Errorf("record %d at %d+%d, oracle member at %d+%d", i, goff, gn, start, want.Len()-start)
+		}
+	}
+	if !bytes.Equal(gzipped.Bytes(), want.Bytes()) {
+		t.Errorf("gzipped WARC (%d bytes) differs from per-record fresh members (%d bytes)", gzipped.Len(), want.Len())
 	}
 }
