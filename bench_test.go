@@ -299,16 +299,14 @@ func BenchmarkRunAll(b *testing.B) {
 }
 
 // BenchmarkGenerate measures the §4 demand workload end to end under
-// three architectures:
+// two architectures:
 //
 //   - serial-ref: serial generation (GenerateOrderedRefs with one
 //     generator) folded on the consumer goroutine in DefaultFoldBatch
 //     batches through Aggregator.FoldBatch — struct-of-arrays state,
 //     cache-blocked per-block delta folds, no URL ever built or
 //     parsed. TestFoldBatchMatchesAddRef pins it bit-identical to the
-//     scalar AddRef loop.
-//   - serial-ref-scalar: the same stream folded one AddRef at a time,
-//     kept as the columnar row's ablation baseline.
+//     scalar AddRef loop, demand's test oracle.
 //   - pipeline/gen=N: the fully concurrent path (GeneratePipeline).
 //
 // All rows share the same aggregation structures (cookie bitmap hint
@@ -350,22 +348,6 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 			agg.FoldBatch(buf)
 			buf = buf[:0]
-			moved += agg.BytesMoved()
-		}
-		perClick(b, moved)
-	})
-	b.Run("serial-ref-scalar", func(b *testing.B) {
-		events(b)
-		var moved uint64
-		for i := 0; i < b.N; i++ {
-			agg := demand.NewAggregator(cat)
-			agg.SetCookieHint(cfg.Cookies)
-			if err := demand.GenerateOrderedRefs(cat, cfg, serialGen, func(r demand.ClickRef) error {
-				agg.AddRef(r)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
 			moved += agg.BytesMoved()
 		}
 		perClick(b, moved)
@@ -500,23 +482,13 @@ func BenchmarkGenerateOnly(b *testing.B) {
 
 // --- Ablations (ROADMAP.md Architecture: coverage and graph layers) ---
 
-// BenchmarkAblationSetCoverLazy vs ...Naive: the lazy-greedy heap
-// against the textbook rescanning greedy.
+// BenchmarkAblationSetCoverLazy: the lazy-greedy heap. Its textbook
+// rescanning oracle, GreedySetCoverNaive, lives in coverage's tests.
 func BenchmarkAblationSetCoverLazy(b *testing.B) {
 	idx := benchIndex(b, entity.Banks, entity.AttrPhone)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := coverage.GreedySetCover(idx, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSetCoverNaive(b *testing.B) {
-	idx := benchIndex(b, entity.Banks, entity.AttrPhone)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := coverage.GreedySetCoverNaive(idx, 200); err != nil {
 			b.Fatal(err)
 		}
 	}

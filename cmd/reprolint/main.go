@@ -1,7 +1,8 @@
 // Command reprolint statically enforces the repository's runtime
 // contracts: zero-allocation hot paths (//repro:noalloc), deterministic
 // packages (no time.Now / global rand / order-leaking map iteration),
-// batch-amortized obs instrumentation, and failpoint-site hygiene.
+// batch-amortized obs instrumentation, failpoint-site hygiene, and
+// production callers for production code (testonly).
 //
 // Usage, from inside the module:
 //
@@ -9,7 +10,8 @@
 //
 // It loads the module in the current directory (packages default to
 // ./...), runs every analyzer in internal/lint over each matched
-// package plus the cross-package failpoint-uniqueness check, and prints
+// package plus the cross-package failpoint-uniqueness and testonly
+// checks, and prints
 // findings as file:line:col: message [analyzer]. It takes no flags.
 // Exit codes follow vet: 0 clean, 1 load or typecheck error,
 // 2 findings.

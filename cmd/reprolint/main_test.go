@@ -88,7 +88,10 @@ func TestDuplicateFailpointAcrossPackages(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	writeModule(t, map[string]string{"internal/dist/dist.go": "package dist\n\nfunc Pure(x int) int { return x * 2 }\n"})
+	writeModule(t, map[string]string{
+		"internal/dist/dist.go": "package dist\n\nfunc Pure(x int) int { return x * 2 }\n",
+		"cmd/pure/main.go":      "package main\n\nimport \"repro/internal/dist\"\n\nfunc main() { println(dist.Pure(2)) }\n",
+	})
 	if code, out := runOut("./..."); code != 0 {
 		t.Fatalf("exit %d on a clean module, want 0:\n%s", code, out)
 	}
@@ -110,5 +113,23 @@ func TestRejectsFlags(t *testing.T) {
 		if !strings.Contains(out, "usage: reprolint [packages]") {
 			t.Errorf("%s: no usage line:\n%s", arg, out)
 		}
+	}
+}
+
+// TestTestOnlySeesWholeModule: a function whose only production caller
+// lives outside the patterns is not reported, because testonly gathers
+// references from the whole module; one with no production caller is.
+func TestTestOnlySeesWholeModule(t *testing.T) {
+	writeModule(t, map[string]string{
+		"internal/a/a.go":      "package a\n\nfunc Used() int { return 1 }\n\nfunc Unused() int { return Used() }\n",
+		"internal/a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestUnused(t *testing.T) { _ = Unused() }\n",
+		"cmd/b/main.go":        "package main\n\nimport \"repro/internal/a\"\n\nfunc main() { println(a.Used()) }\n",
+	})
+	code, out := runOut("./internal/a")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (findings):\n%s", code, out)
+	}
+	if strings.Contains(out, "a.Used ") || !strings.Contains(out, "a.go:5:6: repro/internal/a.Unused has no caller outside tests") {
+		t.Errorf("want one testonly finding, for Unused only:\n%s", out)
 	}
 }

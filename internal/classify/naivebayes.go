@@ -9,26 +9,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// Tokenize lower-cases s and splits it into letter/digit word tokens.
-// Punctuation separates tokens; tokens shorter than 2 runes are dropped
-// (single letters carry almost no class signal and inflate the model).
-func Tokenize(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		if len(f) >= 2 {
-			out = append(out, f)
-		}
-	}
-	return out
-}
 
 // NaiveBayes is a binary multinomial Naïve-Bayes model with Laplace
 // smoothing. Class true is "review", class false is "not a review".
@@ -37,7 +20,7 @@ func Tokenize(s string) []string {
 // Scoring is driven by a precomputed log-likelihood-ratio snapshot — an
 // open-addressing token table probed once per token by a packed key,
 // no string hashing and no math.Log in the loop — that is built lazily
-// on first score and invalidated by Train. Training and scoring must
+// on first score and invalidated by TrainBytes. Training and scoring must
 // not run concurrently; once trained, any number of goroutines may
 // score.
 type NaiveBayes struct {
@@ -149,18 +132,6 @@ func classIndex(positive bool) int {
 	return 0
 }
 
-// Train adds one labeled document.
-func (nb *NaiveBayes) Train(text string, isReview bool) {
-	ci := classIndex(isReview)
-	nb.docs[ci]++
-	for _, tok := range Tokenize(text) {
-		nb.counts[ci][tok]++
-		nb.tokens[ci]++
-		nb.vocab[tok] = struct{}{}
-	}
-	nb.table.Store(nil)
-}
-
 // TrainBytes adds one labeled document given as raw bytes, tokenizing
 // with the streaming byte tokenizer (ASCII lower-casing, done in place
 // — the caller's buffer is modified; multi-byte runes are separators,
@@ -239,33 +210,6 @@ func (nb *NaiveBayes) ratio(tok string) float64 {
 	p1 := (float64(nb.counts[1][tok]) + nb.alpha) / (float64(nb.tokens[1]) + nb.alpha*v)
 	p0 := (float64(nb.counts[0][tok]) + nb.alpha) / (float64(nb.tokens[0]) + nb.alpha*v)
 	return math.Log(p1 / p0)
-}
-
-// LogOdds returns log P(review | text) - log P(¬review | text) up to the
-// shared normalizer. Positive means "review". It returns an error if the
-// model has not seen both classes. It is a thin wrapper over the
-// streaming scorer, so the string and byte paths produce bit-identical
-// scores; like the scorer, it tokenizes with ASCII lower-casing
-// (multi-byte runes are separators), which matches Tokenize on ASCII
-// text but not on exotic case mappings such as U+0130 or U+212A.
-func (nb *NaiveBayes) LogOdds(text string) (float64, error) {
-	t, err := nb.llrtab()
-	if err != nil {
-		return 0, err
-	}
-	sc := Scorer{t: t}
-	sc.Write([]byte(text))
-	return sc.LogOdds(), nil
-}
-
-// Classify reports whether text is a review. It returns an error if the
-// model is untrained.
-func (nb *NaiveBayes) Classify(text string) (bool, error) {
-	lo, err := nb.LogOdds(text)
-	if err != nil {
-		return false, err
-	}
-	return lo > 0, nil
 }
 
 // NewScorer returns a streaming scorer bound to the model's current

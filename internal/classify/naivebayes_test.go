@@ -108,15 +108,15 @@ func TestSyntheticCorpusAccuracy(t *testing.T) {
 	rng := dist.NewRNG(42)
 	nb := NewNaiveBayes(1)
 	for i := 0; i < 300; i++ {
-		nb.Train(textgen.Review(rng, "Golden Kitchen", 4+rng.Intn(4)), true)
-		nb.Train(textgen.Boilerplate(rng, 4+rng.Intn(4)), false)
+		nb.Train(reviewText(rng, "Golden Kitchen", 4+rng.Intn(4)), true)
+		nb.Train(boilerplateText(rng, 4+rng.Intn(4)), false)
 	}
 	var texts []string
 	var labels []bool
 	for i := 0; i < 200; i++ {
-		texts = append(texts, textgen.Review(rng, "Blue Table", 4+rng.Intn(4)))
+		texts = append(texts, reviewText(rng, "Blue Table", 4+rng.Intn(4)))
 		labels = append(labels, true)
-		texts = append(texts, textgen.Boilerplate(rng, 4+rng.Intn(4)))
+		texts = append(texts, boilerplateText(rng, 4+rng.Intn(4)))
 		labels = append(labels, false)
 	}
 	var tp, fp, tn, fn int
@@ -167,4 +167,73 @@ func TestLogOddsMonotoneInEvidence(t *testing.T) {
 	if neg, _ := nb.LogOdds(strings.Repeat("parking ", 5)); neg >= 0 {
 		t.Errorf("pure negative evidence should be negative, got %v", neg)
 	}
+}
+
+// Train adds one labeled document.
+func (nb *NaiveBayes) Train(text string, isReview bool) {
+	ci := classIndex(isReview)
+	nb.docs[ci]++
+	for _, tok := range Tokenize(text) {
+		nb.counts[ci][tok]++
+		nb.tokens[ci]++
+		nb.vocab[tok] = struct{}{}
+	}
+	nb.table.Store(nil)
+}
+
+// Classify reports whether text is a review. It returns an error if the
+// model is untrained.
+func (nb *NaiveBayes) Classify(text string) (bool, error) {
+	lo, err := nb.LogOdds(text)
+	if err != nil {
+		return false, err
+	}
+	return lo > 0, nil
+}
+
+// reviewText and boilerplateText render textgen's review and
+// boilerplate prose as strings: the labeled documents of these tests.
+func reviewText(rng *dist.RNG, name string, sentences int) string {
+	var b strings.Builder
+	textgen.WriteReview(&b, rng, name, sentences)
+	return b.String()
+}
+
+func boilerplateText(rng *dist.RNG, sentences int) string {
+	var b strings.Builder
+	textgen.WriteBoilerplate(&b, rng, sentences)
+	return b.String()
+}
+
+// Tokenize lower-cases s and splits it into letter/digit word tokens.
+// Punctuation separates tokens; tokens shorter than 2 runes are dropped
+// (single letters carry almost no class signal and inflate the model).
+func Tokenize(s string) []string {
+	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
+	})
+	out := fields[:0]
+	for _, f := range fields {
+		if len(f) >= 2 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// LogOdds returns log P(review | text) - log P(¬review | text) up to the
+// shared normalizer. Positive means "review". It returns an error if the
+// model has not seen both classes. It is a thin wrapper over the
+// streaming scorer, so the string and byte paths produce bit-identical
+// scores; like the scorer, it tokenizes with ASCII lower-casing
+// (multi-byte runes are separators), which matches Tokenize on ASCII
+// text but not on exotic case mappings such as U+0130 or U+212A.
+func (nb *NaiveBayes) LogOdds(text string) (float64, error) {
+	t, err := nb.llrtab()
+	if err != nil {
+		return 0, err
+	}
+	sc := Scorer{t: t}
+	sc.Write([]byte(text))
+	return sc.LogOdds(), nil
 }

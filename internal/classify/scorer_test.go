@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/textgen"
 )
 
 func trainedModel() *NaiveBayes {
 	rng := dist.NewRNG(17)
 	nb := NewNaiveBayes(1)
 	for i := 0; i < 120; i++ {
-		nb.Train(textgen.Review(rng, "Golden Kitchen", 4+rng.Intn(4)), true)
-		nb.Train(textgen.Boilerplate(rng, 4+rng.Intn(4)), false)
+		nb.Train(reviewText(rng, "Golden Kitchen", 4+rng.Intn(4)), true)
+		nb.Train(boilerplateText(rng, 4+rng.Intn(4)), false)
 	}
 	return nb
 }
@@ -106,9 +105,9 @@ func TestTrainBytesMatchesTrain(t *testing.T) {
 	var corpus []string
 	var labels []bool
 	for i := 0; i < 60; i++ {
-		corpus = append(corpus, textgen.Review(rng, "Thai Table", 3+rng.Intn(4)))
+		corpus = append(corpus, reviewText(rng, "Thai Table", 3+rng.Intn(4)))
 		labels = append(labels, true)
-		corpus = append(corpus, textgen.Boilerplate(rng, 3+rng.Intn(4)))
+		corpus = append(corpus, boilerplateText(rng, 3+rng.Intn(4)))
 		labels = append(labels, false)
 	}
 	a := NewNaiveBayes(1)
@@ -160,8 +159,8 @@ func TestNewScorerUntrained(t *testing.T) {
 	}
 }
 
-// TestScoreBytesAllocs pins the streaming score path's allocations.
-func TestScoreBytesAllocs(t *testing.T) {
+// TestScorerZeroAlloc pins the streaming score path's allocations.
+func TestScorerZeroAlloc(t *testing.T) {
 	nb := trainedModel()
 	sc, err := nb.NewScorer()
 	if err != nil {

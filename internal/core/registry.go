@@ -351,6 +351,8 @@ func (r *RunReport) Err() error {
 // seed regardless of workers. The returned error is the first
 // experiment error (the report still carries every result) or the
 // context's error if ctx is cancelled.
+//
+//repro:testonly-ok bench/study.go and bench/trace.go run it; ROADMAP item 6 retires that caller
 func (s *Study) RunAll(ctx context.Context, workers int) (*RunReport, error) {
 	return s.RunExperiments(ctx, ExperimentIDs(), workers)
 }

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -152,4 +153,47 @@ func TestGreedyValidation(t *testing.T) {
 	if _, covered, err := GreedySetCover(wide, 0); err != nil || len(covered) != 1 || covered[0] != 1 {
 		t.Errorf("wide ids: covered %v, %v", covered, err)
 	}
+}
+
+// GreedySetCoverNaive is the textbook O(sites² · postings) greedy: it
+// rescans every remaining site at every step. It is the oracle the
+// lazy-greedy GreedySetCover is tested against.
+func GreedySetCoverNaive(idx *index.Index, maxSites int) (order []int, covered []int, err error) {
+	if idx.NumEntities <= 0 {
+		return nil, nil, fmt.Errorf("coverage: index has no entity universe")
+	}
+	if maxSites <= 0 || maxSites > len(idx.Sites) {
+		maxSites = len(idx.Sites)
+	}
+	coveredSet := make(map[int]struct{})
+	used := make([]bool, len(idx.Sites))
+	cum := 0
+	for len(order) < maxSites {
+		best, bestGain := -1, 0
+		for i := range idx.Sites {
+			if used[i] {
+				continue
+			}
+			g := 0
+			for _, e := range idx.Sites[i].Entities {
+				if _, ok := coveredSet[e]; !ok {
+					g++
+				}
+			}
+			if g > bestGain {
+				best, bestGain = i, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		for _, e := range idx.Sites[best].Entities {
+			coveredSet[e] = struct{}{}
+		}
+		cum = len(coveredSet)
+		order = append(order, best)
+		covered = append(covered, cum)
+	}
+	return order, covered, nil
 }

@@ -267,4 +267,6 @@ func (c *Catalog) ByURL() map[string]int {
 
 // LatentDemand exposes the latent mean demand of entity i for
 // calibration tests; production analyses must use simulated logs.
+//
+//repro:testonly-ok valueadd's calibration tests read the latent demand
 func (c *Catalog) LatentDemand(i int) float64 { return c.Entities[i].demand }

@@ -2,6 +2,7 @@ package demand
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -148,4 +149,27 @@ func TestFoldBatchSingleRefBatches(t *testing.T) {
 	if bb, sb := batched.BytesMoved(), scalar.BytesMoved(); bb != sb {
 		t.Fatalf("single-ref batches: bytes moved %d != scalar %d", bb, sb)
 	}
+}
+
+// AddRef folds one click in the internal representation: a direct
+// index into the per-entity columns, no parsing, no hashing of
+// strings. Refs with out-of-range fields are ignored. For batched
+// streams FoldBatch is the faster equivalent.
+//
+//repro:noalloc
+func (a *Aggregator) AddRef(r ClickRef) {
+	if int(r.Src) >= numSources {
+		return
+	}
+	col := &a.perSrc[r.Src]
+	if r.Entity < 0 || int(r.Entity) >= len(col.visits) {
+		return
+	}
+	if v := col.visits[r.Entity]; v != math.MaxInt32 {
+		// Saturate rather than wrap: a single entity-source pair past
+		// 2^31 visits only happens in adversarial replays, and a
+		// pinned ceiling beats a negative count.
+		col.visits[r.Entity] = v + 1
+	}
+	a.moved += refMoveBytes + visitMoveBytes + col.cookies[r.Entity].add(r.Cookie, a.hint, &a.arena)
 }

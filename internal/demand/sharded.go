@@ -215,6 +215,8 @@ func (sa *ShardedAggregator) startWorkers(buffer int) (chans []chan []ClickRef, 
 // Aggregator.BytesMoved). Router and channel traffic is not counted —
 // batches cycle through a fixed cache-resident pool. Call only after
 // the fold completes (workers joined); it does not synchronize.
+//
+//repro:testonly-ok bench/trace.go reports demand.bytes_per_click from it; ROADMAP item 6 retires that caller
 func (sa *ShardedAggregator) BytesMoved() uint64 {
 	var total uint64
 	for _, sh := range sa.shards {

@@ -2,7 +2,6 @@ package demand
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dist"
 	"repro/internal/logs"
@@ -169,6 +168,8 @@ type sourceCols struct {
 }
 
 // NewAggregator returns an Aggregator over cat's entities.
+//
+//repro:testonly-ok the root bench_test.go BenchmarkGenerate/serial-ref folds into it
 func NewAggregator(cat *Catalog) *Aggregator {
 	return newAggregator(len(cat.Entities))
 }
@@ -183,29 +184,6 @@ func newAggregator(n int) *Aggregator {
 		}
 	}
 	return &Aggregator{perSrc: cols}
-}
-
-// AddRef folds one click in the internal representation: a direct
-// index into the per-entity columns, no parsing, no hashing of
-// strings. Refs with out-of-range fields are ignored. For batched
-// streams FoldBatch is the faster equivalent.
-//
-//repro:noalloc
-func (a *Aggregator) AddRef(r ClickRef) {
-	if int(r.Src) >= numSources {
-		return
-	}
-	col := &a.perSrc[r.Src]
-	if r.Entity < 0 || int(r.Entity) >= len(col.visits) {
-		return
-	}
-	if v := col.visits[r.Entity]; v != math.MaxInt32 {
-		// Saturate rather than wrap: a single entity-source pair past
-		// 2^31 visits only happens in adversarial replays, and a
-		// pinned ceiling beats a negative count.
-		col.visits[r.Entity] = v + 1
-	}
-	a.moved += refMoveBytes + visitMoveBytes + col.cookies[r.Entity].add(r.Cookie, a.hint, &a.arena)
 }
 
 // BytesMoved returns the modelled aggregation-state traffic of every

@@ -85,9 +85,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// N returns the support size.
-func (a *Alias) N() int { return len(a.cells) }
-
 // Sample draws one index according to the weights. The two draws and
 // their acceptance decisions are identical to the textbook
 // "Float64() < prob" formulation (see aliasCell) — the golden stream

@@ -209,3 +209,6 @@ func TestSampleDistinct(t *testing.T) {
 		t.Errorf("k = 0 should return nil, got %v", none)
 	}
 }
+
+// N returns the support size.
+func (a *Alias) N() int { return len(a.cells) }

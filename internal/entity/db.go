@@ -184,6 +184,8 @@ func CanonicalURL(u string) string {
 func (db *DB) N() int { return len(db.Entities) }
 
 // LookupPhone returns the entity ID owning the given canonical phone.
+//
+//repro:testonly-ok extract's regex oracle tests
 func (db *DB) LookupPhone(p CanonicalPhone) (int, bool) {
 	id, ok := db.byPhone[p]
 	return id, ok
@@ -191,6 +193,8 @@ func (db *DB) LookupPhone(p CanonicalPhone) (int, bool) {
 
 // LookupISBN returns the entity ID owning the given bare ISBN
 // (10 or 13 form).
+//
+//repro:testonly-ok extract's regex oracle tests
 func (db *DB) LookupISBN(isbn string) (int, bool) {
 	id, ok := db.byISBN[normalizeISBN(isbn)]
 	return id, ok
@@ -218,6 +222,8 @@ func (db *DB) LookupISBNKey(key []byte) (int, bool) {
 
 // LookupHomepage returns the entity ID whose homepage canonicalizes to
 // the same key as u.
+//
+//repro:testonly-ok extract's regex oracle tests
 func (db *DB) LookupHomepage(u string) (int, bool) {
 	id, ok := db.byHomepage[CanonicalURL(u)]
 	return id, ok

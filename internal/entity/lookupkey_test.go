@@ -70,3 +70,53 @@ func TestLookupKeysAllocs(t *testing.T) {
 		t.Errorf("key lookups allocs/op = %v, want 0", allocs)
 	}
 }
+
+func TestLookupHomepageKeyMatchesLookupHomepage(t *testing.T) {
+	db, err := Generate(Config{Domain: Restaurants, N: 300, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{"", "http://", "HTTPS://Nowhere.example/", " http://x.example/?q=1#f", "http://café.example/", "ftp://x.example"}
+	for _, e := range db.Entities {
+		if e.Homepage != "" {
+			urls = append(urls, e.Homepage, "HTTPS://"+e.Homepage[len("http://"):]+"/?ref=1")
+		}
+	}
+	hits := 0
+	for _, u := range urls {
+		key := AppendCanonicalURL([]byte("prefix:"), []byte(u))
+		if got, want := string(key), "prefix:"+CanonicalURL(u); got != want {
+			t.Fatalf("AppendCanonicalURL(%q) = %q, want %q", u, got, want)
+		}
+		wantID, wantOK := db.LookupHomepage(u)
+		gotID, gotOK := db.LookupHomepageKey(key[len("prefix:"):])
+		if gotID != wantID || gotOK != wantOK {
+			t.Fatalf("LookupHomepageKey(%q) = (%d, %v), LookupHomepage = (%d, %v)", u, gotID, gotOK, wantID, wantOK)
+		}
+		if gotOK {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no homepage found; the test exercises only misses")
+	}
+}
+
+func TestASCIIFoldEq(t *testing.T) {
+	cases := []struct {
+		b, s string
+		want bool
+	}{
+		{"HTTP://", "http://", true},
+		{"http://", "HTTP://", true},
+		{"hTtPs://", "https://", true},
+		{"http:/", "http://", false},
+		{"hxxp://", "http://", false},
+		{"", "", true},
+	}
+	for _, c := range cases {
+		if got := asciiFoldEq([]byte(c.b), c.s); got != c.want {
+			t.Errorf("asciiFoldEq(%q, %q) = %v, want %v", c.b, c.s, got, c.want)
+		}
+	}
+}

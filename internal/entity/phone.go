@@ -25,6 +25,8 @@ func (p CanonicalPhone) Valid() bool {
 }
 
 // Format renders the phone in the common (NPA) NXX-XXXX display form.
+//
+//repro:testonly-ok extract's and synth's tests render phones with it
 func (p CanonicalPhone) Format() string {
 	if len(p) != 10 {
 		return string(p)
@@ -33,6 +35,8 @@ func (p CanonicalPhone) Format() string {
 }
 
 // FormatDashed renders NPA-NXX-XXXX.
+//
+//repro:testonly-ok extract's and synth's tests render phones with it
 func (p CanonicalPhone) FormatDashed() string {
 	if len(p) != 10 {
 		return string(p)
@@ -41,6 +45,8 @@ func (p CanonicalPhone) FormatDashed() string {
 }
 
 // FormatDotted renders NPA.NXX.XXXX.
+//
+//repro:testonly-ok extract's and synth's tests render phones with it
 func (p CanonicalPhone) FormatDotted() string {
 	if len(p) != 10 {
 		return string(p)
@@ -52,6 +58,8 @@ func (p CanonicalPhone) FormatDotted() string {
 // string, tolerating parentheses, dashes, dots, spaces and a leading
 // +1/1 country code. It returns false if the input does not normalize
 // to a NANP-valid ten-digit number.
+//
+//repro:testonly-ok extract's regex oracle tests
 func NormalizePhone(s string) (CanonicalPhone, bool) {
 	digits := make([]byte, 0, 11)
 	for i := 0; i < len(s); i++ {

@@ -3,6 +3,7 @@ package extract
 import (
 	"strings"
 
+	"repro/internal/classify"
 	"repro/internal/entity"
 	"repro/internal/htmlx"
 )
@@ -44,7 +45,7 @@ func (x *Extractor) Page(html []byte) []Mention {
 	}
 
 	if x.reviewAttr && x.reviewClf != nil && len(phoneIDs) > 0 {
-		if isReview, err := x.reviewClf.Classify(text); err == nil && isReview {
+		if sc, err := x.reviewClf.NewScorer(); err == nil && scoreReview(sc, text) {
 			for _, id := range phoneIDs {
 				out = append(out, Mention{EntityID: id, Attr: entity.AttrReview})
 			}
@@ -70,4 +71,10 @@ func pageTextAnchors(html []byte) (string, []string) {
 		}
 	})
 	return strings.Join(strings.Fields(b.String()), " "), anchors
+}
+
+// scoreReview reports whether the scorer rates text a review.
+func scoreReview(sc *classify.Scorer, text string) bool {
+	sc.Write([]byte(text))
+	return sc.LogOdds() > 0
 }

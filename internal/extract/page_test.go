@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/classify"
@@ -15,8 +16,8 @@ func trainedClassifier(t *testing.T) *classify.NaiveBayes {
 	rng := dist.NewRNG(99)
 	nb := classify.NewNaiveBayes(1)
 	for i := 0; i < 200; i++ {
-		nb.Train(textgen.Review(rng, "Some Place", 5), true)
-		nb.Train(textgen.Boilerplate(rng, 5), false)
+		nb.TrainBytes([]byte(reviewText(rng, "Some Place", 5)), true)
+		nb.TrainBytes([]byte(boilerplateText(rng, 5)), false)
 	}
 	return nb
 }
@@ -105,9 +106,9 @@ func TestPageReviewDetection(t *testing.T) {
 	rng := dist.NewRNG(7)
 
 	reviewPage := fmt.Sprintf(`<html><body><h1>%s</h1><p>%s</p><p>%s</p></body></html>`,
-		e.Name, e.Phone.Format(), textgen.Review(rng, e.Name, 8))
+		e.Name, e.Phone.Format(), reviewText(rng, e.Name, 8))
 	infoPage := fmt.Sprintf(`<html><body><h1>%s</h1><p>%s</p><p>%s</p></body></html>`,
-		e.Name, e.Phone.Format(), textgen.Boilerplate(rng, 8))
+		e.Name, e.Phone.Format(), boilerplateText(rng, 8))
 
 	var reviewHit, infoHit bool
 	for _, m := range x.Page([]byte(reviewPage)) {
@@ -134,7 +135,7 @@ func TestPageReviewRequiresPhoneMatch(t *testing.T) {
 	db, _ := entity.Generate(entity.Config{Domain: entity.Restaurants, N: 10, Seed: 6})
 	x, _ := New(db, trainedClassifier(t))
 	rng := dist.NewRNG(8)
-	html := "<html><body><p>" + textgen.Review(rng, "Unknown Cafe", 8) + "</p></body></html>"
+	html := "<html><body><p>" + reviewText(rng, "Unknown Cafe", 8) + "</p></body></html>"
 	if mentions := x.Page([]byte(html)); len(mentions) != 0 {
 		t.Errorf("review without phone should yield nothing: %v", mentions)
 	}
@@ -146,10 +147,24 @@ func TestPageNoReviewAttrForNonRestaurants(t *testing.T) {
 	e := db.Entities[0]
 	rng := dist.NewRNG(9)
 	html := fmt.Sprintf(`<html><body><p>%s</p><p>%s</p></body></html>`,
-		e.Phone.Format(), textgen.Review(rng, e.Name, 8))
+		e.Phone.Format(), reviewText(rng, e.Name, 8))
 	for _, m := range x.Page([]byte(html)) {
 		if m.Attr == entity.AttrReview {
 			t.Errorf("review mention for a non-review domain: %v", m)
 		}
 	}
+}
+
+// reviewText and boilerplateText render textgen's review and
+// boilerplate prose as strings: the labeled documents of these tests.
+func reviewText(rng *dist.RNG, name string, sentences int) string {
+	var b strings.Builder
+	textgen.WriteReview(&b, rng, name, sentences)
+	return b.String()
+}
+
+func boilerplateText(rng *dist.RNG, sentences int) string {
+	var b strings.Builder
+	textgen.WriteBoilerplate(&b, rng, sentences)
+	return b.String()
 }

@@ -41,7 +41,7 @@ func assertSessionMatchesPage(t *testing.T, w *synth.Web, x *extract.Extractor) 
 	}
 	pages, mismatches := 0, 0
 	for si := range w.Sites {
-		for _, p := range w.RenderSite(&w.Sites[si]) {
+		for _, p := range renderSite(w, &w.Sites[si]) {
 			pages++
 			want := x.Page(p.HTML)
 			got := sess.Page(p.HTML)
@@ -219,7 +219,7 @@ func TestSessionPageAllocs(t *testing.T) {
 		var html []byte
 		for si := range w.Sites {
 			if len(w.Sites[si].Listings) > 0 {
-				html = w.RenderSite(&w.Sites[si])[0].HTML
+				html = renderSite(w, &w.Sites[si])[0].HTML
 				break
 			}
 		}
@@ -250,7 +250,7 @@ func TestSessionRestaurantsAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	html := w.RenderSite(&w.Sites[0])[0].HTML
+	html := renderSite(w, &w.Sites[0])[0].HTML
 	for i := 0; i < 4; i++ {
 		sess.Page(html)
 	}
@@ -287,4 +287,14 @@ func TestNewSessionNoPatterns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// renderSite materializes every page of site s: RenderPages reuses its
+// buffer, so each page's HTML is copied out.
+func renderSite(w *synth.Web, s *synth.Site) []synth.Page {
+	var pages []synth.Page
+	w.RenderPages(s, func(url string, html []byte) {
+		pages = append(pages, synth.Page{URL: url, HTML: append([]byte(nil), html...)})
+	})
+	return pages
 }

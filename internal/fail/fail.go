@@ -11,7 +11,7 @@
 // ways:
 //
 //   - Test API: fail.Arm("seg/write", fail.Action{Kind: fail.Error}),
-//     fail.Disarm, fail.DisarmAll. Points count their triggered hits
+//     fail.Disarm. Points count their triggered hits
 //     (Point.Hits) and every trigger increments the obs counter
 //     repro_fail_injected_total{site=...}, so injected degradation is
 //     observable exactly like real degradation.
@@ -105,11 +105,10 @@ type Point struct {
 	obsC *obs.Counter
 }
 
-// Name returns the site name.
-func (p *Point) Name() string { return p.name }
-
 // Hits returns how many times this point has triggered since process
 // start (arming and disarming do not reset it).
+//
+//repro:testonly-ok failpoint test API: serve's degradation tests count hits
 func (p *Point) Hits() uint64 { return p.hits.Load() }
 
 // registry holds every registered point. Registration happens at
@@ -282,6 +281,8 @@ func Lookup(name string) *Point {
 
 // Arm registers (if needed) and arms the named site. It returns the
 // point so tests can read hit counts.
+//
+//repro:testonly-ok failpoint test API: memo, fsx, seg, serve and cmd/clicklog tests
 func Arm(name string, a Action) *Point {
 	p := Register(name)
 	p.arm(a)
@@ -289,32 +290,12 @@ func Arm(name string, a Action) *Point {
 }
 
 // Disarm disables the named site if it exists.
+//
+//repro:testonly-ok failpoint test API: memo, fsx, seg, serve and cmd/clicklog tests
 func Disarm(name string) {
 	if p := Lookup(name); p != nil {
 		p.cur.Store(nil)
 	}
-}
-
-// DisarmAll disables every registered site — the test-cleanup sweep.
-func DisarmAll() {
-	registry.Lock()
-	defer registry.Unlock()
-	for _, p := range registry.points {
-		p.cur.Store(nil)
-	}
-}
-
-// Active returns the names of currently armed sites, for diagnostics.
-func Active() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	var out []string
-	for name, p := range registry.points {
-		if p.cur.Load() != nil {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 func (p *Point) arm(a Action) {

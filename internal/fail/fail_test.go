@@ -349,3 +349,25 @@ func BenchmarkDisabledWriteThrough(b *testing.B) {
 		}
 	}
 }
+
+// DisarmAll disables every registered site — the test-cleanup sweep.
+func DisarmAll() {
+	registry.Lock()
+	defer registry.Unlock()
+	for _, p := range registry.points {
+		p.cur.Store(nil)
+	}
+}
+
+// Active returns the names of currently armed sites, for diagnostics.
+func Active() []string {
+	registry.Lock()
+	defer registry.Unlock()
+	var out []string
+	for name, p := range registry.points {
+		if p.cur.Load() != nil {
+			out = append(out, name)
+		}
+	}
+	return out
+}

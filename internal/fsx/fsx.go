@@ -89,9 +89,6 @@ func CreateAtomic(path string, policy SyncPolicy) (*AtomicFile, error) {
 	return &AtomicFile{f: f, path: path, tmp: tmp, policy: policy}, nil
 }
 
-// Name returns the final destination path.
-func (a *AtomicFile) Name() string { return a.path }
-
 func (a *AtomicFile) Write(b []byte) (int, error) { return a.f.Write(b) }
 
 // BatchSync fsyncs the temp file under SyncAlways and is a no-op under

@@ -208,3 +208,6 @@ func TestSyncDir(t *testing.T) {
 		t.Error("SyncDir on a missing directory succeeded")
 	}
 }
+
+// Name returns the final destination path.
+func (a *AtomicFile) Name() string { return a.path }

@@ -89,9 +89,6 @@ func FromIndex(idx *index.Index) (*Bipartite, error) {
 	return g, nil
 }
 
-// Host returns the host name of site rank r (0 = largest site).
-func (g *Bipartite) Host(r int) string { return g.hosts[r] }
-
 // AvgSitesPerEntity returns the mean entity degree over entities with
 // at least one edge (Table 2 column 1).
 func (g *Bipartite) AvgSitesPerEntity() float64 {

@@ -211,3 +211,6 @@ func TestRobustnessCurveNegativeDepth(t *testing.T) {
 		t.Errorf("RobustnessCurve(0) = %v, want [1]", curve)
 	}
 }
+
+// Host returns the host name of site rank r (0 = largest site).
+func (g *Bipartite) Host(r int) string { return g.hosts[r] }

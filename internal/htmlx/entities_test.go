@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -90,4 +91,40 @@ func TestDecodeEntitiesNoAllocationForPlain(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("DecodeEntities allocates %v times on plain text", allocs)
 	}
+}
+
+// DecodeEntities replaces HTML character references in s with their
+// literal characters. Numeric references (&#123; and &#x1F;) and the
+// common named references are decoded; malformed or unknown references
+// are left untouched. The function allocates only when s contains '&'.
+// It is the string form of AppendDecoded, which production decodes
+// with, kept as the tests' reference.
+//
+//repro:noalloc
+func DecodeEntities(s string) string {
+	amp := strings.IndexByte(s, '&')
+	if amp < 0 {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	b.WriteString(s[:amp])
+	i := amp
+	for i < len(s) {
+		c := s[i]
+		if c != '&' {
+			b.WriteByte(c)
+			i++
+			continue
+		}
+		r, width, ok := decodeOneEntity(s[i:])
+		if !ok {
+			b.WriteByte('&')
+			i++
+			continue
+		}
+		b.WriteRune(r)
+		i += width
+	}
+	return b.String()
 }

@@ -218,17 +218,6 @@ func (idx *Index) DistinctEntities() (int, error) {
 	return distinct, nil
 }
 
-// AvgSitesPerEntity returns the mean number of sites mentioning an
-// entity, over entities mentioned at least once (Table 2's
-// "Avg. #sites per entity").
-func (idx *Index) AvgSitesPerEntity() (float64, error) {
-	distinct, err := idx.DistinctEntities()
-	if distinct == 0 {
-		return 0, err
-	}
-	return float64(idx.TotalPostings()) / float64(distinct), nil
-}
-
 // WriteTo serializes the index as a text format:
 //
 //	header line:  domain <TAB> attr <TAB> numEntities

@@ -17,11 +17,15 @@ type ShardedBuilder struct {
 
 // NewShardedBuilder returns a concurrency-safe builder. The shard count
 // is ignored: one row per host needs no host sharding.
+//
+//repro:testonly-ok bench/trace.go times the sharded build; ROADMAP item 6 retires that caller
 func NewShardedBuilder(domain entity.Domain, attr entity.Attr, numEntities, _ int) *ShardedBuilder {
 	return &ShardedBuilder{b: NewBuilder(domain, attr, numEntities)}
 }
 
 // Add records a (host, entity) mention. Safe for concurrent use.
+//
+//repro:testonly-ok bench/trace.go; ROADMAP item 6 retires that caller
 func (sb *ShardedBuilder) Add(host string, id int) {
 	sb.mu.Lock()
 	sb.b.Add(host, id)
@@ -29,6 +33,8 @@ func (sb *ShardedBuilder) Add(host string, id int) {
 }
 
 // AddPage increments host's attribute-page counter. Safe for concurrent use.
+//
+//repro:testonly-ok bench/trace.go; ROADMAP item 6 retires that caller
 func (sb *ShardedBuilder) AddPage(host string) {
 	sb.mu.Lock()
 	sb.b.AddPage(host)
@@ -37,4 +43,6 @@ func (sb *ShardedBuilder) AddPage(host string) {
 
 // Build finalizes the index. Callers must ensure no concurrent Adds are
 // in flight. The error is always nil.
+//
+//repro:testonly-ok bench/trace.go; ROADMAP item 6 retires that caller
 func (sb *ShardedBuilder) Build() (*Index, error) { return sb.b.Build(), nil }

@@ -72,7 +72,9 @@ func typesFuncKey(fn *types.Func) string {
 }
 
 // annotatedNoallocSet collects every //repro:noalloc function in the
-// loaded world, keyed by funcKey.
+// loaded world, keyed by funcKey. ParseDirectives binds production
+// files only, so the doc comments of test-file functions are read here:
+// an oracle moved into a _test.go file keeps its directive and its pin.
 func annotatedNoallocSet(w *World) map[string]bool {
 	set := make(map[string]bool)
 	for _, pkg := range w.Packages {
@@ -82,6 +84,20 @@ func annotatedNoallocSet(w *World) map[string]bool {
 		dirs := ParseDirectives(w.Fset, pkg.Files)
 		for fd := range dirs.NoallocFuncs {
 			set[declKey(pkg.Path, fd)] = true
+		}
+		for _, f := range pkg.Files {
+			if !isTestFile(w.Fset, f) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+					for _, c := range fd.Doc.List {
+						if c.Text == directivePrefix+dirNoalloc {
+							set[declKey(pkg.Path, fd)] = true
+						}
+					}
+				}
+			}
 		}
 	}
 	return set
@@ -202,6 +218,9 @@ func TestNoallocCoversAllocsPerRunPins(t *testing.T) {
 	annotated := annotatedNoallocSet(w)
 	if len(annotated) == 0 {
 		t.Fatal("found no //repro:noalloc annotations; directive parsing is broken")
+	}
+	if !annotated[funcKey("repro/internal/demand", "Aggregator", "AddRef")] {
+		t.Fatal("missed the //repro:noalloc of demand's AddRef oracle; test-file directives are not read")
 	}
 
 	pinned := make(map[string]token.Position)

@@ -15,6 +15,9 @@ import (
 //	//repro:alloc-ok <why>         — line hatch for noalloc findings.
 //	//repro:nondeterm-ok <why>     — line hatch for determinism findings.
 //	//repro:obs-ok <why>           — line hatch for obsbatch findings.
+//	//repro:testonly-ok <why>      — hatch for a testonly finding, on the
+//	                                 line above the func: names the
+//	                                 caller outside production code.
 //
 // A hatch suppresses findings on its own line and on the line directly
 // below it (so it can ride at end-of-line or stand alone above the
@@ -27,6 +30,7 @@ const (
 	dirAllocOK     = "alloc-ok"
 	dirNondetermOK = "nondeterm-ok"
 	dirObsOK       = "obs-ok"
+	dirTestonlyOK  = "testonly-ok"
 )
 
 // A hatch is one parsed escape-hatch comment.
@@ -104,7 +108,7 @@ func (d *Directives) parseComment(c *ast.Comment, attached map[*ast.Comment]*ast
 				Message:  "//repro:noalloc must be part of a function declaration's doc comment",
 			})
 		}
-	case dirAllocOK, dirNondetermOK, dirObsOK:
+	case dirAllocOK, dirNondetermOK, dirObsOK, dirTestonlyOK:
 		if reason == "" {
 			d.errs = append(d.errs, Diagnostic{
 				Pos:      c.Pos(),
@@ -127,7 +131,7 @@ func (d *Directives) parseComment(c *ast.Comment, attached map[*ast.Comment]*ast
 		d.errs = append(d.errs, Diagnostic{
 			Pos:      c.Pos(),
 			Analyzer: DirectiveAnalyzer.Name,
-			Message:  "unknown directive //repro:" + verb + " (known: noalloc, alloc-ok, nondeterm-ok, obs-ok)",
+			Message:  "unknown directive //repro:" + verb + " (known: noalloc, alloc-ok, nondeterm-ok, obs-ok, testonly-ok)",
 		})
 	}
 }

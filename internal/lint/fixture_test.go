@@ -304,6 +304,21 @@ func TestObsbatchFixture(t *testing.T)    { runFixture(t, "demand") }
 func TestFailpointFixture(t *testing.T)   { runFixture(t, "failpoint") }
 func TestDirectiveFixture(t *testing.T)   { runFixture(t, "directive") }
 
+// TestTestonlyFixture runs the whole-module testonly check over its
+// fixture package. The unjustified hatch suppresses like a justified
+// one, and its missing reason is a directive finding on the hatch line,
+// where a want comment would become the reason, so it is checked here.
+func TestTestonlyFixture(t *testing.T) {
+	w := fixtures(t)
+	pkg := w.load(t, "testonly")
+	diags := TestOnlyDiags(w.fset, []*Package{pkg}, func(*Package) bool { return true })
+	checkWants(t, w.fset, pkg.Files, diags)
+	errs := ParseDirectives(w.fset, pkg.Files).errs
+	if len(errs) != 1 || !strings.Contains(errs[0].Message, "//repro:testonly-ok requires a justification") {
+		t.Errorf("directive findings = %+v, want one missing testonly-ok justification", errs)
+	}
+}
+
 // TestPlainPackageClean: packages outside the critical sets produce no
 // findings for the constructs the fixtures above flag.
 func TestPlainPackageClean(t *testing.T) { runFixture(t, "plain") }

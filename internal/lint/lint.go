@@ -7,7 +7,7 @@
 // a corresponding analyzer here, so breaking one fails `reprolint` with
 // a named diagnostic before it can drift a BENCH row.
 //
-// The four analyzers:
+// The six analyzers:
 //
 //   - noalloc: functions annotated `//repro:noalloc` must not contain
 //     allocation-forcing constructs (string concatenation, string<->[]byte
@@ -31,10 +31,17 @@
 //     name from a package-level var, and site names must be globally
 //     unique across packages (the global half runs once per RunRepo,
 //     over every loaded package).
-//
-// A fifth pseudo-analyzer, directive, validates the `//repro:` comments
-// themselves: unknown verbs, misplaced `//repro:noalloc`, and escape
-// hatches missing their justification are all diagnostics.
+//   - testonly: every function or method declared in a non-test file
+//     must be referenced from a non-test file of the module, outside its
+//     own body (main, init and interface-satisfying methods exempt).
+//     It runs once per RunRepo over the whole module. The escape hatch
+//     `//repro:testonly-ok <why>` on the line above the func names the
+//     caller outside production code: a file of the separate bench
+//     module, another package's test, or the failpoint test API.
+//   - directive: a pseudo-analyzer that validates the `//repro:`
+//     comments themselves: unknown verbs, misplaced `//repro:noalloc`,
+//     and escape hatches missing their justification are all
+//     diagnostics.
 //
 // The suite runs two ways: `reprolint ./...` (cmd/reprolint over
 // RunRepo, which loads the module via `go list` and typechecks from

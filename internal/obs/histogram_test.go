@@ -156,7 +156,7 @@ func TestHistogramBeyondLastBoundary(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileMonotonicity(t *testing.T) {
+func TestExpositionCumulativeMonotone(t *testing.T) {
 	// Property test: for random observation sets, the exposition's
 	// cumulative counts never decrease and end at Count under +Inf, so a
 	// quantile read from them is non-decreasing in q, and q=1 lands in
@@ -204,7 +204,7 @@ func TestHistogramQuantileMonotonicity(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileAccuracy(t *testing.T) {
+func TestExpositionQuantileAccuracy(t *testing.T) {
 	// A scraper reads quantiles from the exposition's le buckets. Log2
 	// buckets bound its relative error by 2x: the bucket holding the
 	// q-quantile observation must be the true value's bucket.

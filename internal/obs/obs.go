@@ -105,10 +105,14 @@ func (c *Counter) Value() uint64 {
 }
 
 // Shards returns the shard cell count (a power of two).
+//
+//repro:testonly-ok demand's obs_alloc_test.go sums the shards
 func (c *Counter) Shards() int { return len(c.cells) }
 
 // ShardValue returns shard i's share of the total — the imbalance
 // signal for sharded writers.
+//
+//repro:testonly-ok demand's obs_alloc_test.go sums the shards
 func (c *Counter) ShardValue(i int) uint64 {
 	return c.cells[i&(len(c.cells)-1)].v.Load()
 }
@@ -120,14 +124,6 @@ func (c *Counter) ShardValue(i int) uint64 {
 type Gauge struct {
 	meta  *metric
 	cells []icell
-}
-
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.cells[0].v.Add(d) }
-
-// AddShard moves shard i's cell by d.
-func (g *Gauge) AddShard(i int, d int64) {
-	g.cells[i&(len(g.cells)-1)].v.Add(d)
 }
 
 // Set sets the gauge to v. Single-writer: it stores v in cell 0 and

@@ -221,3 +221,11 @@ func TestNextPow2(t *testing.T) {
 		}
 	}
 }
+
+// Add moves the gauge by d (negative to decrease).
+func (g *Gauge) Add(d int64) { g.cells[0].v.Add(d) }
+
+// AddShard moves shard i's cell by d.
+func (g *Gauge) AddShard(i int, d int64) {
+	g.cells[i&(len(g.cells)-1)].v.Add(d)
+}

@@ -162,6 +162,8 @@ func EnableTracing(capacity int) {
 }
 
 // DisableTracing stops recording and releases the ring.
+//
+//repro:testonly-ok bench/trace.go; ROADMAP item 6 retires that caller
 func DisableTracing() { curRing.Store(nil) }
 
 // WriteTrace dumps the ring as a Chrome trace-event JSON array

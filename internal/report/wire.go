@@ -86,6 +86,8 @@ type DemandWire struct {
 }
 
 // NewDemandWire builds the demand wire document for one site.
+//
+//repro:testonly-ok bench/trace.go times the demand wire marshal; ROADMAP item 6 retires that caller
 func NewDemandWire(site logs.Site, ests map[logs.Source][]demand.Estimate) DemandWire {
 	sources := make(map[string][]demand.Estimate, len(ests))
 	for src, e := range ests {

@@ -22,6 +22,8 @@ type FileWriter struct {
 // <= 0: DefaultSegmentRows). Close publishes the file; Abort (or a
 // failed Close, which aborts internally) discards the temp file and
 // leaves path untouched.
+//
+//repro:testonly-ok bench/clicklog.go writes its segment file with it; ROADMAP item 6 retires that caller
 func CreateFile(path string, segmentRows int, policy fsx.SyncPolicy) (*FileWriter, error) {
 	af, err := fsx.CreateAtomic(path, policy)
 	if err != nil {
@@ -43,6 +45,8 @@ func (f *FileWriter) Close() error {
 
 // Abort discards the temp file without publishing. Safe after Close
 // (no-op).
+//
+//repro:testonly-ok bench/clicklog.go; ROADMAP item 6 retires that caller
 func (f *FileWriter) Abort() error {
 	return f.af.Abort()
 }

@@ -249,18 +249,6 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Segments returns the file's segment count.
-func (r *Reader) Segments() int { return len(r.dir) }
-
-// Rows returns the file's total ref count across all segments.
-func (r *Reader) Rows() uint64 {
-	var n uint64
-	for _, d := range r.dir {
-		n += uint64(d.rows)
-	}
-	return n
-}
-
 // Replay streams the file's refs matching p into fold in file order,
 // one batch per scanned segment. Segments rejected by zone maps are
 // skipped without touching their payload (counted in the returned

@@ -168,11 +168,11 @@ func TestSalvageQuarantinesFlippedBytes(t *testing.T) {
 	}
 }
 
-// TestReplayWithSalvageOnStrictReader: the open fixes the semantics
+// TestStrictAndSalvageReadersOnFlippedPayload: the open fixes the semantics
 // over the same bytes — a strict reader's Replay fails on a flipped
 // payload byte, a salvage reader's quarantines exactly that segment
 // and delivers the rest.
-func TestReplayWithSalvageOnStrictReader(t *testing.T) {
+func TestStrictAndSalvageReadersOnFlippedPayload(t *testing.T) {
 	refs := randomRefs(29, 512)
 	file := writeRefs(t, refs, 128) // 4 segments
 	// Flip one byte inside segment 2's payload: past the file header,

@@ -230,9 +230,6 @@ func (w *Writer) Add(r demand.ClickRef) error {
 	return nil
 }
 
-// Rows returns the number of refs added so far.
-func (w *Writer) Rows() uint64 { return w.total }
-
 // flushSegment encodes the pending refs as one segment: the four
 // column blocks back to back, with the footer (zone maps, lengths,
 // CRC) recorded for the directory.

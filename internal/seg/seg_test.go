@@ -369,3 +369,18 @@ func TestZoneMapSkipByDay(t *testing.T) {
 		}
 	}
 }
+
+// Segments returns the file's segment count.
+func (r *Reader) Segments() int { return len(r.dir) }
+
+// Rows returns the file's total ref count across all segments.
+func (r *Reader) Rows() uint64 {
+	var n uint64
+	for _, d := range r.dir {
+		n += uint64(d.rows)
+	}
+	return n
+}
+
+// Rows returns the number of refs added so far.
+func (w *Writer) Rows() uint64 { return w.total }

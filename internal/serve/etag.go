@@ -14,6 +14,8 @@ import (
 // function of those inputs. Deriving the tag from the key instead of
 // the bytes lets If-None-Match revalidations be answered 304 without
 // touching the study cache or building any body at all.
+//
+//repro:testonly-ok bench/serve.go checks served ETags against it; ROADMAP item 6 retires that caller
 func ETagFor(cfg core.Config, endpoint, format string) string {
 	return etagOf(cfg.Hash(), endpoint, format)
 }

@@ -31,11 +31,10 @@ type renderScratch struct {
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
 
-// RenderPages renders site s page by page, invoking emit for each: the
-// streaming form of RenderSite. Pages render into a pooled buffer, so
-// html is only valid for the duration of the callback (copy it to
-// retain) and a site's pages are never all resident at once. Rendering
-// order and bytes are identical to RenderSite: listing pages first,
+// RenderPages renders site s page by page, invoking emit for each.
+// Pages render into a pooled buffer, so html is only valid for the
+// duration of the callback (copy it to retain) and a site's pages are
+// never all resident at once. Rendering order: listing pages first,
 // then one page per review, all drawn from the site's deterministic
 // cosmetic RNG.
 func (w *Web) RenderPages(s *Site, emit func(url string, html []byte)) {
@@ -73,18 +72,6 @@ func (w *Web) RenderPages(s *Site, emit func(url string, html []byte)) {
 			emit(string(sc.url), sc.buf.Bytes())
 		}
 	}
-}
-
-// RenderSite renders every page of site s into retained memory: the
-// materialized convenience form of RenderPages, used where all pages
-// must coexist (tests, ablations). The hot extraction path streams via
-// RenderPages instead.
-func (w *Web) RenderSite(s *Site) []Page {
-	var pages []Page
-	w.RenderPages(s, func(url string, html []byte) {
-		pages = append(pages, Page{URL: url, HTML: append([]byte(nil), html...)})
-	})
-	return pages
 }
 
 // writeListingPage renders one directory page with a block per listing.
@@ -138,14 +125,6 @@ func (w *Web) writeListingPage(b *bytes.Buffer, rng *dist.RNG, s *Site, listings
 	b.WriteString("</body>\n</html>\n")
 }
 
-// renderListingPage is the materialized form of writeListingPage,
-// retained for tests and the DOM reference path.
-func (w *Web) renderListingPage(rng *dist.RNG, s *Site, listings []Listing) []byte {
-	var b bytes.Buffer
-	w.writeListingPage(&b, rng, s, listings)
-	return b.Bytes()
-}
-
 // writeReviewPage renders one user-review page for entity e. The page
 // carries the entity's phone (so extraction can attribute it) and
 // review prose (so the classifier recognizes it).
@@ -170,13 +149,6 @@ func (w *Web) writeReviewPage(b *bytes.Buffer, rng *dist.RNG, e entity.Entity) {
 		b.WriteString("</p>\n</div>\n")
 	}
 	b.WriteString("</body>\n</html>\n")
-}
-
-// renderReviewPage is the materialized form of writeReviewPage.
-func (w *Web) renderReviewPage(rng *dist.RNG, e entity.Entity) []byte {
-	var b bytes.Buffer
-	w.writeReviewPage(&b, rng, e)
-	return b.Bytes()
 }
 
 // writeEscapedAddress streams the one-line address rendering
@@ -223,13 +195,6 @@ func writePhone(b *bytes.Buffer, rng *dist.RNG, p entity.CanonicalPhone) {
 	}
 }
 
-// renderPhone is the materialized form of writePhone (kept for tests).
-func renderPhone(rng *dist.RNG, p entity.CanonicalPhone) string {
-	var b bytes.Buffer
-	writePhone(&b, rng, p)
-	return b.String()
-}
-
 // writeHomepage streams the cosmetic URL variation real pages have.
 func writeHomepage(b *bytes.Buffer, rng *dist.RNG, u string) {
 	switch rng.Intn(3) {
@@ -246,13 +211,6 @@ func writeHomepage(b *bytes.Buffer, rng *dist.RNG, u string) {
 			b.WriteString(u)
 		}
 	}
-}
-
-// renderHomepage is the materialized form of writeHomepage.
-func renderHomepage(rng *dist.RNG, u string) string {
-	var b bytes.Buffer
-	writeHomepage(&b, rng, u)
-	return b.String()
 }
 
 // writeISBN streams either the ISBN-10 or the hyphenated ISBN-13.
@@ -276,13 +234,6 @@ func writeISBN(b *bytes.Buffer, rng *dist.RNG, e entity.Entity) {
 	b.WriteString(isbn[8:12])
 	b.WriteByte('-')
 	b.WriteString(isbn[12:])
-}
-
-// renderISBN is the materialized form of writeISBN.
-func renderISBN(rng *dist.RNG, e entity.Entity) string {
-	var b bytes.Buffer
-	writeISBN(&b, rng, e)
-	return b.String()
 }
 
 // hashHost gives a stable 64-bit mix of a host name (FNV-1a).

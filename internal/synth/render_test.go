@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -172,4 +173,51 @@ func TestRenderedEntityURLsNotClickLogEntities(t *testing.T) {
 			}
 		}
 	}
+}
+
+// RenderSite renders every page of site s into retained memory: the
+// materialized form of RenderPages, for tests that need all pages at
+// once.
+func (w *Web) RenderSite(s *Site) []Page {
+	var pages []Page
+	w.RenderPages(s, func(url string, html []byte) {
+		pages = append(pages, Page{URL: url, HTML: append([]byte(nil), html...)})
+	})
+	return pages
+}
+
+// renderListingPage is the materialized form of writeListingPage,
+// retained for tests and the DOM reference path.
+func (w *Web) renderListingPage(rng *dist.RNG, s *Site, listings []Listing) []byte {
+	var b bytes.Buffer
+	w.writeListingPage(&b, rng, s, listings)
+	return b.Bytes()
+}
+
+// renderReviewPage is the materialized form of writeReviewPage.
+func (w *Web) renderReviewPage(rng *dist.RNG, e entity.Entity) []byte {
+	var b bytes.Buffer
+	w.writeReviewPage(&b, rng, e)
+	return b.Bytes()
+}
+
+// renderPhone is the materialized form of writePhone (kept for tests).
+func renderPhone(rng *dist.RNG, p entity.CanonicalPhone) string {
+	var b bytes.Buffer
+	writePhone(&b, rng, p)
+	return b.String()
+}
+
+// renderHomepage is the materialized form of writeHomepage.
+func renderHomepage(rng *dist.RNG, u string) string {
+	var b bytes.Buffer
+	writeHomepage(&b, rng, u)
+	return b.String()
+}
+
+// renderISBN is the materialized form of writeISBN.
+func renderISBN(rng *dist.RNG, e entity.Entity) string {
+	var b bytes.Buffer
+	writeISBN(&b, rng, e)
+	return b.String()
 }

@@ -2,7 +2,6 @@ package textgen
 
 import (
 	"strconv"
-	"strings"
 
 	"repro/internal/dist"
 )
@@ -38,13 +37,6 @@ func BusinessName(rng *dist.RNG, domain string) string {
 type Writer interface {
 	WriteString(s string) (int, error)
 	WriteByte(c byte) error
-}
-
-// PersonName returns a random full name.
-func PersonName(rng *dist.RNG) string {
-	var b strings.Builder
-	WritePersonName(&b, rng)
-	return b.String()
 }
 
 // WritePersonName streams a random full name, drawing identically to
@@ -83,19 +75,6 @@ func USAddress(rng *dist.RNG) Address {
 	return a
 }
 
-// City returns a random city name.
-func City(rng *dist.RNG) string { return cities[rng.Intn(len(cities))] }
-
-// Review generates a review paragraph about the named entity, with the
-// given number of sentences (minimum 3 effective). Reviews mix opener,
-// sentiment sentences, shared filler, and a closer, so they carry the
-// lexical signal the Naïve-Bayes classifier learns.
-func Review(rng *dist.RNG, entityName string, sentences int) string {
-	var b strings.Builder
-	WriteReview(&b, rng, entityName, sentences)
-	return b.String()
-}
-
 // WriteReview streams a review paragraph, drawing and emitting
 // byte-identically to Review but without building the string — the
 // renderer's zero-allocation path.
@@ -129,14 +108,6 @@ func WriteReview(w Writer, rng *dist.RNG, entityName string, sentences int) {
 		w.WriteByte(' ')
 	}
 	w.WriteString(reviewClosers[rng.Intn(len(reviewClosers))])
-}
-
-// Boilerplate generates non-review informational text mentioning nothing
-// sentiment-laden: directory blurbs, hours, announcements.
-func Boilerplate(rng *dist.RNG, sentences int) string {
-	var b strings.Builder
-	WriteBoilerplate(&b, rng, sentences)
-	return b.String()
 }
 
 // WriteBoilerplate streams boilerplate text, drawing and emitting
@@ -198,13 +169,6 @@ func ProductTitle(rng *dist.RNG) string {
 		"Water Bottle", "Bluetooth Speaker", "Notebook", "Running Shoes", "Blender", "Monitor Stand"}
 	return brands[rng.Intn(len(brands))] + " " + items[rng.Intn(len(items))] +
 		" Model " + strconv.Itoa(100+rng.Intn(900))
-}
-
-func capitalize(s string) string {
-	if s == "" {
-		return s
-	}
-	return strings.ToUpper(s[:1]) + s[1:]
 }
 
 // writeCapitalized streams capitalize(s) without allocating: the first

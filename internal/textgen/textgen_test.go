@@ -140,3 +140,38 @@ func TestCity(t *testing.T) {
 		t.Error("empty city")
 	}
 }
+
+// PersonName returns a random full name.
+func PersonName(rng *dist.RNG) string {
+	var b strings.Builder
+	WritePersonName(&b, rng)
+	return b.String()
+}
+
+// City returns a random city name.
+func City(rng *dist.RNG) string { return cities[rng.Intn(len(cities))] }
+
+func capitalize(s string) string {
+	if s == "" {
+		return s
+	}
+	return strings.ToUpper(s[:1]) + s[1:]
+}
+
+// Review generates a review paragraph about the named entity, with the
+// given number of sentences (minimum 3 effective). Reviews mix opener,
+// sentiment sentences, shared filler, and a closer, so they carry the
+// lexical signal the Naïve-Bayes classifier learns.
+func Review(rng *dist.RNG, entityName string, sentences int) string {
+	var b strings.Builder
+	WriteReview(&b, rng, entityName, sentences)
+	return b.String()
+}
+
+// Boilerplate generates non-review informational text mentioning nothing
+// sentiment-laden: directory blurbs, hours, announcements.
+func Boilerplate(rng *dist.RNG, sentences int) string {
+	var b strings.Builder
+	WriteBoilerplate(&b, rng, sentences)
+	return b.String()
+}

@@ -66,9 +66,6 @@ func NewWriter(w io.Writer, gzipped bool, date string) *Writer {
 	return wr
 }
 
-// Offset returns the byte offset at which the next record will start.
-func (w *Writer) Offset() int64 { return w.offset }
-
 // WriteRecord writes one record, filling in WARC/1.0 framing, the
 // record ID, date and content length. It returns the starting offset of
 // the record and the number of bytes written.

@@ -357,3 +357,6 @@ func TestGzipMembersMatchFreshWriters(t *testing.T) {
 		t.Errorf("gzipped WARC (%d bytes) differs from per-record fresh members (%d bytes)", gzipped.Len(), want.Len())
 	}
 }
+
+// Offset returns the byte offset at which the next record will start.
+func (w *Writer) Offset() int64 { return w.offset }
