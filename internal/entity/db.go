@@ -183,25 +183,8 @@ func CanonicalURL(u string) string {
 // N returns the number of entities.
 func (db *DB) N() int { return len(db.Entities) }
 
-// LookupPhone returns the entity ID owning the given canonical phone.
-//
-//repro:testonly-ok extract's regex oracle tests
-func (db *DB) LookupPhone(p CanonicalPhone) (int, bool) {
-	id, ok := db.byPhone[p]
-	return id, ok
-}
-
-// LookupISBN returns the entity ID owning the given bare ISBN
-// (10 or 13 form).
-//
-//repro:testonly-ok extract's regex oracle tests
-func (db *DB) LookupISBN(isbn string) (int, bool) {
-	id, ok := db.byISBN[normalizeISBN(isbn)]
-	return id, ok
-}
-
-// LookupPhoneKey is LookupPhone for a key held as bytes: the ten NANP
-// digits of a canonical phone. It performs no allocation, so the
+// LookupPhoneKey returns the entity ID owning the canonical phone whose
+// ten NANP digits key holds. It performs no allocation, so the
 // extraction scanner can look up every match it finds.
 //
 //repro:noalloc
@@ -210,9 +193,9 @@ func (db *DB) LookupPhoneKey(key []byte) (int, bool) {
 	return id, ok
 }
 
-// LookupISBNKey is LookupISBN for an already-normalized bare key: ten
-// or thirteen characters, digits plus an upper-case ISBN-10 check 'X'.
-// It performs no allocation.
+// LookupISBNKey returns the entity ID owning an already-normalized bare
+// ISBN key (either form): ten or thirteen characters, digits plus an
+// upper-case ISBN-10 check 'X'. It performs no allocation.
 //
 //repro:noalloc
 func (db *DB) LookupISBNKey(key []byte) (int, bool) {
@@ -220,19 +203,10 @@ func (db *DB) LookupISBNKey(key []byte) (int, bool) {
 	return id, ok
 }
 
-// LookupHomepage returns the entity ID whose homepage canonicalizes to
-// the same key as u.
-//
-//repro:testonly-ok extract's regex oracle tests
-func (db *DB) LookupHomepage(u string) (int, bool) {
-	id, ok := db.byHomepage[CanonicalURL(u)]
-	return id, ok
-}
-
 // LookupHomepageKey looks up an already-canonicalized homepage key
-// (produced by AppendCanonicalURL). It performs no allocation, which is
-// why the streaming extraction session uses the two-step
-// AppendCanonicalURL + LookupHomepageKey form instead of LookupHomepage.
+// (produced by AppendCanonicalURL or CanonicalURL). It performs no
+// allocation, so the streaming extraction session can look up every
+// anchor it finds.
 func (db *DB) LookupHomepageKey(key []byte) (int, bool) {
 	id, ok := db.byHomepage[string(key)]
 	return id, ok

@@ -120,3 +120,23 @@ func TestASCIIFoldEq(t *testing.T) {
 		}
 	}
 }
+
+// LookupPhone returns the entity ID owning the given canonical phone.
+func (db *DB) LookupPhone(p CanonicalPhone) (int, bool) {
+	id, ok := db.byPhone[p]
+	return id, ok
+}
+
+// LookupISBN returns the entity ID owning the given bare ISBN
+// (10 or 13 form).
+func (db *DB) LookupISBN(isbn string) (int, bool) {
+	id, ok := db.byISBN[normalizeISBN(isbn)]
+	return id, ok
+}
+
+// LookupHomepage returns the entity ID whose homepage canonicalizes to
+// the same key as u.
+func (db *DB) LookupHomepage(u string) (int, bool) {
+	id, ok := db.byHomepage[CanonicalURL(u)]
+	return id, ok
+}

@@ -76,7 +76,7 @@ func MatchISBNs(db *entity.DB, text string) []int {
 	var out []int
 	seen := make(map[int]struct{})
 	for _, isbn := range ISBNs(text) {
-		if id, ok := db.LookupISBN(isbn); ok {
+		if id, ok := db.LookupISBNKey([]byte(isbn)); ok { // ISBNs returns bare keys
 			if _, dup := seen[id]; !dup {
 				seen[id] = struct{}{}
 				out = append(out, id)

@@ -36,7 +36,7 @@ func (x *Extractor) Page(html []byte) []Mention {
 
 	seenHome := make(map[int]struct{})
 	for _, href := range anchors {
-		if id, ok := x.db.LookupHomepage(href); ok {
+		if id, ok := x.db.LookupHomepageKey([]byte(entity.CanonicalURL(href))); ok {
 			if _, dup := seenHome[id]; !dup {
 				seenHome[id] = struct{}{}
 				out = append(out, Mention{EntityID: id, Attr: entity.AttrHomepage})

@@ -77,7 +77,7 @@ func MatchPhones(db *entity.DB, text string) []int {
 	var out []int
 	seen := make(map[int]struct{})
 	for _, p := range Phones(text) {
-		if id, ok := db.LookupPhone(p); ok {
+		if id, ok := db.LookupPhoneKey([]byte(p)); ok {
 			if _, dup := seen[id]; !dup {
 				seen[id] = struct{}{}
 				out = append(out, id)
