@@ -5,7 +5,7 @@
 // Definitions follow §3.3: given websites W and integer k, the
 // k-coverage of W is the fraction of database entities present on at
 // least k different websites in W. Sites are ordered descending by the
-// number of entities they contain unless an explicit order is given.
+// number of entities they contain.
 package coverage
 
 import (
@@ -50,27 +50,17 @@ func LogSpacedT(maxT int) []int {
 
 // KCoverage computes k-coverage curves for k = 1..kMax over the index's
 // size-descending site order, sampling at the given top-t cut points
-// (which must be ascending). It returns an error for invalid arguments.
+// (which must be ascending positive). It returns an error for invalid
+// arguments.
 func KCoverage(idx *index.Index, kMax int, tPoints []int) ([]Curve, error) {
-	return KCoverageOrder(idx, identityOrder(len(idx.Sites)), kMax, tPoints)
-}
-
-// KCoverageOrder computes k-coverage curves visiting sites in the given
-// order (indices into idx.Sites). tPoints must be ascending positive.
-func KCoverageOrder(idx *index.Index, order []int, kMax int, tPoints []int) ([]Curve, error) {
 	if kMax < 1 {
 		return nil, fmt.Errorf("coverage: kMax must be >= 1, got %d", kMax)
 	}
 	if idx.NumEntities <= 0 {
 		return nil, fmt.Errorf("coverage: index has no entity universe (NumEntities=%d)", idx.NumEntities)
 	}
-	if len(order) > len(idx.Sites) {
-		return nil, fmt.Errorf("coverage: order has %d sites, index has %d", len(order), len(idx.Sites))
-	}
-	for i, t := range tPoints {
-		if t < 1 || (i > 0 && t <= tPoints[i-1]) {
-			return nil, fmt.Errorf("coverage: tPoints must be ascending positive, got %v", tPoints)
-		}
+	if err := checkTPoints(tPoints); err != nil {
+		return nil, err
 	}
 
 	bound, err := idx.EntityBound()
@@ -96,11 +86,8 @@ func KCoverageOrder(idx *index.Index, order []int, kMax int, tPoints []int) ([]C
 			ti++
 		}
 	}
-	for i, si := range order {
-		if si < 0 || si >= len(idx.Sites) {
-			return nil, fmt.Errorf("coverage: order entry %d out of range", si)
-		}
-		for _, e := range idx.Sites[si].Entities {
+	for i := range idx.Sites {
+		for _, e := range idx.Sites[i].Entities {
 			seen[e]++
 			if c := seen[e]; c <= kMax {
 				atLeast[c]++
@@ -118,6 +105,17 @@ func KCoverageOrder(idx *index.Index, order []int, kMax int, tPoints []int) ([]C
 	return curves, nil
 }
 
+// checkTPoints rejects top-t cut points that are not ascending
+// positive.
+func checkTPoints(tPoints []int) error {
+	for i, t := range tPoints {
+		if t < 1 || (i > 0 && t <= tPoints[i-1]) {
+			return fmt.Errorf("coverage: tPoints must be ascending positive, got %v", tPoints)
+		}
+	}
+	return nil
+}
+
 // AggregateCurve is the page-mass coverage series of Figure 4(b):
 // Coverage[i] is the fraction of all attribute pages (reviews) that live
 // on the top T[i] sites.
@@ -133,10 +131,8 @@ func AggregateCoverage(idx *index.Index, tPoints []int) (AggregateCurve, error) 
 	if total == 0 {
 		return AggregateCurve{}, fmt.Errorf("coverage: index has no attribute pages")
 	}
-	for i, t := range tPoints {
-		if t < 1 || (i > 0 && t <= tPoints[i-1]) {
-			return AggregateCurve{}, fmt.Errorf("coverage: tPoints must be ascending positive, got %v", tPoints)
-		}
+	if err := checkTPoints(tPoints); err != nil {
+		return AggregateCurve{}, err
 	}
 	out := AggregateCurve{}
 	cum := 0
@@ -166,12 +162,4 @@ func (c Curve) FirstTReaching(frac float64) int {
 		}
 	}
 	return -1
-}
-
-func identityOrder(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

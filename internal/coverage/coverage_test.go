@@ -140,33 +140,6 @@ func TestKCoverageMonotonicity(t *testing.T) {
 	}
 }
 
-func TestKCoverageOrderExplicit(t *testing.T) {
-	idx := buildIndex(t, map[string][]int{
-		"big": {0, 1, 2}, "small": {3},
-	}, 4)
-	// Visit small first.
-	var smallIdx int
-	for i, s := range idx.Sites {
-		if s.Host == "small" {
-			smallIdx = i
-		}
-	}
-	order := []int{smallIdx, 1 - smallIdx}
-	curves, err := KCoverageOrder(idx, order, 1, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curves[0].Coverage[0] != 0.25 || curves[0].Coverage[1] != 1 {
-		t.Errorf("explicit order coverage = %v", curves[0].Coverage)
-	}
-	if _, err := KCoverageOrder(idx, []int{5}, 1, []int{1}); err == nil {
-		t.Error("out-of-range order entry should fail")
-	}
-	if _, err := KCoverageOrder(idx, []int{0, 1, 0}, 1, []int{1}); err == nil {
-		t.Error("order longer than sites should fail")
-	}
-}
-
 func TestAggregateCoverage(t *testing.T) {
 	b := index.NewBuilder(entity.Restaurants, entity.AttrReview, 10)
 	b.Add("big", 0)

@@ -4,6 +4,15 @@
 // logs. It generates catalogs whose demand-vs-review-count coupling
 // reproduces the paper's findings, simulates raw click logs, and
 // aggregates them back into demand estimates.
+//
+// The model's calibration is constants, not configuration: each site's
+// catalog shape is its row of the table in shapeOf (catalog.go), and
+// the browse stream's head tilt is browseHeadBias (simulate.go).
+// Recalibrating either changes every study and served demand body, so
+// it means bumping core.HashVersion and regenerating both golden files
+// (internal/report/testdata/study_outputs.txt and
+// internal/serve/testdata/served_bodies.txt); the golden SHA-256 stream
+// in golden_test.go moves too.
 package demand
 
 import (
@@ -38,159 +47,130 @@ type Catalog struct {
 	byURL   map[string]int
 
 	aliasMu sync.Mutex
-	aliases map[aliasKey]*dist.Alias
+	aliases [numSources]*dist.Alias // by srcIdx
 }
 
-// aliasKey identifies one memoized demand alias table: the sampling
-// weights depend only on the latent demand vector and the source's
-// head-bias tilt.
-type aliasKey struct {
-	source logs.Source
-	bias   float64
-}
-
-// demandAlias returns the alias table over bias-tilted latent demand,
-// built once per (source, bias) and shared: samplers across runs,
-// worker fleets and seeds reuse it (the table is immutable and the RNG
-// lives with the caller).
-func (c *Catalog) demandAlias(source logs.Source, bias float64) (*dist.Alias, error) {
-	key := aliasKey{source: source, bias: bias}
+// demandAlias returns the source's alias table over latent demand,
+// tilted toward the head by browseHeadBias for browse traffic, built
+// once per source and shared: samplers across runs, worker fleets and
+// seeds reuse it (the table is immutable and the RNG lives with the
+// caller).
+func (c *Catalog) demandAlias(source logs.Source) (*dist.Alias, error) {
+	si := srcIdx(source)
 	c.aliasMu.Lock()
 	defer c.aliasMu.Unlock()
-	if a, ok := c.aliases[key]; ok {
+	if a := c.aliases[si]; a != nil {
 		return a, nil
 	}
 	weights := make([]float64, len(c.Entities))
 	for i, e := range c.Entities {
-		// Browse head bias: tilt latent demand by rank^-bias.
 		weights[i] = e.demand
-		if bias != 0 {
-			weights[i] *= math.Pow(float64(i+1), -bias)
+		if source == logs.Browse {
+			weights[i] *= math.Pow(float64(i+1), -browseHeadBias)
 		}
 	}
 	a, err := dist.NewAlias(weights)
 	if err != nil {
 		return nil, fmt.Errorf("demand: alias over latent demand: %w", err)
 	}
-	if c.aliases == nil {
-		c.aliases = make(map[aliasKey]*dist.Alias, 2)
-	}
-	c.aliases[key] = a
+	c.aliases[si] = a
 	return a, nil
 }
 
-// CatalogConfig parameterizes catalog generation. Zero-valued shape
-// fields take the per-site defaults (SiteDefaults).
+// CatalogConfig parameterizes catalog generation: which site, how many
+// entities and the seed. The catalog's shape comes from the site's row
+// of the calibration table, shapeOf.
 type CatalogConfig struct {
 	Site logs.Site
 	N    int
 	Seed uint64
-
-	// DemandExp is the Zipf exponent of latent demand over popularity
-	// rank; larger means more head-concentrated (IMDb > Amazon > Yelp).
-	DemandExp float64
-	// TailCutoffFrac places a demand cutoff at rank = TailCutoffFrac*N;
-	// 0 disables. IMDb uses a cutoff: interest in tail titles decays
-	// faster than any power law (§4.3.2).
-	TailCutoffFrac float64
-	// TailCutoffRank places the cutoff at an absolute rank, overriding
-	// TailCutoffFrac when positive. SiteDefaults positions it so the
-	// demand-vs-reviews coupling flips from superlinear (tail) to
-	// sublinear (head) at a few tens of reviews, producing the Fig 8c
-	// mid-popularity hump regardless of catalog size.
-	TailCutoffRank int
-	// CutoffPower shapes the cutoff steepness.
-	CutoffPower float64
-	// ReviewExp is the power-law decay of review counts with rank.
-	ReviewExp float64
-	// MaxReviews is the expected review count of the rank-1 entity.
-	MaxReviews int
-	// ReviewNoise is the sigma of log-normal noise on review counts.
-	ReviewNoise float64
-	// BaseDemand is the expected yearly visits of the rank-1 entity.
-	BaseDemand float64
 }
 
-// SiteDefaults returns the calibrated configuration for one site at
-// inventory size n. The orderings baked in:
+// siteShape is one site's calibrated catalog shape.
+type siteShape struct {
+	// demandExp is the Zipf exponent of latent demand over popularity
+	// rank; larger means more head-concentrated (IMDb > Amazon > Yelp).
+	demandExp float64
+	// reviewExp is the power-law decay of review counts with rank.
+	reviewExp float64
+	// maxReviews is the expected review count of the rank-1 entity.
+	maxReviews int
+	// baseDemand is the expected yearly visits of the rank-1 entity.
+	baseDemand float64
+	// reviewNoise is the sigma of log-normal noise on review counts:
+	// large for Amazon (review propensity varies wildly across
+	// products, which also keeps the zero-review bin's demand baseline
+	// comparable to its neighbors'), moderate elsewhere.
+	reviewNoise float64
+	// cutoffReviews places a demand cutoff at the whole rank whose
+	// expected review count it is (0: none): interest in tail titles
+	// decays faster than any power law (§4.3.2). cutoffPower shapes
+	// its steepness.
+	cutoffReviews float64
+	cutoffPower   float64
+}
+
+// shapeOf is the calibration table: it returns the site's row, or false
+// for an unknown site. The orderings baked in:
 //
 //   - demand concentration IMDb > Amazon > Yelp (Fig 6),
 //   - review counts grow faster than demand toward the head for Yelp
 //     and Amazon (so VA(n)/VA(0) falls with n, Fig 8 a–b),
 //   - IMDb tail interest decays faster than review availability (so
 //     VA(n)/VA(0) peaks at mid-popularity, Fig 8c).
-func SiteDefaults(site logs.Site, n int, seed uint64) CatalogConfig {
-	cfg := CatalogConfig{Site: site, N: n, Seed: seed}
+//
+// IMDb's head has demand ∝ reviews^(1.00/1.25), sublinear even with the
+// browse head bias added, so VA falls at the head. Beyond the cutoff,
+// demand ∝ reviews^((1.00+1.20)/1.25), superlinear, so VA rises leaving
+// the tail. The cutoff sits where the expected review count is 30,
+// putting the VA peak at mid popularity (Fig 8c) regardless of
+// catalog size.
+func shapeOf(site logs.Site) (siteShape, bool) {
 	switch site {
 	case logs.Yelp:
-		cfg.DemandExp = 0.55
-		cfg.ReviewExp = 0.85
-		cfg.MaxReviews = 1100
-		cfg.BaseDemand = 40000
+		return siteShape{demandExp: 0.55, reviewExp: 0.85, maxReviews: 1100, baseDemand: 40000, reviewNoise: 0.5}, true
 	case logs.Amazon:
-		cfg.DemandExp = 0.80
-		cfg.ReviewExp = 1.00
-		cfg.MaxReviews = 1600
-		cfg.BaseDemand = 80000
+		return siteShape{demandExp: 0.80, reviewExp: 1.00, maxReviews: 1600, baseDemand: 80000, reviewNoise: 0.95}, true
 	case logs.IMDb:
-		// Head: demand ∝ reviews^(1.00/1.25) — sublinear even with the
-		// browse head bias added, so VA falls at the head. Beyond the
-		// cutoff: demand ∝ reviews^((1.00+1.20)/1.25) —
-		// superlinear, so VA rises leaving the tail. The cutoff rank is
-		// placed where the expected review count is ~30, putting the VA
-		// peak at mid popularity (Fig 8c).
-		cfg.DemandExp = 1.00
-		cfg.ReviewExp = 1.25
-		cfg.MaxReviews = 6000
-		cfg.BaseDemand = 150000
-		cfg.CutoffPower = 1.2
-		cfg.TailCutoffRank = int(math.Pow(float64(cfg.MaxReviews)/30, 1/cfg.ReviewExp))
+		return siteShape{demandExp: 1.00, reviewExp: 1.25, maxReviews: 6000, baseDemand: 150000, reviewNoise: 0.45,
+			cutoffReviews: 30, cutoffPower: 1.2}, true
 	}
-	// Review-count noise: large for Amazon (review propensity varies
-	// wildly across products, which also keeps the zero-review bin's
-	// demand baseline comparable to its neighbors'), moderate elsewhere.
-	switch site {
-	case logs.Amazon:
-		cfg.ReviewNoise = 0.95
-	case logs.IMDb:
-		cfg.ReviewNoise = 0.45
-	default:
-		cfg.ReviewNoise = 0.5
-	}
-	return cfg
+	return siteShape{}, false
+}
+
+// SiteDefaults returns the catalog configuration for one site at
+// inventory size n.
+func SiteDefaults(site logs.Site, n int, seed uint64) CatalogConfig {
+	return CatalogConfig{Site: site, N: n, Seed: seed}
 }
 
 // GenerateCatalog builds a deterministic catalog. It returns an error
 // for an unknown site or non-positive N.
 func GenerateCatalog(cfg CatalogConfig) (*Catalog, error) {
-	if !cfg.Site.Valid() {
+	shape, ok := shapeOf(cfg.Site)
+	if !ok {
 		return nil, fmt.Errorf("demand: unknown site %q", cfg.Site)
 	}
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("demand: need N > 0, got %d", cfg.N)
 	}
-	if cfg.DemandExp == 0 && cfg.ReviewExp == 0 {
-		def := SiteDefaults(cfg.Site, cfg.N, cfg.Seed)
-		def.N, def.Seed = cfg.N, cfg.Seed
-		cfg = def
-	}
 	rng := dist.NewRNG(cfg.Seed ^ 0xca7a109)
-	noise, err := dist.NewLogNormal(0, cfg.ReviewNoise)
+	noise, err := dist.NewLogNormal(0, shape.reviewNoise)
 	if err != nil {
 		return nil, fmt.Errorf("demand: review noise: %w", err)
 	}
 	cat := &Catalog{Site: cfg.Site, Entities: make([]CatEntity, cfg.N)}
-	cutoff := cfg.TailCutoffFrac * float64(cfg.N)
-	if cfg.TailCutoffRank > 0 {
-		cutoff = float64(cfg.TailCutoffRank)
+	var cutoff float64
+	if shape.cutoffReviews > 0 {
+		cutoff = float64(int(math.Pow(float64(shape.maxReviews)/shape.cutoffReviews, 1/shape.reviewExp)))
 	}
 	for i := 0; i < cfg.N; i++ {
 		rank := float64(i + 1)
-		d := cfg.BaseDemand * math.Pow(rank, -cfg.DemandExp)
+		d := shape.baseDemand * math.Pow(rank, -shape.demandExp)
 		if cutoff > 0 {
-			d /= 1 + math.Pow(rank/cutoff, cfg.CutoffPower)
+			d /= 1 + math.Pow(rank/cutoff, shape.cutoffPower)
 		}
-		meanReviews := float64(cfg.MaxReviews) * math.Pow(rank, -cfg.ReviewExp) * noise.Sample(rng)
+		meanReviews := float64(shape.maxReviews) * math.Pow(rank, -shape.reviewExp) * noise.Sample(rng)
 		e := CatEntity{
 			ID:      i,
 			Key:     entityKey(cfg.Site, rng, i),

@@ -269,45 +269,24 @@ func TestUniqueCookieSaturation(t *testing.T) {
 	}
 }
 
-func TestWithSimDefaultsBrowseHeadBias(t *testing.T) {
-	// nil takes the default; an explicit value — including zero — is
-	// preserved (the boundary the old float64 field could not express).
-	defaults := func(cfg SimConfig) SimConfig {
-		t.Helper()
-		got, err := withSimDefaults(cfg, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	if got := defaults(SimConfig{}); *got.BrowseHeadBias != defaultBrowseHeadBias {
-		t.Errorf("nil bias defaulted to %v, want %v", *got.BrowseHeadBias, defaultBrowseHeadBias)
-	}
-	if got := defaults(SimConfig{BrowseHeadBias: Bias(0)}); *got.BrowseHeadBias != 0 {
-		t.Errorf("explicit zero bias overwritten to %v", *got.BrowseHeadBias)
-	}
-	if got := defaults(SimConfig{BrowseHeadBias: Bias(0.6)}); *got.BrowseHeadBias != 0.6 {
-		t.Errorf("explicit bias overwritten to %v", *got.BrowseHeadBias)
-	}
-}
-
 func TestBrowseHeadBiasShapesBrowseTraffic(t *testing.T) {
-	// Behavioral boundary: with Bias(0) the browse stream samples from
-	// the untilted demand weights, so the head entity's browse share
-	// must be measurably below the share under a strong bias — and the
-	// zero setting must differ from the default (proving the explicit
-	// zero is honored, not replaced by 0.15).
+	// browseHeadBias tilts the browse stream toward the head: with the
+	// same event count per source, the top 10 of 100 entities draw more
+	// browse visits than search visits, and the bottom half fewer.
 	cat := testCatalog(t, logs.Yelp, 100)
-	headVisits := func(bias *float64) int {
-		agg := serialFold(cat, serialRefs(t, cat, SimConfig{
-			Events: 30000, Cookies: 5000, Seed: 11, BrowseHeadBias: bias,
-		}))
-		return agg.Demand(logs.Browse)[0].Visits
+	agg := serialFold(cat, serialRefs(t, cat, SimConfig{Events: 30000, Cookies: 5000, Seed: 11}))
+	visits := func(src logs.Source, lo, hi int) int {
+		n := 0
+		for _, e := range agg.Demand(src)[lo:hi] {
+			n += e.Visits
+		}
+		return n
 	}
-	zero, def, strong := headVisits(Bias(0)), headVisits(nil), headVisits(Bias(2.0))
-	if !(zero < def && def < strong) {
-		t.Errorf("head browse visits not ordered by bias: zero=%d default=%d strong=%d",
-			zero, def, strong)
+	if search, browse := visits(logs.Search, 0, 10), visits(logs.Browse, 0, 10); browse <= search {
+		t.Errorf("head visits: browse %d, search %d; want browse > search", browse, search)
+	}
+	if search, browse := visits(logs.Search, 50, 100), visits(logs.Browse, 50, 100); browse >= search {
+		t.Errorf("tail visits: browse %d, search %d; want browse < search", browse, search)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // by the browse stream, each in event-index order.
 var sources = []logs.Source{logs.Search, logs.Browse}
 
-// defaultBrowseHeadBias is the browse-traffic demand tilt applied when
-// SimConfig.BrowseHeadBias is nil.
-const defaultBrowseHeadBias = 0.15
+// browseHeadBias is added to the demand exponent for browse traffic:
+// browse patterns are shaped by on-site promotion of popular items
+// (§4.1), so browse demand is more head-concentrated than search.
+const browseHeadBias = 0.15
 
 // SimConfig controls click-log simulation for one catalog.
 type SimConfig struct {
@@ -24,20 +25,10 @@ type SimConfig struct {
 	Cookies int
 	// Seed drives the simulation.
 	Seed uint64
-	// BrowseHeadBias is added to the demand exponent for browse traffic:
-	// browse patterns are shaped by on-site promotion of popular items
-	// (§4.1), so browse demand is more head-concentrated than search.
-	// nil selects the default (0.15); use Bias to set an explicit value,
-	// including zero (browse demand shaped exactly like search).
-	BrowseHeadBias *float64
 }
 
-// Bias wraps an explicit browse-head-bias value for SimConfig, making
-// an explicit zero distinguishable from "use the default".
-func Bias(v float64) *float64 { return &v }
-
 // withSimDefaults validates cfg for a catalog of n entities and fills
-// its zero (or nil) fields. Every generation entry point resolves its
+// its zero fields. Every generation entry point resolves its
 // config here, so an empty catalog or a negative size fails up front
 // instead of panicking inside a generator worker (a negative Cookies)
 // or silently generating nothing (a negative Events).
@@ -53,9 +44,6 @@ func withSimDefaults(cfg SimConfig, n int) (SimConfig, error) {
 	}
 	if cfg.Cookies == 0 {
 		cfg.Cookies = 8 * n
-	}
-	if cfg.BrowseHeadBias == nil {
-		cfg.BrowseHeadBias = Bias(defaultBrowseHeadBias)
 	}
 	return cfg, nil
 }
@@ -88,11 +76,7 @@ type sourceSampler struct {
 }
 
 func newSourceSampler(cat *Catalog, cfg SimConfig, source logs.Source) (*sourceSampler, error) {
-	bias := 0.0
-	if source == logs.Browse {
-		bias = *cfg.BrowseHeadBias
-	}
-	alias, err := cat.demandAlias(source, bias)
+	alias, err := cat.demandAlias(source)
 	if err != nil {
 		return nil, err
 	}

@@ -41,10 +41,11 @@ type Config struct {
 	Domain Domain
 	N      int    // number of entities
 	Seed   uint64 // generation seed
-	// HomepageFraction is the share of entities that have a homepage at
-	// all (tail businesses often have none). Default 0.85 when zero.
-	HomepageFraction float64
 }
+
+// homepageFraction is the share of local businesses that have a
+// homepage at all (tail businesses often have none).
+const homepageFraction = 0.85
 
 // Generate builds a deterministic entity database. It returns an error
 // for an invalid domain or non-positive N.
@@ -55,10 +56,6 @@ func Generate(cfg Config) (*DB, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("entity: need N > 0, got %d", cfg.N)
 	}
-	hf := cfg.HomepageFraction
-	if hf == 0 {
-		hf = 0.85
-	}
 	rng := dist.NewRNG(cfg.Seed ^ 0xe17a_b1e5)
 	db := &DB{Domain: cfg.Domain, Entities: make([]Entity, 0, cfg.N)}
 	if cfg.Domain == Books {
@@ -66,8 +63,8 @@ func Generate(cfg Config) (*DB, error) {
 		genBooks(db, rng, cfg.N)
 	} else {
 		db.byPhone = make(map[CanonicalPhone]int, cfg.N)
-		db.byHomepage = make(map[string]int, int(hf*float64(cfg.N))+1)
-		genBusinesses(db, rng, cfg.N, hf)
+		db.byHomepage = make(map[string]int, int(homepageFraction*float64(cfg.N))+1)
+		genBusinesses(db, rng, cfg.N)
 	}
 	return db, nil
 }
@@ -113,7 +110,7 @@ func genBooks(db *DB, rng *dist.RNG, n int) {
 	}
 }
 
-func genBusinesses(db *DB, rng *dist.RNG, n int, homepageFraction float64) {
+func genBusinesses(db *DB, rng *dist.RNG, n int) {
 	for i := 0; i < n; i++ {
 		var phone CanonicalPhone
 		for {

@@ -133,8 +133,9 @@ func TestLookupISBNBothForms(t *testing.T) {
 			t.Fatalf("LookupISBN(%q) failed", e.ISBN13)
 		}
 		// Hyphenated forms must also resolve.
-		if id, ok := db.LookupISBN(FormatISBN13(e.ISBN13)); !ok || id != e.ID {
-			t.Fatalf("LookupISBN(hyphenated %q) failed", FormatISBN13(e.ISBN13))
+		hyphenated := string(AppendISBN13(nil, e.ISBN13))
+		if id, ok := db.LookupISBN(hyphenated); !ok || id != e.ID {
+			t.Fatalf("LookupISBN(%q) failed", hyphenated)
 		}
 	}
 }

@@ -15,7 +15,7 @@ func ExampleISBN10To13() {
 		log.Fatal(err)
 	}
 	fmt.Println(isbn13, entity.ValidISBN13(isbn13))
-	fmt.Println(entity.FormatISBN13(isbn13))
+	fmt.Println(string(entity.AppendISBN13(nil, isbn13)))
 	// Output:
 	// 9780306406157 true
 	// 978-0-3064-0615-7

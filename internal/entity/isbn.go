@@ -117,13 +117,20 @@ func normalizeISBN(s string) string {
 	return b.String()
 }
 
-// FormatISBN13 renders a bare 13-digit ISBN with conventional hyphens
-// (978-X-XXXX-XXXX-X). Purely cosmetic; the extractor normalizes back.
+// AppendISBN13 appends a bare 13-digit ISBN to dst with conventional
+// hyphens (978-X-XXXX-XXXX-X) and returns the extended slice. Purely
+// cosmetic; the extractor normalizes back. Any other length appends
+// isbn as is. It allocates only when dst lacks capacity.
 //
-//repro:testonly-ok extract's tests render ISBNs with it
-func FormatISBN13(isbn string) string {
+//repro:noalloc
+func AppendISBN13(dst []byte, isbn string) []byte {
 	if len(isbn) != 13 {
-		return isbn
+		return append(dst, isbn...)
 	}
-	return isbn[:3] + "-" + isbn[3:4] + "-" + isbn[4:8] + "-" + isbn[8:12] + "-" + isbn[12:]
+	dst = append(dst, isbn[:3]...)
+	dst = append(dst, '-', isbn[3], '-')
+	dst = append(dst, isbn[4:8]...)
+	dst = append(dst, '-')
+	dst = append(dst, isbn[8:12]...)
+	return append(dst, '-', isbn[12])
 }

@@ -120,14 +120,19 @@ func TestISBN10To13AlwaysValid(t *testing.T) {
 }
 
 func TestFormatISBN13(t *testing.T) {
-	if got := FormatISBN13("9780306406157"); got != "978-0-3064-0615-7" {
-		t.Errorf("FormatISBN13 = %q", got)
+	hyphenated := string(AppendISBN13([]byte("x"), "9780306406157"))
+	if hyphenated != "x978-0-3064-0615-7" {
+		t.Errorf("AppendISBN13 = %q", hyphenated)
 	}
 	// Hyphenated form must remain checksum-valid after normalization.
-	if !ValidISBN13(FormatISBN13("9780306406157")) {
+	if !ValidISBN13(hyphenated[1:]) {
 		t.Error("formatted ISBN no longer validates")
 	}
-	if got := FormatISBN13("123"); got != "123" {
+	if got := string(AppendISBN13(nil, "123")); got != "123" {
 		t.Errorf("short input should pass through, got %q", got)
+	}
+	buf := make([]byte, 0, 17)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendISBN13(buf[:0], "9780306406157") }); n != 0 {
+		t.Errorf("AppendISBN13 into a large enough buffer allocates %.0f times", n)
 	}
 }

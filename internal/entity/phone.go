@@ -1,10 +1,6 @@
 package entity
 
-import (
-	"fmt"
-
-	"repro/internal/dist"
-)
+import "repro/internal/dist"
 
 // CanonicalPhone is the normalized representation of a US phone number:
 // exactly ten ASCII digits (NANP area code + exchange + subscriber).
@@ -24,34 +20,43 @@ func (p CanonicalPhone) Valid() bool {
 	return p[0] >= '2' && p[3] >= '2'
 }
 
-// Format renders the phone in the common (NPA) NXX-XXXX display form.
-//
-//repro:testonly-ok extract's and synth's tests render phones with it
-func (p CanonicalPhone) Format() string {
-	if len(p) != 10 {
-		return string(p)
-	}
-	return fmt.Sprintf("(%s) %s-%s", p[:3], p[3:6], p[6:])
+// PhoneForm is a display form of a phone number.
+type PhoneForm int
+
+// Phone display forms, in the order the synthetic renderer draws them.
+const (
+	PhoneParens PhoneForm = iota // (NPA) NXX-XXXX
+	PhoneDashed                  // NPA-NXX-XXXX
+	PhoneDotted                  // NPA.NXX.XXXX
+	PhoneBare                    // NPANXXXXXX
+)
+
+// phoneSeps holds each form's text before the area code, after it and
+// after the exchange.
+var phoneSeps = [...][3]string{
+	PhoneParens: {"(", ") ", "-"},
+	PhoneDashed: {"", "-", "-"},
+	PhoneDotted: {"", ".", "."},
+	PhoneBare:   {"", "", ""},
 }
 
-// FormatDashed renders NPA-NXX-XXXX.
+// Append appends p in display form f to dst and returns the extended
+// slice. A phone that is not ten digits, or an unknown form, appends p
+// as is. It allocates only when dst lacks capacity, so the renderer
+// can append into its page buffer's spare capacity.
 //
-//repro:testonly-ok extract's and synth's tests render phones with it
-func (p CanonicalPhone) FormatDashed() string {
-	if len(p) != 10 {
-		return string(p)
+//repro:noalloc
+func (p CanonicalPhone) Append(dst []byte, f PhoneForm) []byte {
+	if len(p) != 10 || uint(f) >= uint(len(phoneSeps)) {
+		return append(dst, p...)
 	}
-	return fmt.Sprintf("%s-%s-%s", p[:3], p[3:6], p[6:])
-}
-
-// FormatDotted renders NPA.NXX.XXXX.
-//
-//repro:testonly-ok extract's and synth's tests render phones with it
-func (p CanonicalPhone) FormatDotted() string {
-	if len(p) != 10 {
-		return string(p)
-	}
-	return fmt.Sprintf("%s.%s.%s", p[:3], p[3:6], p[6:])
+	s := &phoneSeps[f]
+	dst = append(dst, s[0]...)
+	dst = append(dst, p[:3]...)
+	dst = append(dst, s[1]...)
+	dst = append(dst, p[3:6]...)
+	dst = append(dst, s[2]...)
+	return append(dst, p[6:]...)
 }
 
 // NormalizePhone extracts the ten NANP digits from a formatted phone

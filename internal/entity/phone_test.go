@@ -24,18 +24,24 @@ func TestCanonicalPhoneValid(t *testing.T) {
 
 func TestPhoneFormats(t *testing.T) {
 	p := CanonicalPhone("4155551234")
-	if got := p.Format(); got != "(415) 555-1234" {
-		t.Errorf("Format = %q", got)
-	}
-	if got := p.FormatDashed(); got != "415-555-1234" {
-		t.Errorf("FormatDashed = %q", got)
-	}
-	if got := p.FormatDotted(); got != "415.555.1234" {
-		t.Errorf("FormatDotted = %q", got)
+	for f, want := range map[PhoneForm]string{
+		PhoneParens:   "(415) 555-1234",
+		PhoneDashed:   "415-555-1234",
+		PhoneDotted:   "415.555.1234",
+		PhoneBare:     "4155551234",
+		PhoneBare + 1: "4155551234", // unknown form: as is
+	} {
+		if got := string(p.Append([]byte("x"), f)); got != "x"+want {
+			t.Errorf("Append(form %d) = %q, want %q", f, got, "x"+want)
+		}
 	}
 	// Short phones pass through unformatted.
-	if got := CanonicalPhone("123").Format(); got != "123" {
-		t.Errorf("short Format = %q", got)
+	if got := string(CanonicalPhone("123").Append(nil, PhoneParens)); got != "123" {
+		t.Errorf("short Append = %q", got)
+	}
+	buf := make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { buf = p.Append(buf[:0], PhoneParens) }); n != 0 {
+		t.Errorf("Append into a large enough buffer allocates %.0f times", n)
 	}
 }
 
@@ -73,7 +79,8 @@ func TestNormalizeRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := dist.NewRNG(seed)
 		p := RandomPhone(rng)
-		for _, s := range []string{p.Format(), p.FormatDashed(), p.FormatDotted(), string(p)} {
+		for form := PhoneParens; form <= PhoneBare; form++ {
+			s := string(p.Append(nil, form))
 			got, ok := NormalizePhone(s)
 			if !ok || got != p {
 				return false

@@ -184,10 +184,8 @@ func PhoneAutomaton(db *entity.DB) (*AhoCorasick, error) {
 		if e.Phone == "" {
 			continue
 		}
-		for _, s := range []string{
-			e.Phone.Format(), e.Phone.FormatDashed(), e.Phone.FormatDotted(), string(e.Phone),
-		} {
-			pats = append(pats, s)
+		for f := entity.PhoneParens; f <= entity.PhoneBare; f++ {
+			pats = append(pats, phoneText(e.Phone, f))
 			vals = append(vals, e.ID)
 		}
 	}
@@ -209,7 +207,7 @@ func ISBNAutomaton(db *entity.DB) (*AhoCorasick, error) {
 	var pats []string
 	var vals []int
 	for _, e := range db.Entities {
-		for _, s := range []string{e.ISBN10, e.ISBN13, entity.FormatISBN13(e.ISBN13)} {
+		for _, s := range []string{e.ISBN10, e.ISBN13, isbnText(e.ISBN13)} {
 			if s == "" {
 				continue
 			}

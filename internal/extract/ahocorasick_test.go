@@ -80,7 +80,7 @@ func TestPhoneAutomatonAgreesWithRegexPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2, e9, e40 := db.Entities[2], db.Entities[9], db.Entities[40]
-	text := "Contact " + e2.Phone.Format() + " or " + e9.Phone.FormatDotted() +
+	text := "Contact " + phoneText(e2.Phone, entity.PhoneParens) + " or " + phoneText(e9.Phone, entity.PhoneDotted) +
 		" or even " + string(e40.Phone) + " for bookings. Unrelated: (999) 111-0000."
 
 	regexIDs := MatchPhones(db, text)

@@ -8,6 +8,11 @@ import (
 	"repro/internal/entity"
 )
 
+// isbnText renders a bare ISBN-13 hyphenated.
+func isbnText(isbn13 string) string {
+	return string(entity.AppendISBN13(nil, isbn13))
+}
+
 func TestISBNsRequiresMarker(t *testing.T) {
 	// Valid ISBN-10 but no "ISBN" marker nearby: rejected.
 	if got := ISBNs("the code 0306406152 appears here"); len(got) != 0 {
@@ -90,7 +95,7 @@ func TestMatchISBNs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b3, b7 := db.Entities[3], db.Entities[7]
-	text := "Catalog: ISBN " + b3.ISBN10 + " — also ISBN " + entity.FormatISBN13(b7.ISBN13)
+	text := "Catalog: ISBN " + b3.ISBN10 + " — also ISBN " + isbnText(b7.ISBN13)
 	got := MatchISBNs(db, text)
 	if !reflect.DeepEqual(got, []int{3, 7}) {
 		t.Errorf("MatchISBNs = %v, want [3 7]", got)

@@ -53,7 +53,7 @@ func TestPagePhoneAndHomepage(t *testing.T) {
 	<p>Phone: %s</p>
 	<a href="%s">Website</a>
 	<a href="http://unrelated.example.org/">other</a>
-	</body></html>`, target.Name, target.Phone.Format(), target.Homepage)
+	</body></html>`, target.Name, phoneText(target.Phone, entity.PhoneParens), target.Homepage)
 
 	mentions := x.Page([]byte(html))
 	var gotPhone, gotHome bool
@@ -75,7 +75,7 @@ func TestPagePhoneInsideMarkupAttrsIgnored(t *testing.T) {
 	db, _ := entity.Generate(entity.Config{Domain: entity.Banks, N: 5, Seed: 3})
 	e := db.Entities[0]
 	x, _ := New(db, nil)
-	html := `<div data-note="` + e.Phone.Format() + `">no phone in text</div>`
+	html := `<div data-note="` + phoneText(e.Phone, entity.PhoneParens) + `">no phone in text</div>`
 	for _, m := range x.Page([]byte(html)) {
 		if m.Attr == entity.AttrPhone {
 			t.Errorf("phone extracted from attribute: %v", m)
@@ -88,7 +88,7 @@ func TestPageBooks(t *testing.T) {
 	x, _ := New(db, nil)
 	b := db.Entities[4]
 	html := fmt.Sprintf(`<html><body><h2>%s</h2><p>ISBN: %s</p></body></html>`,
-		b.Name, entity.FormatISBN13(b.ISBN13))
+		b.Name, isbnText(b.ISBN13))
 	mentions := x.Page([]byte(html))
 	if len(mentions) != 1 || mentions[0].EntityID != 4 || mentions[0].Attr != entity.AttrISBN {
 		t.Errorf("mentions = %v", mentions)
@@ -106,9 +106,9 @@ func TestPageReviewDetection(t *testing.T) {
 	rng := dist.NewRNG(7)
 
 	reviewPage := fmt.Sprintf(`<html><body><h1>%s</h1><p>%s</p><p>%s</p></body></html>`,
-		e.Name, e.Phone.Format(), reviewText(rng, e.Name, 8))
+		e.Name, phoneText(e.Phone, entity.PhoneParens), reviewText(rng, e.Name, 8))
 	infoPage := fmt.Sprintf(`<html><body><h1>%s</h1><p>%s</p><p>%s</p></body></html>`,
-		e.Name, e.Phone.Format(), boilerplateText(rng, 8))
+		e.Name, phoneText(e.Phone, entity.PhoneParens), boilerplateText(rng, 8))
 
 	var reviewHit, infoHit bool
 	for _, m := range x.Page([]byte(reviewPage)) {
@@ -147,7 +147,7 @@ func TestPageNoReviewAttrForNonRestaurants(t *testing.T) {
 	e := db.Entities[0]
 	rng := dist.NewRNG(9)
 	html := fmt.Sprintf(`<html><body><p>%s</p><p>%s</p></body></html>`,
-		e.Phone.Format(), reviewText(rng, e.Name, 8))
+		phoneText(e.Phone, entity.PhoneParens), reviewText(rng, e.Name, 8))
 	for _, m := range x.Page([]byte(html)) {
 		if m.Attr == entity.AttrReview {
 			t.Errorf("review mention for a non-review domain: %v", m)

@@ -8,6 +8,11 @@ import (
 	"repro/internal/entity"
 )
 
+// phoneText renders p in display form f.
+func phoneText(p entity.CanonicalPhone, f entity.PhoneForm) string {
+	return string(p.Append(nil, f))
+}
+
 func TestPhonesFormats(t *testing.T) {
 	text := `Call (415) 555-1234 today, or fax 212-555-9876.
 	Alt: 303.555.4567 and 808 555 2222, int'l +1 415 555 1234.`
@@ -60,7 +65,7 @@ func TestMatchPhones(t *testing.T) {
 		t.Fatal(err)
 	}
 	e0, e5 := db.Entities[0], db.Entities[5]
-	text := "Two places: " + e0.Phone.Format() + " and " + e5.Phone.FormatDashed() +
+	text := "Two places: " + phoneText(e0.Phone, entity.PhoneParens) + " and " + phoneText(e5.Phone, entity.PhoneDashed) +
 		" but not (999) 999-9999."
 	got := MatchPhones(db, text)
 	if !reflect.DeepEqual(got, []int{0, 5}) {
@@ -71,7 +76,7 @@ func TestMatchPhones(t *testing.T) {
 func TestMatchPhonesNoDuplicates(t *testing.T) {
 	db, _ := entity.Generate(entity.Config{Domain: entity.Banks, N: 5, Seed: 10})
 	e := db.Entities[2]
-	text := e.Phone.Format() + " " + e.Phone.FormatDotted() + " " + e.Phone.FormatDashed()
+	text := phoneText(e.Phone, entity.PhoneParens) + " " + phoneText(e.Phone, entity.PhoneDotted) + " " + phoneText(e.Phone, entity.PhoneDashed)
 	if got := MatchPhones(db, text); len(got) != 1 || got[0] != 2 {
 		t.Errorf("MatchPhones = %v, want [2]", got)
 	}
@@ -84,11 +89,11 @@ func TestPhonesRandomizedRoundTrip(t *testing.T) {
 		var text string
 		switch i % 4 {
 		case 0:
-			text = "Reach us at " + p.Format() + " any time."
+			text = "Reach us at " + phoneText(p, entity.PhoneParens) + " any time."
 		case 1:
-			text = "tel: " + p.FormatDashed()
+			text = "tel: " + phoneText(p, entity.PhoneDashed)
 		case 2:
-			text = p.FormatDotted() + " is the number"
+			text = phoneText(p, entity.PhoneDotted) + " is the number"
 		case 3:
 			text = "Phone " + string(p[:3]) + " " + string(p[3:6]) + " " + string(p[6:])
 		}

@@ -140,15 +140,16 @@ func TestSessionHandcraftedPages(t *testing.T) {
 			break
 		}
 	}
+	phone := string(e.Phone.Append(nil, entity.PhoneParens))
 	pages := []string{
-		"<p>Phone: " + e.Phone.Format() + "</p>",
-		"<p>" + e.Phone.FormatDashed() + " and again " + e.Phone.Format() + "</p>",
-		`<div data-note="` + e.Phone.Format() + `">no phone in text</div>`,
-		"<p>split across <b>" + e.Phone.Format() + "</b> elements</p>",
+		"<p>Phone: " + phone + "</p>",
+		"<p>" + string(e.Phone.Append(nil, entity.PhoneDashed)) + " and again " + phone + "</p>",
+		`<div data-note="` + phone + `">no phone in text</div>`,
+		"<p>split across <b>" + phone + "</b> elements</p>",
 		"<p>whitespace   collapse " + string(e.Phone) + "\n\t tail</p>",
 		`<a href="` + home + `">site</a><a href="` + home + `">dup</a>`,
 		`<a href="  ` + home + `  ">padded</a>`,
-		"<script>" + e.Phone.Format() + "</script><p>hidden in raw</p>",
+		"<script>" + phone + "</script><p>hidden in raw</p>",
 		"<p>&#40;" + string(e.Phone[:3]) + "&#41; " + string(e.Phone[3:6]) + "-" + string(e.Phone[6:]) + "</p>",
 		"",
 	}
@@ -180,14 +181,15 @@ func TestSessionISBNMarkerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := w.DB.Entities[2]
+	isbn13 := string(entity.AppendISBN13(nil, b.ISBN13))
 	pages := []string{
 		"<p>ISBN: " + b.ISBN10 + "</p>",
 		"<p>" + b.ISBN10 + " (ISBN)</p>", // marker after the match
 		"<p>" + b.ISBN10 + "</p>",        // no marker: no mention
-		"<p>isbn " + entity.FormatISBN13(b.ISBN13) + "</p>",
+		"<p>isbn " + isbn13 + "</p>",
 		// Marker far outside the 48-byte window.
 		"<p>ISBN of something else. Much later in unrelated prose, far beyond the window limit, sits " + b.ISBN10 + "</p>",
-		"<p>ISBN " + b.ISBN10 + " and " + entity.FormatISBN13(b.ISBN13) + " same book twice</p>",
+		"<p>ISBN " + b.ISBN10 + " and " + isbn13 + " same book twice</p>",
 	}
 	for _, pg := range pages {
 		want := x.Page([]byte(pg))

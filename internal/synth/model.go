@@ -20,6 +20,13 @@
 // consume those decisions, so extracting the rendered web reproduces
 // the direct index exactly — tests assert this equivalence.
 //
+// The model's calibration is one table, models in calibration.go, with
+// one row per domain; Config carries only the domain, the sizes and the
+// seed. Recalibrating a row changes every study built on that domain,
+// so it means bumping core.HashVersion and regenerating both golden
+// files (internal/report/testdata/study_outputs.txt and
+// internal/serve/testdata/served_bodies.txt).
+//
 // The package also owns the crawl round trip: WriteWARC archives the
 // rendered web, and ExtractWARC mines an archive back into indexes by
 // the same page fold, attribute universes and review universe as
@@ -81,46 +88,14 @@ type Site struct {
 	Listings []Listing
 }
 
-// Config parameterizes web generation. Zero-valued shape fields take the
-// calibrated defaults (see defaults.go); Domain, Entities,
-// DirectoryHosts and Seed must be set.
+// Config parameterizes web generation. Domain, Entities and
+// DirectoryHosts must be set; the model's calibration comes from the
+// domain's row of models.
 type Config struct {
 	Domain         entity.Domain
 	Entities       int    // entity database size
 	DirectoryHosts int    // aggregator + directory host count
 	Seed           uint64 // master seed; everything derives from it
-
-	// SizeExponent is the power-law decay of site size with site rank
-	// (beta: size ∝ rank^-beta).
-	SizeExponent float64
-	// HeadFraction is the fraction of the entity DB covered by the
-	// rank-1 site.
-	HeadFraction float64
-	// PopBias is the popularity bias of site coverage (gamma: entity
-	// selection weight ∝ popRank^-gamma). Zero bias means uniform.
-	PopBias float64
-	// KeyAvail is the probability a covered listing shows the
-	// identifying attribute.
-	KeyAvail float64
-	// AggHomepageAvail / DirHomepageAvail are the probabilities that an
-	// aggregator / directory listing links the entity homepage.
-	AggHomepageAvail float64
-	DirHomepageAvail float64
-	// Aggregators is how many top-ranked sites count as aggregators.
-	Aggregators int
-
-	// MaxReviews is the expected review-page count for the rank-1
-	// entity (restaurants only; reviews decay as popRank^-ReviewExponent).
-	MaxReviews     int
-	ReviewExponent float64
-	// ReviewSiteBias controls popularity affinity in review placement:
-	// a head entity's reviews gravitate to head sites (weight
-	// ∝ siteRank^-ReviewSiteBias), a tail entity's to the tail sites
-	// that cover it (weight ∝ siteRank^+ReviewSiteBias·affinity). This
-	// is the mechanism behind Fig 4: popular restaurants are reviewed on
-	// yelp-like aggregators while obscure ones are reviewed only on
-	// local blogs, so review coverage needs thousands of sites.
-	ReviewSiteBias float64
 }
 
 // Web is the generated synthetic web for one domain.
@@ -128,13 +103,15 @@ type Web struct {
 	Config Config
 	DB     *entity.DB
 	Sites  []Site
+
+	model model // Config.Domain's calibration
 }
 
 // Generate builds the synthetic web. It returns an error for an invalid
 // domain or non-positive sizes.
 func Generate(cfg Config) (*Web, error) {
-	cfg = withDefaults(cfg)
-	if !cfg.Domain.Valid() {
+	m, ok := models[cfg.Domain]
+	if !ok {
 		return nil, fmt.Errorf("synth: invalid domain %q", cfg.Domain)
 	}
 	if cfg.Entities <= 0 || cfg.DirectoryHosts <= 0 {
@@ -147,7 +124,7 @@ func Generate(cfg Config) (*Web, error) {
 	}
 
 	rng := dist.NewRNG(cfg.Seed ^ 0x5eed0fbeb)
-	w := &Web{Config: cfg, DB: db}
+	w := &Web{Config: cfg, DB: db, model: m}
 
 	coverRNG := rng.Split()
 	attrRNG := rng.Split()
@@ -165,28 +142,29 @@ func Generate(cfg Config) (*Web, error) {
 
 // siteSize returns the intended entity count for the site at 1-based
 // rank r.
-func siteSize(cfg Config, r int) int {
-	s := cfg.HeadFraction * float64(cfg.Entities) * math.Pow(float64(r), -cfg.SizeExponent)
-	n := int(math.Round(s))
-	if n < 1 {
-		n = 1
+func (w *Web) siteSize(r int) int {
+	n := w.Config.Entities
+	s := w.model.headFraction * float64(n) * math.Pow(float64(r), -w.model.sizeExponent)
+	size := int(math.Round(s))
+	if size < 1 {
+		size = 1
 	}
-	if n > cfg.Entities {
-		n = cfg.Entities
+	if size > n {
+		size = n
 	}
-	return n
+	return size
 }
 
 // generateDirectorySites creates the aggregator+directory population.
 // Large sites use a Bernoulli inclusion scan (O(N) per site); small
 // sites use alias rejection sampling (O(size)).
 func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
-	cfg := w.Config
+	cfg, m := w.Config, w.model
 	n := cfg.Entities
 	weights := make([]float64, n)
 	var wsum float64
 	for i := 0; i < n; i++ {
-		weights[i] = math.Pow(float64(i+1), -cfg.PopBias)
+		weights[i] = math.Pow(float64(i+1), -m.popBias)
 		wsum += weights[i]
 	}
 	alias, err := dist.NewAlias(weights)
@@ -203,7 +181,7 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 	w.Sites = make([]Site, 0, cfg.DirectoryHosts)
 	bernoulliThreshold := n / 10
 	for r := 1; r <= cfg.DirectoryHosts; r++ {
-		size := siteSize(cfg, r)
+		size := w.siteSize(r)
 		if size >= bernoulliThreshold {
 			members = members[:0]
 			scale := float64(size) / wsum
@@ -220,10 +198,10 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 			members = append(members, alias.Sample(coverRNG))
 		}
 		class := Directory
-		hpAvail := cfg.DirHomepageAvail
-		if r <= cfg.Aggregators {
+		hpAvail := m.dirHomepageAvail
+		if r <= m.aggregators {
 			class = Aggregator
-			hpAvail = cfg.AggHomepageAvail
+			hpAvail = m.aggHomepageAvail
 		}
 		site := Site{
 			Host:     hostName(cfg.Domain, class, r),
@@ -233,7 +211,7 @@ func (w *Web) generateDirectorySites(coverRNG, attrRNG *dist.RNG) {
 		for _, e := range members {
 			l := Listing{
 				Entity: e,
-				HasKey: attrRNG.Float64() < cfg.KeyAvail,
+				HasKey: attrRNG.Float64() < m.keyAvail,
 			}
 			if w.DB.Entities[e].Homepage != "" && attrRNG.Float64() < hpAvail {
 				l.HasHomepage = true
@@ -276,7 +254,7 @@ func (w *Web) generateSelfSites() {
 // Entity e's total review volume decays with its popularity rank;
 // placement is biased toward head sites among the sites that list e.
 func (w *Web) distributeReviews(rng *dist.RNG) {
-	cfg := w.Config
+	cfg, m := w.Config, w.model
 	// Index: entity -> (site index, listing index) pairs for non-self
 	// sites that list it.
 	type ref struct{ site, listing int }
@@ -299,7 +277,7 @@ func (w *Web) distributeReviews(rng *dist.RNG) {
 		if len(refs) == 0 {
 			continue
 		}
-		mean := float64(cfg.MaxReviews) * math.Pow(float64(e+1), -cfg.ReviewExponent) * noise.Sample(rng)
+		mean := float64(m.maxReviews) * math.Pow(float64(e+1), -m.reviewExponent) * noise.Sample(rng)
 		total := dist.Poisson(rng, mean)
 		if total == 0 {
 			continue
@@ -308,7 +286,7 @@ func (w *Web) distributeReviews(rng *dist.RNG) {
 		// (affinity near -1) weights favor head sites; for tail entities
 		// (affinity near +1) they favor the tail sites covering them.
 		affinity := 2*float64(e)/float64(cfg.Entities) - 1
-		exponent := cfg.ReviewSiteBias * affinity
+		exponent := m.reviewSiteBias * affinity
 		pw := make([]float64, len(refs))
 		for i, r := range refs {
 			pw[i] = math.Pow(float64(r.site+1), exponent)

@@ -85,10 +85,10 @@ func TestSiteClasses(t *testing.T) {
 			}
 		}
 	}
-	if aggs != w.Config.Aggregators {
-		t.Errorf("aggregators = %d, want %d", aggs, w.Config.Aggregators)
+	if aggs != w.model.aggregators {
+		t.Errorf("aggregators = %d, want %d", aggs, w.model.aggregators)
 	}
-	if dirs != w.Config.DirectoryHosts-w.Config.Aggregators {
+	if dirs != w.Config.DirectoryHosts-w.model.aggregators {
 		t.Errorf("directories = %d", dirs)
 	}
 	wantSelf := len(w.DB.WithHomepage())

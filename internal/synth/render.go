@@ -165,34 +165,8 @@ func writeEscapedAddress(b *bytes.Buffer, a textgen.Address) {
 
 // writePhone streams one of the common display formats.
 func writePhone(b *bytes.Buffer, rng *dist.RNG, p entity.CanonicalPhone) {
-	form := rng.Intn(4)
-	if len(p) != 10 {
-		b.WriteString(string(p))
-		return
-	}
-	switch form {
-	case 0: // (NPA) NXX-XXXX
-		b.WriteByte('(')
-		b.WriteString(string(p[:3]))
-		b.WriteString(") ")
-		b.WriteString(string(p[3:6]))
-		b.WriteByte('-')
-		b.WriteString(string(p[6:]))
-	case 1: // NPA-NXX-XXXX
-		b.WriteString(string(p[:3]))
-		b.WriteByte('-')
-		b.WriteString(string(p[3:6]))
-		b.WriteByte('-')
-		b.WriteString(string(p[6:]))
-	case 2: // NPA.NXX.XXXX
-		b.WriteString(string(p[:3]))
-		b.WriteByte('.')
-		b.WriteString(string(p[3:6]))
-		b.WriteByte('.')
-		b.WriteString(string(p[6:]))
-	default:
-		b.WriteString(string(p))
-	}
+	form := entity.PhoneForm(rng.Intn(4))
+	b.Write(p.Append(b.AvailableBuffer(), form))
 }
 
 // writeHomepage streams the cosmetic URL variation real pages have.
@@ -219,21 +193,7 @@ func writeISBN(b *bytes.Buffer, rng *dist.RNG, e entity.Entity) {
 		b.WriteString(e.ISBN10)
 		return
 	}
-	isbn := e.ISBN13
-	if len(isbn) != 13 {
-		b.WriteString(isbn)
-		return
-	}
-	// 978-X-XXXX-XXXX-X, matching entity.FormatISBN13.
-	b.WriteString(isbn[:3])
-	b.WriteByte('-')
-	b.WriteString(isbn[3:4])
-	b.WriteByte('-')
-	b.WriteString(isbn[4:8])
-	b.WriteByte('-')
-	b.WriteString(isbn[8:12])
-	b.WriteByte('-')
-	b.WriteString(isbn[12:])
+	b.Write(entity.AppendISBN13(b.AvailableBuffer(), e.ISBN13))
 }
 
 // hashHost gives a stable 64-bit mix of a host name (FNV-1a).

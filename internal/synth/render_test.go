@@ -63,7 +63,7 @@ func TestRenderISBNCoversBothForms(t *testing.T) {
 		switch s := renderISBN(rng, e); s {
 		case e.ISBN10:
 			saw10 = true
-		case entity.FormatISBN13(e.ISBN13):
+		case string(entity.AppendISBN13(nil, e.ISBN13)):
 			saw13 = true
 		default:
 			t.Fatalf("unexpected ISBN rendering %q", s)
@@ -133,9 +133,11 @@ func TestRenderReviewPageStructure(t *testing.T) {
 	}
 	// The contact line must carry the entity's phone in one of the four
 	// display formats so extraction can attribute the page.
-	p := e.Phone
-	if !strings.Contains(html, p.Format()) && !strings.Contains(html, p.FormatDashed()) &&
-		!strings.Contains(html, p.FormatDotted()) && !strings.Contains(html, string(p)) {
+	found := false
+	for f := entity.PhoneParens; f <= entity.PhoneBare; f++ {
+		found = found || strings.Contains(html, string(e.Phone.Append(nil, f)))
+	}
+	if !found {
 		t.Error("review page missing the entity phone in every format")
 	}
 }
